@@ -22,6 +22,7 @@ that epoch.
 """
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -34,8 +35,13 @@ from .core import (
     Topology,
     aggregate_consensus,
 )
-from .scanner import MeasurementPlan, ScannerConfig, measurement_steps, plan_round
-from . import scanner as _scanner
+from .scanner import (
+    MeasurementPlan,
+    ScannerConfig,
+    measurement_steps,
+    plan_round,
+    select_exit,
+)
 
 _EPS = 1e-9
 
@@ -262,10 +268,18 @@ class _ThreadCtx:
 
 
 class _Loop:
-    def __init__(self, cfg: SimConfig):
+    """The one event loop: scanner threads, rounds, and consensus epochs.
+
+    seed drives every random draw of the loop (round plans, detector misses,
+    false positives).
+    """
+
+    def __init__(self, cfg: SimConfig, seed):
         self.cfg = cfg
+        self.seed = seed
         self.state = FlowState(cfg.topology, cfg.user_load)
         self.records = []
+        self.consensus = []
         self.events = []
         self.seq = 0
         self.queues = {s.ba_id: [] for s in cfg.scanners}
@@ -274,12 +288,26 @@ class _Loop:
             for s in cfg.scanners for t in range(s.threads)
         }
         self.scanner_by_ba = {s.ba_id: s for s in cfg.scanners}
-        self.rng_detect = random.Random("%s/detect" % (cfg.seed,))
-        self.rng_fp = random.Random("%s/fp" % (cfg.seed,))
+        self.rng_detect = random.Random("%s/detect" % (seed,))
+        self.rng_fp = random.Random("%s/fp" % (seed,))
 
     def push(self, time, prio, payload):
         heapq.heappush(self.events, (time, prio, self.seq, payload))
         self.seq += 1
+
+    def run(self, until: float):
+        """Dispatch events in time order; drop the first one past until."""
+        while self.events:
+            time, _prio, _seq, payload = heapq.heappop(self.events)
+            if time > until:
+                break
+            kind = payload[0]
+            if kind == "step":
+                self._on_step(time, payload[1], payload[2])
+            elif kind == "round":
+                self._on_round(time, payload[1], payload[2])
+            elif kind == "consensus":
+                self._on_consensus(payload[1])
 
     # -- scanner thread driving --------------------------------------------
 
@@ -346,8 +374,16 @@ class _Loop:
     def _complete(self, ba_id, thread_id, outcome):
         ctx = self.threads[(ba_id, thread_id)]
         self.state.remove_flow(ctx.plan.target, ba_id)
-        self.records.append(_scanner._finish(
-            outcome, ctx.plan, ba_id, thread_id, ctx.start, ctx.now,
+        self.records.append(MeasurementRecord(
+            relay_id=ctx.plan.target,
+            ba_id=ba_id,
+            thread_id=thread_id,
+            start_time=ctx.start,
+            end_time=ctx.now,
+            measured_bw=outcome["measured_bw"],
+            bytes_total=outcome["bytes_total"],
+            downloads=outcome["downloads"],
+            ok=outcome["ok"],
         ))
         ctx.gen = None
         ctx.plan = None
@@ -365,12 +401,17 @@ class _Loop:
         scancfg = self.scanner_by_ba[ba_id]
         plans = plan_round(
             scancfg, self._active_relays(now),
-            "%s/%s/round%d" % (self.cfg.seed, ba_id, round_idx),
+            "%s/%s/round%d" % (self.seed, ba_id, round_idx),
         )
         self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
         for thread_id in range(scancfg.threads):
             if not self.threads[(ba_id, thread_id)].busy:
                 self._start_next(ba_id, thread_id, now)
+
+    def _on_consensus(self, epoch):
+        prior = self.consensus[-1] if self.consensus else None
+        self.consensus.append(_fold_consensus(self.records, self.cfg, epoch, prior))
+        self._resample_false_positives()
 
     def _resample_false_positives(self):
         detector = self.cfg.detector
@@ -394,7 +435,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     """
     if not cfg.scanners:
         raise SimulationError("nothing to measure")
-    loop = _Loop(cfg)
+    loop = _Loop(cfg, cfg.seed)
     loop._resample_false_positives()
 
     for scanner in cfg.scanners:
@@ -405,23 +446,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     n_epochs = int(cfg.duration // cfg.consensus_interval)
     for e in range(1, n_epochs + 1):
         loop.push(e * cfg.consensus_interval, _PRIO_CONSENSUS, ("consensus", e))
-
-    consensus = []
-    prior = None
-    while loop.events:
-        time, _prio, _seq, payload = heapq.heappop(loop.events)
-        if time > cfg.duration:
-            break
-        kind = payload[0]
-        if kind == "step":
-            loop._on_step(time, payload[1], payload[2])
-        elif kind == "round":
-            loop._on_round(time, payload[1], payload[2])
-        elif kind == "consensus":
-            epoch = payload[1]
-            prior = _fold_consensus(loop.records, cfg, epoch, prior)
-            consensus.append(prior)
-            loop._resample_false_positives()
+    loop.run(cfg.duration)
 
     if not any(rec.ok for rec in loop.records):
         raise SimulationError(
@@ -430,7 +455,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     baseline = _baseline_bw(loop.records, cfg.topology)
     return SimResult(
         records=tuple(loop.records),
-        consensus=tuple(consensus),
+        consensus=tuple(loop.consensus),
         baseline_bw=baseline,
     )
 
@@ -512,12 +537,14 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
 
     One synthetic scanner starts every target at the same instant, so the
     targets contend exactly as a co-measurement would. Used by the defense
-    workflow to force co-probes. Returns one record per relay.
+    workflow to force co-probes. seed drives both the exit choice and the
+    detector misses. Returns one record per relay.
     """
     relay_ids = list(relay_ids)
     if not relay_ids:
         return ()
-    rng = random.Random("%s/probe" % (seed,))
+    seed = "%s/probe" % (seed,)
+    rng = random.Random(seed)
     exits = sorted(
         (r for r in cfg.topology.relays.values() if r.role == "exit"),
         key=lambda r: r.relay_id,
@@ -525,26 +552,18 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
     base_scancfg = cfg.scanners[0] if cfg.scanners else ScannerConfig()
     scancfg = replace(
         base_scancfg, ba_id="probe",
-        threads=max(1, min(8, len(relay_ids))),
+        threads=min(8, len(relay_ids)),
     )
     plans = []
     for relay_id in relay_ids:
-        target = cfg.topology.relays[relay_id]
-        candidates = [
-            e for e in exits
-            if e.advertised_bw >= scancfg.exit_speed_factor * target.advertised_bw
-        ]
-        if not candidates:
+        exit_relay = select_exit(scancfg, exits, cfg.topology.relays[relay_id], rng)
+        if exit_relay is None:
             raise SimulationError("no qualifying exit for probe of %s" % relay_id)
-        plans.append(MeasurementPlan(target=relay_id,
-                                     exit=rng.choice(candidates).relay_id))
+        plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))
 
-    probe_cfg = replace(cfg, scanners=(scancfg,))
-    loop = _Loop(probe_cfg)
-    loop.queues["probe"] = list(plans)
-    for thread_id in range(min(scancfg.threads, len(plans))):
+    loop = _Loop(replace(cfg, scanners=(scancfg,)), seed)
+    loop.queues["probe"] = plans
+    for thread_id in range(scancfg.threads):
         loop._start_next("probe", thread_id, start_time)
-    while loop.events:
-        time, _prio, _seq, payload = heapq.heappop(loop.events)
-        loop._on_step(time, payload[1], payload[2])
+    loop.run(math.inf)
     return tuple(loop.records)

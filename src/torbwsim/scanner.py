@@ -11,9 +11,7 @@ constraint the timeline-inference code exploits later.
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import MeasurementRecord
 from .units import GIB, MIB
 
 log = logging.getLogger(__name__)
@@ -49,12 +47,26 @@ class MeasurementPlan:
     order: int = 0
 
 
+def select_exit(cfg: ScannerConfig, exits, target, rng):
+    """Draw an exit for target uniformly from those fast enough.
+
+    An exit qualifies when its advertised bandwidth is at least
+    exit_speed_factor times the target's. exits must be sorted by relay_id,
+    so a given rng state always picks the same exit. Returns None, without
+    drawing, when no exit qualifies.
+    """
+    candidates = [
+        e for e in exits
+        if e.advertised_bw >= cfg.exit_speed_factor * target.advertised_bw
+    ]
+    return rng.choice(candidates) if candidates else None
+
+
 def plan_round(cfg: ScannerConfig, relays, rng_seed) -> tuple:
     """Plan one measurement round: every non-exit relay once, shuffled order.
 
-    Exits are drawn uniformly from the relays satisfying the speed rule
-    (exit advertised bandwidth >= exit_speed_factor times the target's).
-    Targets with no usable exit are skipped with a warning.
+    Exits are drawn by select_exit. Targets with no usable exit are skipped
+    with a warning.
     """
     rng = random.Random("%s/plan" % (rng_seed,))
     exits = sorted(
@@ -65,15 +77,12 @@ def plan_round(cfg: ScannerConfig, relays, rng_seed) -> tuple:
     )
     plans = []
     for target in targets:
-        candidates = [
-            e for e in exits
-            if e.advertised_bw >= cfg.exit_speed_factor * target.advertised_bw
-        ]
-        if not candidates:
+        exit_relay = select_exit(cfg, exits, target, rng)
+        if exit_relay is None:
             log.warning("%s: no exit at least %.1fx faster than target %s, skipping",
                         cfg.ba_id, cfg.exit_speed_factor, target.relay_id)
             continue
-        plans.append((target.relay_id, rng.choice(candidates).relay_id))
+        plans.append((target.relay_id, exit_relay.relay_id))
     rng.shuffle(plans)
     if targets and not plans:
         log.warning("%s: round is empty, no target has a qualifying exit", cfg.ba_id)
@@ -102,90 +111,42 @@ def measurement_steps(cfg: ScannerConfig):
 
     Yields ("adapt" | "timed", size_bytes); the caller sends back the
     observed duration in seconds (or None for a dead path). Returns a dict
-    with the per-download sizes/durations of the timed phase, total bytes
+    with the per-download sizes/durations of the timed phase, the measured
+    bandwidth (mean per-download throughput, 0.0 unless ok), total bytes
     moved, download count, and an ok flag.
     """
     size = cfg.range_increment
     bytes_total = 0
     downloads = 0
+    sizes, durations = [], []
 
-    in_band = False
+    ok = False
     for _ in range(MAX_ADAPTATION_STEPS):
         duration = yield ("adapt", size)
         if duration is None or duration <= 0:
-            return {"ok": False, "sizes": [], "durations": [],
-                    "bytes_total": bytes_total, "downloads": downloads}
+            break
         bytes_total += size
         downloads += 1
         if cfg.min_duration_per_download <= duration <= cfg.max_duration_per_download:
-            in_band = True
+            ok = True
             break
         size = adapt_range(size, duration, cfg)
-    if not in_band:
-        return {"ok": False, "sizes": [], "durations": [],
-                "bytes_total": bytes_total, "downloads": downloads}
 
-    sizes, durations = [], []
-    for _ in range(cfg.downloads_per_measurement):
-        duration = yield ("timed", size)
-        if duration is None or duration <= 0:
-            return {"ok": False, "sizes": sizes, "durations": durations,
-                    "bytes_total": bytes_total, "downloads": downloads}
-        bytes_total += size
-        downloads += 1
-        sizes.append(size)
-        durations.append(duration)
-    return {"ok": True, "sizes": sizes, "durations": durations,
-            "bytes_total": bytes_total, "downloads": downloads}
+    if ok:
+        for _ in range(cfg.downloads_per_measurement):
+            duration = yield ("timed", size)
+            if duration is None or duration <= 0:
+                ok = False
+                break
+            bytes_total += size
+            downloads += 1
+            sizes.append(size)
+            durations.append(duration)
 
-
-def _finish(outcome, plan, ba_id, thread_id, start, end):
-    if outcome["ok"]:
-        throughputs = [
-            s / d for s, d in zip(outcome["sizes"], outcome["durations"])
-        ]
+    measured = 0.0
+    if ok:
+        throughputs = [s / d for s, d in zip(sizes, durations)]
         measured = sum(throughputs) / len(throughputs)
-    else:
-        measured = 0.0
-    return MeasurementRecord(
-        relay_id=plan.target,
-        ba_id=ba_id,
-        thread_id=thread_id,
-        start_time=start,
-        end_time=end,
-        measured_bw=measured,
-        bytes_total=outcome["bytes_total"],
-        downloads=outcome["downloads"],
-        ok=outcome["ok"],
-    )
-
-
-def execute_measurement(plan: MeasurementPlan,
-                        bandwidth_fn: Callable[[str, float], float],
-                        clock: float,
-                        cfg: ScannerConfig,
-                        thread_id: int = 0) -> MeasurementRecord:
-    """Run one full measurement against a bandwidth callback.
-
-    bandwidth_fn(relay_id, time) gives the available bytes/second on that
-    relay at that instant; the path rate is the minimum over target and
-    exit, sampled at each download's start. A zero or negative rate marks
-    the measurement failed with whatever partial data exists.
-    """
-    gen = measurement_steps(cfg)
-    now = clock
-    step = gen.send(None)
-    while True:
-        _phase, size = step
-        rate = min(bandwidth_fn(plan.target, now), bandwidth_fn(plan.exit, now))
-        duration = (size / rate) if rate > 0 else None
-        if duration is not None:
-            now += duration
-        try:
-            step = gen.send(duration)
-        except StopIteration as stop:
-            outcome = stop.value
-            break
-    if now == clock:
-        now = clock + 1e-9  # dead path on the first probe; keep end > start
-    return _finish(outcome, plan, cfg.ba_id, thread_id, clock, now)
+    return {"ok": ok, "sizes": sizes, "durations": durations,
+            "measured_bw": measured, "bytes_total": bytes_total,
+            "downloads": downloads}

@@ -17,6 +17,7 @@ from torbwsim.core import (
     SimulationError,
     Topology,
 )
+from torbwsim import netsim
 from torbwsim.netsim import (
     DetectorModel,
     FlowState,
@@ -30,6 +31,7 @@ from torbwsim.netsim import (
     run_probe,
     run_simulation,
 )
+from torbwsim.units import MIB
 
 
 def measurement(relay_id, ba_id, detected=True, detect_time=0.0, start=0.0):
@@ -573,6 +575,59 @@ class TestRunProbe:
         records = run_probe(cfg, pair, seed="p")
         for rec in records:
             assert rec.measured_bw == pytest.approx(25 * MB)
+
+    def test_constant_rate(self):
+        relays, hosts, _load = honest_farm(n_middles=1)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=100.0)
+        assert rec.ok
+        assert rec.measured_bw == pytest.approx(25 * MB)
+        assert rec.start_time == 100.0
+        assert rec.duration == pytest.approx(
+            (16 + 32 + 64 + 128 * 6) * MIB / (25 * MB)
+        )
+
+    def test_path_is_min_of_target_and_exit(self):
+        # the exit qualifies on advertised bandwidth, but its host can only
+        # carry 10 MB/s, below the target's 25 MB/s
+        hosts = {
+            "h": HostSpec(host_id="h", capacity=400 * MB),
+            "hx": HostSpec(host_id="hx", capacity=10 * MB),
+        }
+        relays = {
+            fp("t"): RelaySpec(relay_id=fp("t"), host_id="h",
+                               advertised_bw=25 * MB),
+            fp("x"): RelaySpec(relay_id=fp("x"), host_id="hx",
+                               advertised_bw=200 * MB, role="exit"),
+        }
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        (rec,) = run_probe(cfg, [fp("t")], seed="p")
+        assert rec.ok
+        assert rec.measured_bw == pytest.approx(10 * MB)
+
+    def test_dead_path_record(self, monkeypatch):
+        monkeypatch.setattr(netsim, "available_bandwidth",
+                            lambda state, relay_id, now: 0.0)
+        relays, hosts, _load = honest_farm(n_middles=1)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
+        assert not rec.ok
+        assert rec.measured_bw == 0.0
+        assert rec.start_time == 5.0
+        assert rec.end_time > rec.start_time
+
+    def test_seed_drives_detector_misses(self):
+        # a detected probe of a DeTorMult member sees the 11 MB/s dedicated
+        # pool, a missed one the member's own 25 MB/s host
+        topology, clusters, load = detormult_topology()
+        cfg = sim_config(topology, user_load=load,
+                         detector=DetectorModel(false_negative_rate=0.5))
+        measured = {
+            round(run_probe(cfg, [clusters[0][0]], seed="solo/%d" % i)[0]
+                  .measured_bw / MB, 6)
+            for i in range(40)
+        }
+        assert measured == {11.0, 25.0}
 
     def test_empty_probe_is_empty(self):
         topology, clusters, load = detormult_topology()

@@ -8,10 +8,8 @@ from conftest import MB, fp
 from torbwsim.core import RelaySpec
 from torbwsim.scanner import (
     MAX_ADAPTATION_STEPS,
-    MeasurementPlan,
     ScannerConfig,
     adapt_range,
-    execute_measurement,
     measurement_steps,
     plan_round,
 )
@@ -93,6 +91,28 @@ class TestMeasurementSteps:
         assert not outcome["ok"]
         assert sizes == [16 * MIB]
 
+    def test_mean_of_per_download_throughputs(self):
+        # the rate flips between downloads: the published number is the mean
+        # of per-download throughputs, not total bytes over total time
+        rates = [2 * MB, 8 * MB] * 5
+        outcome, sizes = run_steps(rates)
+        assert outcome["ok"]
+        # 16 MiB at 2 MB/s is in band at once; the five timed downloads
+        # then see 8, 2, 8, 2, 8 MB/s
+        assert len(sizes) == 6
+        expected_mean = statistics.fmean(rates[1:6])
+        total_rate = outcome["bytes_total"] / (
+            16 * MIB / (2 * MB) + sum(outcome["durations"])
+        )
+        assert outcome["measured_bw"] == pytest.approx(expected_mean)
+        assert outcome["measured_bw"] != pytest.approx(total_rate, rel=1e-3)
+
+    @pytest.mark.parametrize("rates", [[0.0], [25 * MB] * 4 + [0.0]])
+    def test_failed_measurement_measures_zero(self, rates):
+        outcome, _sizes = run_steps(rates)
+        assert not outcome["ok"]
+        assert outcome["measured_bw"] == 0.0
+
     def test_unstable_path_exhausts_adaptation_budget(self):
         # alternating fast/slow keeps the size bouncing across the band and
         # never settles; the scanner must give up after the step cap
@@ -107,57 +127,6 @@ class TestMeasurementSteps:
         assert not outcome["ok"]
         assert all(s == 16 * MIB for s in sizes)
         assert len(sizes) == MAX_ADAPTATION_STEPS
-
-
-class TestExecuteMeasurement:
-    def _plan(self):
-        return MeasurementPlan(target=fp("t"), exit=fp("e"))
-
-    def test_constant_rate(self):
-        rec = execute_measurement(
-            self._plan(), lambda relay, now: 25 * MB, clock=100.0, cfg=CFG
-        )
-        assert rec.ok
-        assert rec.measured_bw == pytest.approx(25 * MB)
-        assert rec.start_time == 100.0
-        assert rec.end_time > rec.start_time
-        assert rec.duration == pytest.approx(
-            (16 + 32 + 64 + 128 * 6) * MIB / (25 * MB)
-        )
-
-    def test_path_is_min_of_target_and_exit(self):
-        def bw(relay, now):
-            return 25 * MB if relay == fp("t") else 10 * MB
-
-        rec = execute_measurement(self._plan(), bw, clock=0.0, cfg=CFG)
-        assert rec.measured_bw == pytest.approx(10 * MB)
-
-    def test_mean_of_per_download_throughputs(self):
-        # the rate flips between downloads: the published number is the mean
-        # of per-download throughputs, not total bytes over total time
-        schedule = []
-
-        def bw(relay, now):
-            # called once per download start (target first, exit second)
-            if not schedule or schedule[-1][0] != now:
-                schedule.append((now, 8 * MB if len(schedule) % 2 else 2 * MB))
-            return schedule[-1][1]
-
-        rec = execute_measurement(self._plan(), bw, clock=0.0, cfg=CFG)
-        assert rec.ok
-        timed_rates = [r for _t, r in schedule][-5:]
-        expected_mean = statistics.fmean(timed_rates)
-        total_rate = rec.bytes_total / rec.duration
-        assert rec.measured_bw == pytest.approx(expected_mean)
-        assert rec.measured_bw != pytest.approx(total_rate, rel=1e-3)
-
-    def test_dead_path_record(self):
-        rec = execute_measurement(
-            self._plan(), lambda relay, now: 0.0, clock=5.0, cfg=CFG
-        )
-        assert not rec.ok
-        assert rec.measured_bw == 0.0
-        assert rec.end_time > rec.start_time
 
 
 def _relays(n_targets=1, target_bw=10 * MB, exit_bws=(20 * MB, 25 * MB, 30 * MB)):
