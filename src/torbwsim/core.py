@@ -264,5 +264,5 @@ def selection_probability(snapshot: ConsensusSnapshot, relay_ids) -> float:
     """Fraction of total consensus weight held by the given relays."""
     if snapshot.total_weight <= 0:
         raise ValueError("degenerate consensus")
-    owned = sum(snapshot.weights.get(r, 0.0) for r in set(relay_ids))
+    owned = sum(snapshot.weights.get(r, 0.0) for r in sorted(set(relay_ids)))
     return owned / snapshot.total_weight

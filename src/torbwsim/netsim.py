@@ -528,7 +528,7 @@ def inflation_factor(result: SimResult, attacker_relays) -> float:
     if not result.consensus:
         raise ValueError("no consensus snapshot in result")
     final = result.consensus[-1]
-    total = sum(final.weights.get(r, 0.0) for r in attacker_relays)
+    total = sum(final.weights.get(r, 0.0) for r in sorted(attacker_relays))
     return total / result.baseline_bw
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -128,6 +129,43 @@ class TestSimulate:
         assert len(summary["groups"]) == 3
         for group in summary["groups"].values():
             assert group["inflation"] == pytest.approx(2.64)
+
+    # sha256 of every seeded output of each preset. A refactor that should
+    # not change behaviour must leave these unchanged; a change that moves
+    # them must say why.
+    PRESET_SHA256 = {
+        "all-honest": {
+            "records.jsonl": "c69816fbae90bd8d8819096bad75f65fa8a406c3298eabe11145a2939ea856f3",
+            "consensus.csv": "76ba19e09c1603db0c4f87f9a44fca88a8934edbba5b23e26be8fd948152fd77",
+            "summary.json": "a4ec9955b46420383d60df62bbb2194bae7461d1b57caf15e8080415ca76ce0c",
+            "bwfiles/ba0.bw": "550b8870927d55d9c986e07f69f592fa3793964958559c39e9c3a0cc1b920b3d",
+        },
+        "cotormult-n5": {
+            "records.jsonl": "e8640a1272639ef3198660971d47ac31f221e7200fe67a229c3410cc30566ba7",
+            "consensus.csv": "8253577178480fe8b4b8f5a2f12ee9f23445bb58bf7fe2c1e11d4f5a18d6fa25",
+            "summary.json": "e96e60d2cf8afb4a417f146f1911c249b06d60150f929705e0ac3ce7bffa94b6",
+            "bwfiles/ba0.bw": "9d4d6ff98f6fc06fbf5ad214cf1b02d0305ace2ad4b0555d602ac4f44f3f7c8c",
+        },
+        "detormult-3x6": {
+            "records.jsonl": "139a7188c772bbfbfbfb7af21e24e16138dc8ffc2b8d8a6155149b93baaf6cf5",
+            "consensus.csv": "4427cd3de924f98b1dc76fadf3a766a2b80268cde2cfa693e798449b9036fb6e",
+            "summary.json": "3ed0d7dc4222054b593ab462576853b5b288befa43d01fa51468c231b644dbc5",
+            "bwfiles/ba0.bw": "ed42d34de6a930d2d086c06591c760bde34a4308859d04d2703fad79a995dd61",
+        },
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+    def test_preset_outputs_pinned(self, preset, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "simulate", "--preset", preset, "--out", str(out))[0] == 0
+        names = ["records.jsonl", "consensus.csv", "summary.json"] + sorted(
+            "bwfiles/" + name for name in os.listdir(out / "bwfiles")
+        )
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names
+        }
+        assert digests == self.PRESET_SHA256[preset]
 
     def test_custom_config_and_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import (
@@ -490,6 +494,28 @@ class TestInflationFactor:
         result = SimResult(records=(), consensus=(), baseline_bw=10.0)
         with pytest.raises(ValueError, match="consensus"):
             inflation_factor(result, [fp("a")])
+
+    def test_sums_independent_of_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED; a float sum taken in
+        # that order rounds differently from one interpreter to the next
+        script = (
+            "from torbwsim.core import ConsensusSnapshot, selection_probability\n"
+            "from torbwsim.netsim import SimResult, inflation_factor\n"
+            "ids = ['%040X' % (i * 7919) for i in range(1, 41)]\n"
+            "snap = ConsensusSnapshot(epoch=1, weights={\n"
+            "    r: 1e6 / (i + 3) for i, r in enumerate(ids)})\n"
+            "result = SimResult(records=(), consensus=(snap,), baseline_bw=3.0)\n"
+            "print(repr(inflation_factor(result, ids)),\n"
+            "      repr(selection_probability(snap, ids[1:])))\n"
+        )
+        src = os.path.dirname(os.path.dirname(netsim.__file__))
+        outputs = set()
+        for hash_seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_uses_final_snapshot_only(self):
         result = SimResult(records=(), consensus=(
