@@ -580,9 +580,8 @@ def cmd_detect(args) -> int:
             "need successful records for at least 2 relays, have %d" % len(counts)
         )
 
-    timeline = bwfile.TimelineEstimate(intervals=(), assumed_duration=args.duration)
     report = defense.score_suspects(
-        records, timeline=timeline, threshold=args.threshold
+        records, assumed_duration=args.duration, threshold=args.threshold
     )
     plans = defense.plan_probes(report, args.probe_budget) if report.pair_drops else []
 

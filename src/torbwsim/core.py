@@ -22,9 +22,7 @@ POLICIES = frozenset(
     {"honest", "drop_on_measure", "cotormult_member", "detormult_member"}
 )
 
-HOST_KINDS = frozenset(
-    {"relay_host", "dedicated_server", "web_server", "scanner_host"}
-)
+HOST_KINDS = frozenset({"relay_host", "dedicated_server"})
 
 _FINGERPRINT_RE = re.compile(r"^[0-9A-F]{40}$")
 
@@ -104,17 +102,6 @@ class Cluster:
 class ClusterTopology:
     clusters: tuple = ()
     dedicated_server: Optional[str] = None
-
-    @property
-    def n_per_cluster(self) -> int:
-        sizes = {len(c.members) for c in self.clusters}
-        if len(sizes) > 1:
-            raise ConfigError("clusters are not uniform in size: %s" % sorted(sizes))
-        return sizes.pop() if sizes else 0
-
-    @property
-    def num_servers(self) -> int:
-        return len({c.host_id for c in self.clusters})
 
     def cluster_of(self, relay_id: str) -> Optional[Cluster]:
         for c in self.clusters:

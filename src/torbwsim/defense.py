@@ -74,7 +74,9 @@ def _overlapping_partners(items):
     return partners
 
 
-def score_suspects(records, timeline=None, threshold: float = DEFAULT_THRESHOLD,
+def score_suspects(records,
+                   assumed_duration: float = DEFAULT_ASSUMED_DURATION,
+                   threshold: float = DEFAULT_THRESHOLD,
                    relay_ids=None,
                    min_overlap_fraction: float = 0.5) -> SuspicionReport:
     """Score relays by bandwidth drop under co-measurement.
@@ -95,14 +97,13 @@ def score_suspects(records, timeline=None, threshold: float = DEFAULT_THRESHOLD,
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    assumed = timeline.assumed_duration if timeline else DEFAULT_ASSUMED_DURATION
     items = []
     for rec in records:
         if not rec.ok:
             continue
         if relay_ids is not None and rec.relay_id not in relay_ids:
             continue
-        start, end = _interval_of(rec, assumed)
+        start, end = _interval_of(rec, assumed_duration)
         items.append((start, end, rec.relay_id, rec.measured_bw))
     relays = sorted({relay for _s, _e, relay, _b in items})
     if len(relays) < 2:

@@ -543,8 +543,8 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
     relay_ids = list(relay_ids)
     if not relay_ids:
         return ()
-    seed = "%s/probe" % (seed,)
-    rng = random.Random(seed)
+    probe_seed = "%s/probe" % (seed,)
+    rng = random.Random(probe_seed)
     exits = sorted(
         (r for r in cfg.topology.relays.values() if r.role == "exit"),
         key=lambda r: r.relay_id,
@@ -561,7 +561,7 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
             raise SimulationError("no qualifying exit for probe of %s" % relay_id)
         plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))
 
-    loop = _Loop(replace(cfg, scanners=(scancfg,)), seed)
+    loop = _Loop(replace(cfg, scanners=(scancfg,)), probe_seed)
     loop.queues["probe"] = plans
     for thread_id in range(scancfg.threads):
         loop._start_next("probe", thread_id, start_time)

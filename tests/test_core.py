@@ -54,6 +54,7 @@ class TestHostSpec:
         {"efficiency": 0.0},
         {"efficiency": 1.5},
         {"kind": "mainframe"},
+        {"kind": "web_server"},
     ])
     def test_invalid(self, kwargs):
         base = {"host_id": "h", "capacity": MB}
