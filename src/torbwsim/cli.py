@@ -529,7 +529,7 @@ def cmd_estimate(args) -> int:
     else:  # refit
         samples = _load_samples(args.samples)
         try:
-            fit = estimator.refit_curve(samples, max_evaluations=args.max_evaluations)
+            fit = estimator.refit_curve(samples)
         except ValueError as exc:
             raise ConfigError(str(exc))
         result = {
@@ -627,11 +627,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = anasub.add_parser(name)
         p.add_argument("bwdir", help="directory of bandwidth files")
         p.add_argument("--out", required=True)
-        p.add_argument("--iterations", type=int, default=120)
-        p.add_argument("--duration", type=float, default=39.0,
-                       help="assumed measurement duration in seconds")
-        p.add_argument("--seed", default=0)
-        if name != "durations":
+        if name == "durations":
+            p.add_argument("--iterations", type=int, default=120)
+            p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--duration", type=float, default=39.0,
+                           help="assumed measurement duration in seconds")
             p.add_argument("--relays", required=True,
                            help="file listing relay fingerprints, one per line")
         if name == "coincidence":
@@ -662,7 +663,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
     p = estsub.add_parser("refit")
     p.add_argument("--samples", required=True, help="CSV of x,y fit samples")
-    p.add_argument("--max-evaluations", type=int, default=100000)
     p.set_defaults(func=cmd_estimate)
 
     det = sub.add_parser("detect", help="score co-measurement suspects")

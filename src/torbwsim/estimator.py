@@ -125,23 +125,24 @@ class FitResult:
     evaluations: int
 
 
-def _mse(params, xs, ys):
-    a, scale, exponent, quad, offset = params
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    pred = a * (scale * xs) ** exponent - (quad * xs) ** 2 - offset
-    resid = pred - ys
-    return float(np.mean(resid * resid))
+# Stopping rules of refit_curve's Levenberg-Marquardt solve.
+_LM_GAIN_TOLERANCE = 1e-9
+_LM_MAX_DAMPING = 1e16
+_LM_MAX_EVALUATIONS = 1000
 
 
-def refit_curve(samples, max_evaluations: int = 100_000,
-                step_tolerance: float = 1e-9) -> FitResult:
+def refit_curve(samples) -> FitResult:
     """Least-squares refit of the inflation-curve functional form.
 
-    Multi-start coordinate descent with shrinking steps, seeded at the
-    shipped coefficients (`DEFAULT_MODEL`) plus a few perturbed starts.
-    Stops when the relative step falls below step_tolerance or the
-    evaluation budget runs out.
+    Levenberg-Marquardt from the shipped coefficients (`DEFAULT_MODEL`):
+    each step solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr, with r the residuals
+    and J their analytic Jacobian, and is kept only if it lowers the mean
+    squared error. λ shrinks tenfold after a kept step and grows tenfold
+    after a rejected one. a and s enter the model only through a·sᵉ, so
+    JᵀJ is singular; Marquardt's diagonal damping keeps the system
+    solvable. The solve stops when a kept step lowers the error by less
+    than _LM_GAIN_TOLERANCE of it, when λ exceeds _LM_MAX_DAMPING, or after
+    _LM_MAX_EVALUATIONS residual evaluations, which `evaluations` counts.
     """
     if len(samples) < 5:
         raise ValueError("need at least 5 samples to refit, got %d" % len(samples))
@@ -152,47 +153,37 @@ def refit_curve(samples, max_evaluations: int = 100_000,
     if np.any(xs <= 0):
         raise ValueError("sample x values must be positive")
 
-    base = np.array(DEFAULT_MODEL.coefficients())
-    starts = [base.copy()]
-    for factor in (0.5, 2.0):
-        start = base.copy()
-        start[0] *= factor  # perturb the leading amplitude only; the power
-        starts.append(start)  # term dominates and anchors the other params
-
-    evaluations = 0
-    best_params, best_err = None, math.inf
-    for start in starts:
-        if evaluations >= max_evaluations:
-            break
-        params = start.copy()
-        err = _mse(params, xs, ys)
+    params = np.array(DEFAULT_MODEL.coefficients())
+    resid = DEFAULT_MODEL.evaluate(xs) - ys
+    mse = float(np.mean(resid * resid))
+    evaluations, damping = 1, 1e-3
+    while mse > 0.0 and evaluations < _LM_MAX_EVALUATIONS:
+        a, scale, exponent, quad, _ = params
+        power = (scale * xs) ** exponent
+        jac = np.column_stack((
+            power,
+            a * exponent * power / scale,
+            a * power * np.log(scale * xs),
+            -2.0 * quad * xs * xs,
+            -np.ones_like(xs),
+        ))
+        jtj = jac.T @ jac
+        trial = params + np.linalg.solve(
+            jtj + damping * np.diag(np.diag(jtj)), -(jac.T @ resid)
+        )
+        trial_resid = InflationModel(*trial).evaluate(xs) - ys
+        trial_mse = float(np.mean(trial_resid * trial_resid))
         evaluations += 1
-        steps = np.abs(params) * 0.25 + 1e-3
-        while evaluations < max_evaluations:
-            improved = False
-            for idx in range(len(params)):
-                for direction in (1.0, -1.0):
-                    if evaluations >= max_evaluations:
-                        break
-                    trial = params.copy()
-                    trial[idx] += direction * steps[idx]
-                    trial_err = _mse(trial, xs, ys)
-                    evaluations += 1
-                    if trial_err < err:
-                        params, err = trial, trial_err
-                        improved = True
-                        break
-            if not improved:
-                steps *= 0.5
-                if np.max(steps / (np.abs(params) + 1e-12)) < step_tolerance:
-                    break
-        if err < best_err:
-            best_params, best_err = params, err
+        if trial_mse < mse:
+            gain = (mse - trial_mse) / mse
+            params, resid, mse = trial, trial_resid, trial_mse
+            if gain < _LM_GAIN_TOLERANCE:
+                break
+            damping /= 10.0
+        else:
+            damping *= 10.0
+            if damping > _LM_MAX_DAMPING:
+                break
 
-    model = InflationModel(*[float(v) for v in best_params])
-    return FitResult(model=model, mse=best_err, evaluations=evaluations)
-
-
-def curve_table(model: InflationModel = DEFAULT_MODEL) -> list:
-    """Rows of (x, inflation) over the whole domain, for CSV export."""
-    return [(x, inflation_curve(x, model)) for x in range(X_MIN, X_MAX + 1)]
+    model = InflationModel(*[float(v) for v in params])
+    return FitResult(model=model, mse=mse, evaluations=evaluations)

@@ -536,7 +536,9 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
     """Measure the given relays simultaneously, isolated from any round.
 
     One synthetic scanner starts every target at the same instant, so the
-    targets contend exactly as a co-measurement would. Used by the defense
+    targets contend exactly as a co-measurement would. The scanner runs one
+    thread per target, so a probe takes at most 8 targets (the scanner's
+    thread limit) and raises ValueError beyond that. Used by the defense
     workflow to force co-probes. seed drives both the exit choice and the
     detector misses. Returns one record per relay.
     """
@@ -550,10 +552,7 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
         key=lambda r: r.relay_id,
     )
     base_scancfg = cfg.scanners[0] if cfg.scanners else ScannerConfig()
-    scancfg = replace(
-        base_scancfg, ba_id="probe",
-        threads=min(8, len(relay_ids)),
-    )
+    scancfg = replace(base_scancfg, ba_id="probe", threads=len(relay_ids))
     plans = []
     for relay_id in relay_ids:
         exit_relay = select_exit(scancfg, exits, cfg.topology.relays[relay_id], rng)

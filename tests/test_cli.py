@@ -281,7 +281,7 @@ class TestAnalyze:
         out = tmp_path / "out"
         code, stdout, _err = run(
             capsys, "analyze", "durations", str(bwdir), "--out", str(out),
-            "--iterations", "10"
+            "--iterations", "10", "--seed", "7"
         )
         assert code == EXIT_OK
         assert json.loads(stdout) == {"median": 37.0}
@@ -289,7 +289,24 @@ class TestAnalyze:
         assert doc["median"] == 37.0
         assert doc["thread_count_histogram"] == {"1": 10}
         assert doc["sample_count"] == 140
-        assert (out / "manifest.json").is_file()
+        assert read_json(out / "manifest.json")["seed"] == 7
+
+    @pytest.mark.parametrize("subcommand,flag", [
+        ("durations", "--duration"),
+        ("coincidence", "--iterations"),
+        ("coincidence", "--seed"),
+        ("window-sweep", "--iterations"),
+        ("window-sweep", "--seed"),
+    ])
+    def test_unread_flags_rejected(self, tmp_path, subcommand, flag):
+        # each analysis registers only the flags it reads
+        argv = ["analyze", subcommand, str(tmp_path), "--out",
+                str(tmp_path / "out"), flag, "5"]
+        if subcommand != "durations":
+            argv += ["--relays", str(tmp_path / "relays.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_durations_insufficient_data(self, tmp_path, capsys):
         bwdir = tmp_path / "bw"

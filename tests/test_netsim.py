@@ -602,6 +602,16 @@ class TestRunProbe:
         for rec in records:
             assert rec.measured_bw == pytest.approx(25 * MB)
 
+    def test_at_most_eight_targets_start_together(self):
+        relays, hosts, _load = honest_farm(n_middles=9)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        targets = [fp("farm/middle%d" % i) for i in range(9)]
+        records = run_probe(cfg, targets[:8], seed="p", start_time=3.0)
+        assert len(records) == 8
+        assert {rec.start_time for rec in records} == {3.0}
+        with pytest.raises(ValueError, match="threads"):
+            run_probe(cfg, targets, seed="p")
+
     def test_constant_rate(self):
         relays, hosts, _load = honest_farm(n_middles=1)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
