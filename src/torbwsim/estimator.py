@@ -131,47 +131,34 @@ _LM_MAX_DAMPING = 1e16
 _LM_MAX_EVALUATIONS = 1000
 
 
-def refit_curve(samples) -> FitResult:
-    """Least-squares refit of the inflation-curve functional form.
+def _levenberg_marquardt(xs, ys, params, free, evaluations):
+    """Damped Gauss-Newton over the free entries of (a, s, e, w, o).
 
-    Levenberg-Marquardt from the shipped coefficients (`DEFAULT_MODEL`):
-    each step solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr, with r the residuals
-    and J their analytic Jacobian, and is kept only if it lowers the mean
-    squared error. λ shrinks tenfold after a kept step and grows tenfold
-    after a rejected one. a and s enter the model only through a·sᵉ, so
-    JᵀJ is singular; Marquardt's diagonal damping keeps the system
-    solvable. The solve stops when a kept step lowers the error by less
-    than _LM_GAIN_TOLERANCE of it, when λ exceeds _LM_MAX_DAMPING, or after
-    _LM_MAX_EVALUATIONS residual evaluations, which `evaluations` counts.
+    Returns (params, mse, evaluations) at the last kept step.
     """
-    if len(samples) < 5:
-        raise ValueError("need at least 5 samples to refit, got %d" % len(samples))
-    xs = np.array([float(x) for x, _ in samples])
-    ys = np.array([float(y) for _, y in samples])
-    if len(set(xs.tolist())) < 3:
-        raise ValueError("underdetermined fit: samples span fewer than 3 x values")
-    if np.any(xs <= 0):
-        raise ValueError("sample x values must be positive")
+    def residuals(p):
+        a, scale, exponent, quad_sq, offset = p
+        return a * (scale * xs) ** exponent - quad_sq * xs * xs - offset - ys
 
-    params = np.array(DEFAULT_MODEL.coefficients())
-    resid = DEFAULT_MODEL.evaluate(xs) - ys
+    resid = residuals(params)
     mse = float(np.mean(resid * resid))
-    evaluations, damping = 1, 1e-3
+    evaluations, damping = evaluations + 1, 1e-3
     while mse > 0.0 and evaluations < _LM_MAX_EVALUATIONS:
-        a, scale, exponent, quad, _ = params
+        a, scale, exponent, _, _ = params
         power = (scale * xs) ** exponent
         jac = np.column_stack((
             power,
             a * exponent * power / scale,
             a * power * np.log(scale * xs),
-            -2.0 * quad * xs * xs,
+            -xs * xs,
             -np.ones_like(xs),
-        ))
+        ))[:, free]
         jtj = jac.T @ jac
-        trial = params + np.linalg.solve(
+        trial = params.copy()
+        trial[free] += np.linalg.solve(
             jtj + damping * np.diag(np.diag(jtj)), -(jac.T @ resid)
         )
-        trial_resid = InflationModel(*trial).evaluate(xs) - ys
+        trial_resid = residuals(trial)
         trial_mse = float(np.mean(trial_resid * trial_resid))
         evaluations += 1
         if trial_mse < mse:
@@ -184,6 +171,46 @@ def refit_curve(samples) -> FitResult:
             damping *= 10.0
             if damping > _LM_MAX_DAMPING:
                 break
+    return params, mse, evaluations
 
-    model = InflationModel(*[float(v) for v in params])
+
+def refit_curve(samples) -> FitResult:
+    """Least-squares refit of the inflation-curve functional form.
+
+    Levenberg-Marquardt from the shipped coefficients (`DEFAULT_MODEL`):
+    each step solves (JᵀJ + λ·diag(JᵀJ)) δ = −Jᵀr, with r the residuals
+    and J their analytic Jacobian, and is kept only if it lowers the mean
+    squared error. λ shrinks tenfold after a kept step and grows tenfold
+    after a rejected one. a and s enter the model only through a·sᵉ, so
+    JᵀJ is singular; Marquardt's diagonal damping keeps the system
+    solvable. The solve stops when a kept step lowers the error by less
+    than _LM_GAIN_TOLERANCE of it, when λ exceeds _LM_MAX_DAMPING, or after
+    _LM_MAX_EVALUATIONS residual evaluations, which `evaluations` counts.
+
+    The solve runs over w = q² in place of q. (q·x)² is symmetric in q, so
+    q = 0 is a saddle where the q column of J vanishes; the w column, −x²,
+    never does. w may go negative on the way. If the solve ends there, no
+    real q fits, so w is pinned at 0 and the other four are solved again.
+    """
+    if len(samples) < 5:
+        raise ValueError("need at least 5 samples to refit, got %d" % len(samples))
+    xs = np.array([float(x) for x, _ in samples])
+    ys = np.array([float(y) for _, y in samples])
+    if len(set(xs.tolist())) < 3:
+        raise ValueError("underdetermined fit: samples span fewer than 3 x values")
+    if np.any(xs <= 0):
+        raise ValueError("sample x values must be positive")
+
+    a, scale, exponent, quad, offset = DEFAULT_MODEL.coefficients()
+    params = np.array((a, scale, exponent, quad * quad, offset))
+    params, mse, evaluations = _levenberg_marquardt(
+        xs, ys, params, [0, 1, 2, 3, 4], 0
+    )
+    if params[3] < 0.0:
+        params[3] = 0.0
+        params, mse, evaluations = _levenberg_marquardt(
+            xs, ys, params, [0, 1, 2, 4], evaluations
+        )
+    a, scale, exponent, quad_sq, offset = (float(v) for v in params)
+    model = InflationModel(a, scale, exponent, math.sqrt(quad_sq), offset)
     return FitResult(model=model, mse=mse, evaluations=evaluations)

@@ -116,13 +116,27 @@ class MeasurementFlow:
 
 
 class FlowState:
-    """Active flows plus the topology needed to allocate them."""
+    """Active flows plus the topology needed to allocate them.
+
+    Allocation is solved per host: a flow's rate depends only on the flows
+    and user loads of the host it sits on, so a download re-solves that one
+    host and never the rest of the network.
+    """
 
     def __init__(self, topology: Topology, user_load: dict):
         self.topology = topology
         self.user_load = dict(user_load)
         self.flows = {}  # (relay_id, ba_id) -> MeasurementFlow
         self.fp_suppressed_hosts = set()
+        # host_id -> [(relay_id, demand)], in user_load order
+        self._user_demands = {}
+        for relay_id, load in self.user_load.items():
+            if load <= 0:
+                continue
+            relay = topology.relays[relay_id]
+            self._user_demands.setdefault(relay.host_id, []).append(
+                (relay_id, min(load, relay.advertised_bw))
+            )
 
     def add_flow(self, flow: MeasurementFlow):
         key = (flow.relay_id, flow.ba_id)
@@ -142,61 +156,62 @@ class FlowState:
             return self.topology.clusters.dedicated_server
         return relay.host_id
 
-    def _dropped_user_relays(self, now: float) -> set:
-        dropped = set()
+    def host_allocations(self, host_id: str, now: float) -> dict:
+        """Max-min allocation of every active flow on one host.
+
+        Measurement flows come first, in the order they were added, then the
+        host's user flows. A detected drop_on_measure flow pauses its own
+        relay's user flow, a detected cotormult_member flow pauses every
+        cotormult_member user flow on the host, and a false-positive epoch
+        pauses all of them. Conserves capacity * efficiency.
+        """
         relays = self.topology.relays
-        for flow in self.flows.values():
-            if not (flow.detected and now >= flow.detect_time):
+        demands = []
+        paused = set()
+        pause_members = False
+        for key, flow in self.flows.items():
+            if self._flow_host(flow, now) != host_id:
                 continue
             relay = relays[flow.relay_id]
-            if relay.policy == "drop_on_measure":
-                dropped.add(relay.relay_id)
-            elif relay.policy == "cotormult_member":
-                host_id = relay.host_id
-                for other in relays.values():
-                    if other.host_id == host_id and other.policy == "cotormult_member":
-                        dropped.add(other.relay_id)
-        for relay in relays.values():
-            if relay.host_id in self.fp_suppressed_hosts:
-                dropped.add(relay.relay_id)
-        return dropped
+            demands.append((("m",) + key, relay.advertised_bw))
+            if flow.detected and now >= flow.detect_time:
+                if relay.policy == "drop_on_measure":
+                    paused.add(relay.relay_id)
+                elif relay.policy == "cotormult_member":
+                    pause_members = True
+        if host_id not in self.fp_suppressed_hosts:
+            for relay_id, demand in self._user_demands.get(host_id, ()):
+                if relay_id in paused or (
+                        pause_members
+                        and relays[relay_id].policy == "cotormult_member"):
+                    continue
+                demands.append((("u", relay_id), demand))
+        pool = self.topology.hosts[host_id].usable_capacity
+        fill = _max_min_fill(pool, demands)
+        assert sum(fill.values()) <= pool + 1e-6, (
+            "allocation exceeds capacity on host %s" % host_id
+        )
+        return fill
 
     def allocations(self, now: float) -> dict:
         """Max-min allocation of every active flow, keyed by flow id.
 
         Measurement flows are keyed ("m", relay_id, ba_id), user flows
-        ("u", relay_id). Allocation is per host and conserves
-        capacity * efficiency on each.
+        ("u", relay_id): host_allocations over every host with demand.
         """
-        demands_by_host = {}
-        relays = self.topology.relays
-        for key, flow in self.flows.items():
-            relay = relays[flow.relay_id]
-            host = self._flow_host(flow, now)
-            demands_by_host.setdefault(host, []).append(
-                (("m",) + key, relay.advertised_bw)
-            )
-        dropped = self._dropped_user_relays(now)
-        for relay_id, load in self.user_load.items():
-            if load <= 0 or relay_id in dropped:
-                continue
-            relay = relays[relay_id]
-            demands_by_host.setdefault(relay.host_id, []).append(
-                (("u", relay_id), min(load, relay.advertised_bw))
-            )
+        hosts = dict.fromkeys(
+            self._flow_host(flow, now) for flow in self.flows.values()
+        )
+        hosts.update(dict.fromkeys(self._user_demands))
         alloc = {}
-        for host_id, demands in demands_by_host.items():
-            host = self.topology.hosts[host_id]
-            pool = host.usable_capacity
-            fill = _max_min_fill(pool, demands)
-            assert sum(fill.values()) <= pool + 1e-6, (
-                "allocation exceeds capacity on host %s" % host_id
-            )
-            alloc.update(fill)
+        for host_id in hosts:
+            alloc.update(self.host_allocations(host_id, now))
         return alloc
 
     def flow_bandwidth(self, relay_id: str, ba_id: str, now: float) -> float:
-        return self.allocations(now).get(("m", relay_id, ba_id), 0.0)
+        flow = self.flows[(relay_id, ba_id)]
+        alloc = self.host_allocations(self._flow_host(flow, now), now)
+        return alloc[("m", relay_id, ba_id)]
 
 
 def _max_min_fill(pool: float, demands: list) -> dict:
@@ -228,8 +243,7 @@ def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
         raise ConfigError("unknown relay %r" % (relay_id,))
     active = [key for key in state.flows if key[0] == relay_id]
     if active:
-        alloc = state.allocations(now)
-        return max(alloc[("m",) + key] for key in active)
+        return max(state.flow_bandwidth(*key, now) for key in active)
     probe = MeasurementFlow(
         relay_id=relay_id, ba_id="__probe__", detected=True,
         detect_time=now, start_time=now,

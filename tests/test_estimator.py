@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,57 @@ class TestRefit:
             assert fit.model.evaluate(x) == pytest.approx(
                 oracle_curve(x, coefficients), abs=1e-6
             )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        factors=st.tuples(*[st.floats(0.8, 1.2)] * 4),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_recovers_farther_curves(self, factors, offset):
+        # as above over ±20%, where a solve over q can stall at q = 0
+        coefficients = tuple(
+            c * f for c, f in zip(SHIPPED_COEFFICIENTS, factors)
+        ) + (offset,)
+        xs = range(1, 121)
+        fit = refit_curve([(x, oracle_curve(x, coefficients)) for x in xs])
+        for x in xs:
+            assert fit.model.evaluate(x) == pytest.approx(
+                oracle_curve(x, coefficients), abs=1e-6
+            )
+
+    def test_crosses_the_q_saddle(self):
+        # the path from the shipped coefficients to this curve passes
+        # through q = 0, where a solve over q used to end at MSE 2.06
+        coefficients = (0.787, 1.285, 1.141, 0.0321, 0.305)
+        xs = range(1, 121)
+        fit = refit_curve([(x, oracle_curve(x, coefficients)) for x in xs])
+        assert fit.mse <= 1e-6
+        assert fit.model.quad == pytest.approx(0.0321, rel=1e-6)
+        for x in xs:
+            assert fit.model.evaluate(x) == pytest.approx(
+                oracle_curve(x, coefficients), abs=1e-6
+            )
+
+    def test_upward_curvature_pins_quad_at_zero(self):
+        # a +(0.01·x)² term needs q² < 0; the best real fit has q = 0 and
+        # matches a bounded least-squares solve of the same form
+        from scipy.optimize import least_squares
+
+        a, scale, exponent, _, offset = SHIPPED_COEFFICIENTS
+        xs = np.arange(1.0, 121.0)
+        ys = a * (scale * xs) ** exponent + (0.01 * xs) ** 2 - offset
+        fit = refit_curve(list(zip(xs, ys)))
+        assert fit.model.quad == 0.0
+
+        def residuals(p):
+            a, scale, exponent, offset = p
+            return a * (scale * xs) ** exponent - offset - ys
+
+        best = least_squares(residuals, (a, scale, exponent, offset),
+                             bounds=([-np.inf, 1e-6, -np.inf, -np.inf], np.inf),
+                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert fit.mse == pytest.approx(float(np.mean(best.fun ** 2)),
+                                        rel=1e-6)
 
     def test_improves_on_scaled_target(self):
         samples = [(x, 0.8 * oracle_curve(x)) for x in range(1, 121, 5)]

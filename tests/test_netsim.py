@@ -1,8 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     MB,
@@ -13,6 +16,9 @@ from conftest import (
     sim_config,
 )
 from torbwsim.core import (
+    POLICIES,
+    Cluster,
+    ClusterTopology,
     ConfigError,
     ConsensusSnapshot,
     HostSpec,
@@ -61,7 +67,131 @@ def shared_host_topology(policy_a="drop_on_measure"):
     return Topology(relays=relays, hosts=hosts), load
 
 
+def oracle_allocations(state, now):
+    """Whole-network max-min allocation, transcribed from the simulator as it
+    was before allocation became per-host: every host solved at once, with
+    the paused user flows found by scanning every relay."""
+    relays = state.topology.relays
+    dropped = set()
+    for flow in state.flows.values():
+        if not (flow.detected and now >= flow.detect_time):
+            continue
+        relay = relays[flow.relay_id]
+        if relay.policy == "drop_on_measure":
+            dropped.add(relay.relay_id)
+        elif relay.policy == "cotormult_member":
+            for other in relays.values():
+                if (other.host_id == relay.host_id
+                        and other.policy == "cotormult_member"):
+                    dropped.add(other.relay_id)
+    for relay in relays.values():
+        if relay.host_id in state.fp_suppressed_hosts:
+            dropped.add(relay.relay_id)
+    demands_by_host = {}
+    for key, flow in state.flows.items():
+        relay = relays[flow.relay_id]
+        host = relay.host_id
+        if (relay.policy == "detormult_member"
+                and flow.detected and now >= flow.detect_time):
+            host = state.topology.clusters.dedicated_server
+        demands_by_host.setdefault(host, []).append(
+            (("m",) + key, relay.advertised_bw)
+        )
+    for relay_id, load in state.user_load.items():
+        if load <= 0 or relay_id in dropped:
+            continue
+        relay = relays[relay_id]
+        demands_by_host.setdefault(relay.host_id, []).append(
+            (("u", relay_id), min(load, relay.advertised_bw))
+        )
+    alloc = {}
+    for host_id, demands in demands_by_host.items():
+        pool = state.topology.hosts[host_id].usable_capacity
+        alloc.update(_max_min_fill(pool, demands))
+    return alloc
+
+
+def oracle_available_bandwidth(state, relay_id, now):
+    active = [key for key in state.flows if key[0] == relay_id]
+    if active:
+        alloc = oracle_allocations(state, now)
+        return max(alloc[("m",) + key] for key in active)
+    state.add_flow(measurement(relay_id, "__probe__", detect_time=now,
+                               start=now))
+    try:
+        return oracle_allocations(state, now)[("m", relay_id, "__probe__")]
+    finally:
+        state.remove_flow(relay_id, "__probe__")
+
+
+@st.composite
+def flow_states(draw):
+    """A small network mixing all four policies, with flows at one instant.
+
+    Relay hosts share a dedicated server; flows may be detected or not,
+    with detection before or after now; several scanners may measure one
+    relay; any host may be suppressed by a false positive.
+    """
+    hosts = {"ded": HostSpec(
+        host_id="ded", capacity=draw(st.integers(5, 100)) * MB,
+        kind="dedicated_server", efficiency=draw(st.sampled_from((0.22, 1.0))),
+    )}
+    n_hosts = draw(st.integers(1, 4))
+    for h in range(n_hosts):
+        hosts["h%d" % h] = HostSpec(
+            host_id="h%d" % h, capacity=draw(st.integers(5, 100)) * MB,
+            efficiency=draw(st.sampled_from((1.0, 0.95, 0.5))),
+        )
+    relays, load, members = {}, {}, {}
+    for i in range(draw(st.integers(1, 8))):
+        relay = RelaySpec(
+            relay_id=fp("r%d" % i),
+            host_id="h%d" % draw(st.integers(0, n_hosts - 1)),
+            advertised_bw=draw(st.integers(1, 60)) * MB,
+            policy=draw(st.sampled_from(sorted(POLICIES))),
+        )
+        relays[relay.relay_id] = relay
+        load[relay.relay_id] = draw(st.integers(0, 50)) * MB
+        if relay.policy.endswith("_member"):
+            members.setdefault(relay.host_id, []).append(relay.relay_id)
+    clusters = ClusterTopology(
+        clusters=tuple(
+            Cluster(cluster_id=h, members=tuple(m), host_id=h)
+            for h, m in sorted(members.items())
+        ),
+        dedicated_server="ded",
+    )
+    state = FlowState(Topology(relays=relays, hosts=hosts, clusters=clusters),
+                      load)
+    state.fp_suppressed_hosts.update(draw(st.sets(st.sampled_from(sorted(hosts)))))
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(relays)),
+                  st.sampled_from(("ba0", "ba1", "ba2"))),
+        unique=True, max_size=8,
+    ))
+    for relay_id, ba_id in keys:
+        state.add_flow(measurement(
+            relay_id, ba_id, detected=draw(st.booleans()),
+            detect_time=draw(st.sampled_from((0.0, 5.0, 10.0))),
+        ))
+    return state, draw(st.sampled_from((0.0, 5.0, 7.5, 10.0)))
+
+
 class TestMaxMinFill:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.floats(1.0, 1e9),
+           demands=st.lists(st.floats(0.0, 1e9), max_size=12))
+    def test_max_min_properties(self, pool, demands):
+        keyed = [("f%d" % i, demand) for i, demand in enumerate(demands)]
+        alloc = _max_min_fill(pool, keyed)
+        # the pool is never exceeded beyond rounding of the equal shares
+        assert math.fsum(alloc.values()) <= pool * (1 + 1e-12)
+        top = max(alloc.values(), default=0.0)
+        for key, demand in keyed:
+            assert alloc[key] <= demand
+            if alloc[key] < demand:
+                assert alloc[key] == pytest.approx(top, rel=1e-12)
+
     def test_redistributes_unused_share(self):
         alloc = _max_min_fill(100.0, [("a", 30.0), ("b", 80.0)])
         assert alloc == {"a": 30.0, "b": 70.0}
@@ -220,6 +350,43 @@ class TestAvailableBandwidth:
         state = FlowState(topology, load)
         with pytest.raises(ConfigError, match="unknown relay"):
             available_bandwidth(state, "F" * 40, 0.0)
+
+
+class TestPerHostSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=flow_states())
+    def test_matches_whole_network_oracle(self, scenario):
+        state, now = scenario
+        flows = dict(state.flows)
+        expected = oracle_allocations(state, now)
+        assert state.allocations(now) == expected
+        for relay_id, ba_id in flows:
+            assert (state.flow_bandwidth(relay_id, ba_id, now)
+                    == expected[("m", relay_id, ba_id)])
+        for relay_id in state.topology.relays:
+            assert (available_bandwidth(state, relay_id, now)
+                    == oracle_available_bandwidth(state, relay_id, now))
+        assert state.flows == flows
+
+    def test_solves_per_record_independent_of_network_size(self, monkeypatch):
+        solves = []
+
+        def counting_fill(pool, demands):
+            solves.append(len(demands))
+            return _max_min_fill(pool, demands)
+
+        monkeypatch.setattr(netsim, "_max_min_fill", counting_fill)
+        per_record = []
+        for n_loaded in (40, 160):
+            solves.clear()
+            relays, hosts, load = honest_farm(n_middles=n_loaded,
+                                              user_load_bw=10 * MB)
+            result = run_simulation(sim_config(
+                Topology(relays=relays, hosts=hosts), user_load=load,
+                threads=4, n_scanners=2,
+            ))
+            per_record.append(len(solves) / len(result.records))
+        assert per_record[0] == per_record[1]
 
 
 class TestDetectorModel:
