@@ -26,17 +26,13 @@ from importlib import resources
 
 from . import __version__, bwfile, coincidence, defense, estimator, netsim, units
 from .core import (
-    Cluster,
-    ClusterTopology,
     ConfigError,
-    HostSpec,
     InsufficientDataError,
     MeasurementRecord,
-    RelaySpec,
     SimulationError,
     Topology,
 )
-from .scanner import ScannerConfig
+from .netsim import build_sim_config
 
 log = logging.getLogger(__name__)
 
@@ -51,116 +47,6 @@ DEFAULT_SWEEP_WINDOWS = (86400.0, 604800.0, 2592000.0, 7776000.0)
 
 
 # -- config ingestion ---------------------------------------------------------
-
-
-def _rate(value, where: str) -> float:
-    try:
-        return units.parse_rate(value)
-    except units.UnitError as exc:
-        raise ConfigError("%s: %s" % (where, exc))
-
-
-def _require(mapping: dict, key: str, where: str):
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise ConfigError("%s: missing required field %r" % (where, key))
-
-
-def build_sim_config(doc: dict) -> netsim.SimConfig:
-    """Turn a parsed config document into a validated SimConfig.
-
-    Bandwidth values must carry unit suffixes; every diagnostic names the
-    offending field.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-
-    relays = {}
-    for i, rd in enumerate(doc.get("relays", ())):
-        where = "relays[%d]" % i
-        spec = RelaySpec(
-            relay_id=_require(rd, "relay_id", where),
-            host_id=_require(rd, "host_id", where),
-            advertised_bw=_rate(
-                _require(rd, "advertised_bw", where), where + ".advertised_bw"
-            ),
-            role=rd.get("role", "middle"),
-            policy=rd.get("policy", "honest"),
-            family_id=rd.get("family_id"),
-        )
-        if spec.relay_id in relays:
-            raise ConfigError("%s: duplicate relay_id %s" % (where, spec.relay_id))
-        relays[spec.relay_id] = spec
-
-    hosts = {}
-    for i, hd in enumerate(doc.get("hosts", ())):
-        where = "hosts[%d]" % i
-        spec = HostSpec(
-            host_id=_require(hd, "host_id", where),
-            capacity=_rate(_require(hd, "capacity", where), where + ".capacity"),
-            kind=hd.get("kind", "relay_host"),
-            efficiency=hd.get("efficiency", 1.0),
-        )
-        if spec.host_id in hosts:
-            raise ConfigError("%s: duplicate host_id %s" % (where, spec.host_id))
-        hosts[spec.host_id] = spec
-
-    cd = doc.get("clusters") or {}
-    clusters = ClusterTopology(
-        clusters=tuple(
-            Cluster(
-                cluster_id=_require(c, "cluster_id", "clusters[%d]" % i),
-                members=tuple(_require(c, "members", "clusters[%d]" % i)),
-                host_id=_require(c, "host_id", "clusters[%d]" % i),
-            )
-            for i, c in enumerate(cd.get("clusters", ()))
-        ),
-        dedicated_server=cd.get("dedicated_server"),
-    )
-    topology = Topology(relays=relays, hosts=hosts, clusters=clusters)
-
-    scanners = []
-    for i, sd in enumerate(doc.get("scanners", ())):
-        where = "scanners[%d]" % i
-        try:
-            scanners.append(ScannerConfig(
-                ba_id=sd.get("ba_id", "ba%d" % i),
-                threads=sd.get("threads", 4),
-                downloads_per_measurement=sd.get("downloads_per_measurement", 5),
-                exit_speed_factor=sd.get("exit_speed_factor", 2.0),
-                round_budget=sd.get("round_budget", 3600.0),
-            ))
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (where, exc))
-    if not scanners:
-        raise ConfigError("scanners: at least one scanner is required")
-
-    dd = doc.get("detector") or {}
-    detector = netsim.DetectorModel(
-        mode=dd.get("mode", "ip_filter"),
-        detection_delay_packets=dd.get("detection_delay_packets"),
-        false_negative_rate=dd.get("false_negative_rate", 0.0),
-        false_positive_rate=dd.get("false_positive_rate", 0.0),
-        per_packet_latency=dd.get("per_packet_latency", 0.0005),
-    )
-
-    user_load = {
-        relay_id: _rate(value, "user_load[%r]" % relay_id)
-        for relay_id, value in (doc.get("user_load") or {}).items()
-    }
-
-    return netsim.SimConfig(
-        topology=topology,
-        scanners=tuple(scanners),
-        user_load=user_load,
-        detector=detector,
-        duration=doc.get("duration", 3600.0),
-        seed=doc.get("seed", 0),
-        consensus_interval=doc.get("consensus_interval", 3600.0),
-        activation_times=doc.get("activation_times") or {},
-        time_compression=doc.get("time_compression", 1.0),
-    )
 
 
 def _preset_bytes(name: str) -> bytes:
@@ -271,7 +157,7 @@ def _read_records_jsonl(path: str):
                     downloads=doc.get("downloads", 0),
                     ok=doc.get("ok", True),
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records
 

@@ -1,7 +1,7 @@
 """Shared domain types: relays, hosts, clusters, measurement records, consensus.
 
 Bandwidth is bytes/second everywhere in this package. Unit conversion happens
-at the parsing boundary (units.py, cli.py), never inside the model.
+only where configs are read (units.py, netsim.build_sim_config).
 """
 
 import re
@@ -150,10 +150,10 @@ class Topology:
                         "cotormult relay %s must live on its cluster host %s"
                         % (relay.relay_id, cluster.host_id)
                     )
-        if any(
-            r.policy == "detormult_member" for r in self.relays.values()
-        ):
-            ded = self.clusters.dedicated_server
+        ded = self.clusters.dedicated_server
+        if ded is not None and ded not in self.hosts:
+            raise ConfigError("unknown dedicated_server host %r" % (ded,))
+        if any(r.policy == "detormult_member" for r in self.relays.values()):
             if ded is None:
                 raise ConfigError(
                     "detormult_member relays need a dedicated_server host"
@@ -161,12 +161,6 @@ class Topology:
             if self.hosts[ded].kind != "dedicated_server":
                 raise ConfigError(
                     "dedicated_server %s must have kind dedicated_server" % ded
-                )
-        if self.clusters.dedicated_server is not None:
-            if self.clusters.dedicated_server not in self.hosts:
-                raise ConfigError(
-                    "unknown dedicated_server host %r"
-                    % (self.clusters.dedicated_server,)
                 )
 
     def host_of(self, relay_id: str) -> HostSpec:

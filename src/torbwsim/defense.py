@@ -175,11 +175,10 @@ def score_suspects(records,
     components = {}
     for r in scores:
         components.setdefault(find(r), []).append(r)
-    groups = tuple(
-        tuple(sorted(members))
-        for _root, members in sorted(components.items())
+    groups = tuple(sorted(
+        tuple(sorted(members)) for members in components.values()
         if len(members) >= 2
-    )
+    ))
     return SuspicionReport(
         scores=scores,
         pair_drops=pair_drops,

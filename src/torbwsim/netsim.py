@@ -25,12 +25,17 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, get_args
 
+from . import units
 from .core import (
+    Cluster,
+    ClusterTopology,
     ConfigError,
     ConsensusSnapshot,
+    HostSpec,
     MeasurementRecord,
+    RelaySpec,
     SimulationError,
     Topology,
     aggregate_consensus,
@@ -104,6 +109,121 @@ class SimConfig:
 
     def activation_of(self, relay_id: str) -> float:
         return self.activation_times.get(relay_id, 0.0) / self.time_compression
+
+
+# -- config documents ---------------------------------------------------------
+
+
+def _expect(value, types, where):
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError("%s: expected %s, got %s" % (
+            where, " or ".join(t.__name__ for t in types), type(value).__name__))
+    return value
+
+
+def _from_doc(cls, doc, where, parse, keys=None, **values):
+    """Build the dataclass cls from the config object doc.
+
+    doc may carry the keys in keys, by default cls's fields less those in
+    values. A field it leaves out takes its entry in values, else cls's own
+    default. parse maps a key to a function (value, where) that builds the
+    field, and null there means the key is absent; any other value must be
+    of its field's annotated type, an int passing for a float. Each problem
+    raises ConfigError naming where.
+    """
+    fields = cls.__dataclass_fields__
+    keys = keys or fields.keys() - values.keys()
+    kwargs = dict(values)
+    for key, value in _expect(doc, (dict,), where).items():
+        here = "%s.%s" % (where, key)
+        if key not in keys:
+            raise ConfigError("%s: unknown key %r" % (where, key))
+        if key in parse:
+            if value is not None:
+                kwargs[key] = parse[key](value, here)
+        else:
+            ftype = fields[key].type
+            kwargs[key] = _expect(value, (int, float) if ftype is float
+                                  else get_args(ftype) or (ftype,), here)
+    try:
+        return cls(**kwargs)  # a TypeError names a missing required field
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (where, exc))
+
+
+def _objects(cls, parse):
+    """Parser of a JSON array of cls objects into a tuple."""
+    return lambda value, where: tuple(
+        _from_doc(cls, doc, "%s[%d]" % (where, i), parse)
+        for i, doc in enumerate(_expect(value, (list,), where))
+    )
+
+
+def _by_id(cls, id_field, parse):
+    """Parser of a JSON array of cls objects into a dict keyed by id_field."""
+    def build(value, where):
+        specs = {}
+        for i, spec in enumerate(_objects(cls, parse)(value, where)):
+            if specs.setdefault(getattr(spec, id_field), spec) is not spec:
+                raise ConfigError("%s[%d]: duplicate %s" % (where, i, id_field))
+        return specs
+    return build
+
+
+def _per_relay(build):
+    return lambda value, where: {
+        relay_id: build(item, "%s[%r]" % (where, relay_id))
+        for relay_id, item in _expect(value, (dict,), where).items()
+    }
+
+
+def _rate(value, where):
+    try:
+        return units.parse_rate(value)
+    except (units.UnitError, TypeError) as exc:
+        raise ConfigError("%s: %s" % (where, exc))
+
+
+def _scanners(value, where):
+    if not _expect(value, (list,), where):
+        raise ConfigError("%s: at least one scanner is required" % where)
+    # the download ladder's fields are not config keys
+    keys = ("ba_id", "threads", "downloads_per_measurement", "exit_speed_factor",
+            "round_budget")
+    return tuple(
+        _from_doc(ScannerConfig, doc, "%s[%d]" % (where, i), {}, keys, ba_id="ba%d" % i)
+        for i, doc in enumerate(value)
+    )
+
+
+_TOPOLOGY_PARSE = {
+    "relays": _by_id(RelaySpec, "relay_id", {"advertised_bw": _rate}),
+    "hosts": _by_id(HostSpec, "host_id", {"capacity": _rate}),
+    "clusters": lambda value, where: _from_doc(ClusterTopology, value, where, {
+        "clusters": _objects(Cluster, {"members": lambda value, where: tuple(
+            _expect(m, (str,), where) for m in _expect(value, (list,), where))}),
+    }),
+}
+
+_SIM_PARSE = {
+    "scanners": _scanners,
+    "detector": lambda value, where: _from_doc(DetectorModel, value, where, {}),
+    "user_load": _per_relay(_rate),
+    "activation_times": _per_relay(lambda value, where: _expect(value, (int, float), where)),
+}
+
+
+def build_sim_config(doc) -> SimConfig:
+    """Turn a parsed config document into a validated SimConfig.
+
+    Its keys are the dataclasses' field names, the Topology ones at the top
+    level; bandwidth values must carry unit suffixes.
+    """
+    doc = _expect(doc, (dict,), "config")
+    topology = {k: v for k, v in doc.items() if k in _TOPOLOGY_PARSE}
+    rest = {k: v for k, v in doc.items() if k not in _TOPOLOGY_PARSE}
+    return _from_doc(SimConfig, rest, "config", _SIM_PARSE, topology=_from_doc(
+        Topology, topology, "config", _TOPOLOGY_PARSE))
 
 
 @dataclass

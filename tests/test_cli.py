@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from torbwsim.cli import (
     _read_records_jsonl,
     _records_jsonl,
     _write_atomic,
+    build_sim_config,
     main,
 )
 
@@ -54,6 +56,74 @@ def minimal_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def schema_config():
+    """minimal_config with every optional section present."""
+    return minimal_config(
+        clusters={"clusters": [
+            {"cluster_id": "c", "host_id": "h0", "members": [fp("cli/m0")]}
+        ]},
+        detector={"mode": "ip_filter"},
+        user_load={fp("cli/m0"): "20 MB"},
+    )
+
+
+# section -> (path, value, message) for an unknown key, a wrongly shaped
+# section and a wrongly typed value; the empty path replaces the document
+SCHEMA_CASES = {
+    "root": [
+        (("durration",), 3600, "config: unknown key 'durration'"),
+        ((), [], "config: expected dict, got list"),
+        (("duration",), "3600", "config.duration: expected int or float, got str"),
+    ],
+    "relays": [
+        (("relays", 0, "polcy"), "honest", "config.relays[0]: unknown key 'polcy'"),
+        (("relays",), {}, "config.relays: expected list, got dict"),
+        (("relays", 0, "family_id"), 7,
+         "config.relays[0].family_id: expected str or NoneType, got int"),
+    ],
+    "hosts": [
+        (("hosts", 0, "capcity"), "50 MB", "config.hosts[0]: unknown key 'capcity'"),
+        (("hosts",), {"host_id": "h0"}, "config.hosts: expected list, got dict"),
+        (("hosts", 0, "efficiency"), "1",
+         "config.hosts[0].efficiency: expected int or float, got str"),
+    ],
+    "clusters": [
+        (("clusters", "clustres"), [], "config.clusters: unknown key 'clustres'"),
+        (("clusters",), [], "config.clusters: expected dict, got list"),
+        (("clusters", "dedicated_server"), 5,
+         "config.clusters.dedicated_server: expected str or NoneType, got int"),
+    ],
+    "clusters.clusters[i]": [
+        (("clusters", "clusters", 0, "member"), [],
+         "config.clusters.clusters[0]: unknown key 'member'"),
+        (("clusters", "clusters", 0), "c",
+         "config.clusters.clusters[0]: expected dict, got str"),
+        (("clusters", "clusters", 0, "members"), fp("cli/m0"),
+         "config.clusters.clusters[0].members: expected list, got str"),
+    ],
+    "scanners": [
+        (("scanners", 0, "min_duration_per_download"), 5.0,
+         "config.scanners[0]: unknown key 'min_duration_per_download'"),
+        (("scanners",), {"threads": 1}, "config.scanners: expected list, got dict"),
+        (("scanners", 0, "threads"), "4",
+         "config.scanners[0].threads: expected int, got str"),
+    ],
+    "detector": [
+        (("detector", "fp_rate"), 0.3, "config.detector: unknown key 'fp_rate'"),
+        (("detector",), [], "config.detector: expected dict, got list"),
+        (("detector", "false_negative_rate"), "0.1",
+         "config.detector.false_negative_rate: expected int or float, got str"),
+    ],
+    "user_load": [
+        (("user_load", fp("cli/ghost")), "1 MB",
+         "config: user_load for unknown relay %r" % fp("cli/ghost")),
+        (("user_load",), [], "config.user_load: expected dict, got list"),
+        (("user_load", fp("cli/m0")), 20,
+         "config.user_load[%r]: bare number 20" % fp("cli/m0")),
+    ],
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -225,6 +295,25 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
         assert "relays[1]" in err and "host_id" in err
+
+    @pytest.mark.parametrize("section", sorted(SCHEMA_CASES))
+    def test_schema_errors_name_location(self, section, tmp_path, capsys):
+        build_sim_config(schema_config())
+        for path, value, message in SCHEMA_CASES[section]:
+            doc = schema_config()
+            if path:
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+            else:
+                doc = value
+            cfg = write_config(tmp_path, doc)
+            code, _out, err = run(
+                capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run")
+            )
+            assert code == EXIT_CONFIG, (path, err)
+            assert message in err, (path, err)
 
     def test_duplicate_relay_rejected(self, tmp_path, capsys):
         doc = minimal_config()
@@ -612,12 +701,34 @@ class TestDetect:
 
     def test_detect_bad_jsonl(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
-        path.write_text('{"relay_id": "x"}\n')
-        code, _out, err = run(
-            capsys, "detect", str(path), "--out", str(tmp_path / "det")
-        )
-        assert code == EXIT_CONFIG
-        assert "records.jsonl:1" in err
+        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"'):
+            path.write_text(line + "\n")
+            code, _out, err = run(
+                capsys, "detect", str(path), "--out", str(tmp_path / "det")
+            )
+            assert code == EXIT_CONFIG, line
+            assert "records.jsonl:1" in err
+
+
+class TestReadme:
+    README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+    def blocks(self, lang):
+        with open(self.README, "r", encoding="utf-8") as fh:
+            return re.findall(r"```%s\n(.*?)```" % lang, fh.read(), re.S)
+
+    def test_config_examples_build(self):
+        blocks = self.blocks("json")
+        assert len(blocks) == 2
+        for block in blocks:
+            # each distinct <40-hex...> placeholder stands for one relay
+            text = re.sub(r"<40-hex[^>]*>", lambda m: fp("readme" + m.group()), block)
+            build_sim_config(json.loads(text))
+
+    def test_library_example(self, capsys):
+        (block,) = self.blocks("python")
+        exec(block, {})
+        assert capsys.readouterr().out == "5.0\n"
 
 
 class TestOutputPlumbing:

@@ -118,6 +118,19 @@ class TestTopology:
             Topology(relays={relay.relay_id: relay}, hosts=hosts,
                      clusters=clusters)
 
+    def test_unknown_dedicated_server_rejected(self):
+        hosts = {"h1": HostSpec(host_id="h1", capacity=MB)}
+        relay = RelaySpec(relay_id=fp("m"), host_id="h1", advertised_bw=MB,
+                          policy="detormult_member")
+        clusters = ClusterTopology(
+            clusters=(Cluster(cluster_id="c", members=(relay.relay_id,),
+                              host_id="h1"),),
+            dedicated_server="nope",
+        )
+        with pytest.raises(ConfigError, match="unknown dedicated_server host"):
+            Topology(relays={relay.relay_id: relay}, hosts=hosts,
+                     clusters=clusters)
+
     def test_host_of(self):
         host = HostSpec(host_id="h", capacity=MB)
         relay = RelaySpec(relay_id=fp("r"), host_id="h", advertised_bw=MB)

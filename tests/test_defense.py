@@ -1,7 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import MB, cotormult_topology, sim_config
 from torbwsim.core import MeasurementRecord
+from torbwsim import defense
 from torbwsim.defense import (
     ProbePlan,
     plan_probes,
@@ -140,6 +146,33 @@ class TestScoreSuspects:
         ]
         report = score_suspects(records)
         assert report.pair_drops[(A, B)] == 0.0
+
+    def test_group_order_independent_of_hash_seed(self):
+        # union-find roots follow the set order of the overlap partners,
+        # which follows PYTHONHASHSEED; the groups must not
+        script = (
+            "from torbwsim.core import MeasurementRecord as R\n"
+            "from torbwsim.defense import score_suspects\n"
+            "ids = ['%040X' % (i * 7919 + 17) for i in range(6)]\n"
+            "records = []\n"
+            "for p, pool in enumerate((ids[0::2], ids[1::2])):\n"
+            "    for k in range(4):\n"
+            "        t = p * 100000 + k * 1000\n"
+            "        for j, r in enumerate(pool):\n"
+            "            records.append(R(r, 'ba0', j, t + 100 * j, t + 100 * j + 30, 3e7))\n"
+            "            records.append(R(r, 'ba0', j, t + 500, t + 530, 1e7))\n"
+            "print(score_suspects(records).groups)\n"
+        )
+        src = os.path.dirname(os.path.dirname(defense.__file__))
+        outputs = set()
+        for hash_seed in range(10):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        groups = ast.literal_eval(outputs.pop())
+        assert [len(g) for g in groups] == [3, 3]
 
     def test_needs_two_relays(self):
         with pytest.raises(ValueError, match="2 relays"):
