@@ -23,6 +23,7 @@ threads can be re-assigned from end times alone, and same-thread gaps under
 
 import logging
 import random
+import re
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,6 +37,8 @@ MAX_SEQUENTIAL_GAP = 50.0
 DEFAULT_ASSUMED_DURATION = 39.0
 
 _TERMINATOR = "====="
+_CANONICAL_TIME = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
 
 
 class ParseError(ValueError):
@@ -64,12 +67,20 @@ class BandwidthFile:
 
 
 def _parse_time(value: str):
+    # the canonical form takes the fast path; strptime stays the arbiter for
+    # every other string (unpadded fields, lowercase "t", non-ASCII digits),
+    # and hour 24 goes to it too, so no newer fromisoformat rule leaks in
+    canonical = _CANONICAL_TIME.fullmatch(value)
+    if not canonical:
+        try:
+            return int(value)
+        except ValueError:
+            pass
     try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
+        if canonical:
+            dt = datetime.fromisoformat(value)
+        else:
+            dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
         return None
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
@@ -80,32 +91,34 @@ def _format_time(ts: int) -> str:
 
 
 def _parse_entry(line: str):
-    fields = []
+    node_id = bw = end = None
+    extras = []
     for token in line.split():
-        if "=" not in token:
+        key, sep, value = token.partition("=")
+        if not sep:
             return None
-        key, _, value = token.partition("=")
-        fields.append((key, value))
-    keys = dict(fields)
-    if not {"node_id", "bw", "time"} <= set(keys):
-        return None
-    node_id = keys["node_id"]
-    if not node_id.startswith("$"):
-        return None
-    node_id = node_id[1:].upper()
-    if not is_fingerprint(node_id):
+        if key == "node_id":
+            node_id = value
+        elif key == "bw":
+            bw = value
+        elif key == "time":
+            end = value
+        else:
+            extras.append((key, value))
+    if node_id is None or bw is None or end is None or not node_id.startswith("$"):
         return None
     try:
-        bw = int(keys["bw"])
+        bw = int(bw)
     except ValueError:
         return None
-    end_time = _parse_time(keys["time"])
+    end_time = _parse_time(end)
     if end_time is None or bw < 0:
         return None
-    extras = tuple(
-        (k, v) for k, v in fields if k not in ("node_id", "bw", "time")
-    )
-    return BandwidthEntry(node_id=node_id, bw=bw, end_time=end_time, extras=extras)
+    try:  # the constructor is the one fingerprint check
+        return BandwidthEntry(node_id=node_id[1:].upper(), bw=bw,
+                              end_time=end_time, extras=tuple(extras))
+    except ParseError:
+        return None
 
 
 def parse_bandwidth_file(data, ba_id: str = "unknown") -> BandwidthFile:

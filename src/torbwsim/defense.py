@@ -12,7 +12,7 @@ fall back to an assumed duration ending at end_time, matching the timeline
 reconstruction used elsewhere.
 """
 
-import statistics
+import math
 from dataclasses import dataclass
 
 from .bwfile import DEFAULT_ASSUMED_DURATION
@@ -56,24 +56,6 @@ def _interval_of(rec, assumed_duration):
     return rec.end_time - assumed_duration, rec.end_time
 
 
-def _overlapping_partners(items):
-    """items: (start, end, relay, bw) sorted by start.
-
-    Returns per-item sets of (index, relay, overlap length) for every other
-    item whose interval intersects, including zero-length touching.
-    """
-    partners = [set() for _ in items]
-    for i, (start_i, end_i, relay_i, _bw) in enumerate(items):
-        for j in range(i + 1, len(items)):
-            start_j, end_j, relay_j, _bwj = items[j]
-            if start_j > end_i:
-                break
-            overlap = min(end_i, end_j) - start_j
-            partners[i].add((j, relay_j, overlap))
-            partners[j].add((i, relay_i, overlap))
-    return partners
-
-
 def score_suspects(records,
                    assumed_duration: float = DEFAULT_ASSUMED_DURATION,
                    threshold: float = DEFAULT_THRESHOLD,
@@ -94,54 +76,83 @@ def score_suspects(records,
     each side. A relay's score is its worst symmetric drop; relays that are
     co-measured yet never observed apart from any partner have no usable
     baseline and are reported separately, excluded from grouping.
+
+    Archives repeat an entry in every file until the relay is measured
+    again, so records first collapse onto their distinct intervals
+    (start, end, relay), each carrying the bandwidths of all its records.
+    One sweep in start order pairs each interval with every later one that
+    starts no later than it ends, touching included, and keeps the deepest
+    overlap per partner relay. Per (relay, partner), a bit mask over the
+    relay's intervals then marks the deeply co-measured ones and those
+    touched at all. A mean counts every record of the intervals in its mask,
+    as math.fsum(xs) / len(xs), which is what statistics.fmean computes. An
+    exactly rounded sum depends only on the multiset of values, so the
+    collapse changes no drop, score or group.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    items = []
+    bws_of = {}  # (start, end, relay) -> bandwidths of its records
     for rec in records:
         if not rec.ok:
             continue
         if relay_ids is not None and rec.relay_id not in relay_ids:
             continue
         start, end = _interval_of(rec, assumed_duration)
-        items.append((start, end, rec.relay_id, rec.measured_bw))
-    relays = sorted({relay for _s, _e, relay, _b in items})
+        bws_of.setdefault((start, end, rec.relay_id), []).append(rec.measured_bw)
+    relays = sorted({relay for _s, _e, relay in bws_of})
     if len(relays) < 2:
         raise ValueError("need records for at least 2 relays")
-    items.sort(key=lambda t: (t[0], t[1], t[2]))
-    partners = _overlapping_partners(items)
+    items = sorted(bws_of)
 
-    records_of = {r: [] for r in relays}
-    for i, (_start, _end, relay, _bw) in enumerate(items):
-        records_of[relay].append(i)
-    co_idx = {}       # (relay, partner) -> indices of relay's deep co records
-    touched_idx = {}  # (relay, partner) -> indices with any overlap at all
-    for i, (start, end, relay, _bw) in enumerate(items):
+    deepest = [{} for _ in items]  # per interval: partner relay -> overlap
+    for i, (start_i, end_i, relay_i) in enumerate(items):
+        deepest_i = deepest[i]
+        for j in range(i + 1, len(items)):
+            start_j, end_j, relay_j = items[j]
+            if start_j > end_i:
+                break
+            if relay_j == relay_i:
+                continue
+            overlap = min(end_i, end_j) - start_j
+            deepest_i[relay_j] = max(deepest_i.get(relay_j, 0.0), overlap)
+            deepest_j = deepest[j]
+            deepest_j[relay_i] = max(deepest_j.get(relay_i, 0.0), overlap)
+
+    intervals_of = {r: [] for r in relays}
+    bit = []  # per interval: its bit among its relay's intervals
+    for i, (_start, _end, relay) in enumerate(items):
+        bit.append(1 << len(intervals_of[relay]))
+        intervals_of[relay].append(i)
+    co_mask = {}       # (relay, partner) -> relay's deeply co-measured intervals
+    touched_mask = {}  # (relay, partner) -> relay's intervals with any overlap
+    for i, (start, end, relay) in enumerate(items):
         duration = end - start
-        best = {}
-        for _j, rel, overlap in partners[i]:
-            if rel != relay:
-                best[rel] = max(best.get(rel, 0.0), overlap)
-        for rel, overlap in best.items():
-            touched_idx.setdefault((relay, rel), set()).add(i)
+        for partner, overlap in deepest[i].items():
+            key = (relay, partner)
+            touched_mask[key] = touched_mask.get(key, 0) | bit[i]
             if duration <= 0 or overlap / duration >= min_overlap_fraction:
-                co_idx.setdefault((relay, rel), set()).add(i)
+                co_mask[key] = co_mask.get(key, 0) | bit[i]
+
+    means = {}  # (relay, intervals mask) -> mean bw over their records
+
+    def mean(relay, mask):
+        if (relay, mask) not in means:
+            xs = [bw for k, i in enumerate(intervals_of[relay]) if mask >> k & 1
+                  for bw in bws_of[items[i]]]
+            means[relay, mask] = math.fsum(xs) / len(xs) if xs else None
+        return means[relay, mask]
 
     def directional(r1, r2):
-        co = co_idx.get((r1, r2), set())
-        touched = touched_idx.get((r1, r2), set())
-        solo = [i for i in records_of[r1] if i not in touched]
-        if not co or not solo:
-            return None
-        co_mean = statistics.fmean(items[i][3] for i in co)
-        solo_mean = statistics.fmean(items[i][3] for i in solo)
-        if solo_mean <= 0:
+        everything = (1 << len(intervals_of[r1])) - 1
+        co_mean = mean(r1, co_mask.get((r1, r2), 0))
+        solo_mean = mean(r1, everything & ~touched_mask.get((r1, r2), 0))
+        if co_mean is None or solo_mean is None or solo_mean <= 0:
             return None
         return min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
 
     pair_drops = {}
     undecided = set()  # pairs with co samples but a missing baseline
-    for (r1, r2) in co_idx:
+    for (r1, r2) in co_mask:
         if r1 > r2:
             continue
         d12 = directional(r1, r2)

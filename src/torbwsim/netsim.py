@@ -72,6 +72,9 @@ class DetectorModel:
         for rate in (self.false_negative_rate, self.false_positive_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError("detector rates must be in [0, 1]")
+        if not self.per_packet_latency >= 0:
+            raise ConfigError("per_packet_latency must be >= 0, got %r"
+                              % (self.per_packet_latency,))
 
     @property
     def detection_delay(self) -> float:

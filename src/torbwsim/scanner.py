@@ -38,6 +38,8 @@ class ScannerConfig:
             raise ValueError("min download duration must be below max")
         if self.downloads_per_measurement < 1:
             raise ValueError("downloads_per_measurement must be >= 1")
+        if not self.round_budget > 0:
+            raise ValueError("round_budget must be > 0, got %r" % (self.round_budget,))
 
 
 @dataclass(frozen=True)

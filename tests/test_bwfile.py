@@ -1,8 +1,12 @@
 import logging
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fp
+from torbwsim import bwfile
 from torbwsim.bwfile import (
     BandwidthEntry,
     BandwidthFile,
@@ -14,7 +18,7 @@ from torbwsim.bwfile import (
     parse_bandwidth_file,
     serialize_bandwidth_file,
 )
-from torbwsim.core import InsufficientDataError, MeasurementRecord
+from torbwsim.core import InsufficientDataError, MeasurementRecord, is_fingerprint
 
 # 2023-01-01T00:00:00 UTC
 T0 = 1672531200
@@ -153,6 +157,136 @@ class TestParse:
     def test_bad_node_id_in_constructor(self):
         with pytest.raises(ParseError, match="node_id"):
             BandwidthEntry(node_id="nope", bw=1, end_time=T0)
+
+
+def strptime_parse_time(value):
+    """Oracle: _parse_time as it was, strptime for every non-integer."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    try:
+        dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
+    except ValueError:
+        return None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+def dict_parse_entry(line):
+    """Oracle: _parse_entry as it was, keys through a dict, fingerprint
+    checked before the entry is built."""
+    fields = []
+    for token in line.split():
+        if "=" not in token:
+            return None
+        key, _, value = token.partition("=")
+        fields.append((key, value))
+    keys = dict(fields)
+    if not {"node_id", "bw", "time"} <= set(keys):
+        return None
+    node_id = keys["node_id"]
+    if not node_id.startswith("$"):
+        return None
+    node_id = node_id[1:].upper()
+    if not is_fingerprint(node_id):
+        return None
+    try:
+        bw = int(keys["bw"])
+    except ValueError:
+        return None
+    end_time = strptime_parse_time(keys["time"])
+    if end_time is None or bw < 0:
+        return None
+    extras = tuple(
+        (k, v) for k, v in fields if k not in ("node_id", "bw", "time")
+    )
+    return BandwidthEntry(node_id=node_id, bw=bw, end_time=end_time, extras=extras)
+
+
+FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                                         "\uff15\uff16\uff17\uff18\uff19")
+TIME_FORMS = (
+    "%04d-%02d-%02dT%02d:%02d:%02d",      # canonical
+    "%d-%d-%dT%d:%d:%d",                  # not zero-padded
+    "%04d-%02d-%02dT%02d:%02d:%02d+00:00",
+    "%04d-%02d-%02d %02d:%02d:%02d",
+    "%04d%02d%02dT%02d%02d%02d",
+    "%04d-%02d-%02dT%02d:%02d:%02d.250",
+    "%04d-%02d-%02dt%02d:%02d:%02d",
+)
+
+
+@st.composite
+def time_strings(draw):
+    """Timestamps in the canonical form and near it, with fields that may
+    be out of range (month 13, hour 24, second 60), or free text."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return str(draw(st.integers(-2 ** 40, 2 ** 40)))
+    if kind == 1:
+        return draw(st.text("0123456789-:T+. t\uff11", max_size=22))
+    fields = (draw(st.integers(0, 10000)), draw(st.integers(0, 13)),
+              draw(st.integers(0, 32)), draw(st.integers(0, 25)),
+              draw(st.integers(0, 61)), draw(st.integers(0, 61)))
+    text = draw(st.sampled_from(TIME_FORMS)) % fields
+    return text.translate(FULL_WIDTH) if kind == 3 else text
+
+
+def entry_tokens():
+    good = st.sampled_from(("$" + R1, "$" + R2.lower(), "$" + R3[:20] + "g" * 20))
+    return st.one_of(
+        st.builds("node_id={}".format, st.one_of(
+            good, st.sampled_from((R1, "$DEADBEEF", "$" + R1 + "0", "")))),
+        st.builds("bw={}".format, st.one_of(
+            st.integers(-5, 10 ** 9).map(str),
+            st.sampled_from(("fast", "", "+7", "1_000", "\uff12\uff15", "2.5")))),
+        st.builds("time={}".format, time_strings()),
+        st.sampled_from(("nick=relay", "success=3", "a=b=c", "=v", "k=",
+                         "trailing", "bw", "NODE_ID=$" + R1)),
+    )
+
+
+@st.composite
+def entry_lines(draw):
+    """Mostly complete entries, shuffled, some with duplicate or bad keys."""
+    tokens = ["node_id=$" + draw(st.sampled_from((R1, R2.lower()))),
+              "bw=%d" % draw(st.integers(0, 10 ** 8)),
+              "time=" + draw(time_strings())]
+    tokens = tokens[:draw(st.integers(0, 3))]
+    tokens += draw(st.lists(entry_tokens(), max_size=5))
+    return " ".join(draw(st.permutations(tokens)))
+
+
+class TestParseMatchesOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(value=time_strings())
+    @example(value="2022-04-15T10:00:00")
+    @example(value="2022-4-5T1:2:3")
+    @example(value="2022-04-15T10:00:00+00:00")
+    @example(value="2022-04-15 10:00:00")
+    @example(value="20220415T100000")
+    @example(value="2022-04-15T10:00:00.5")
+    @example(value="2022-04-15T10:00:00".translate(FULL_WIDTH))
+    @example(value="2022-04-15T10:00:60")
+    @example(value="2022-04-15T24:00:00")
+    @example(value="2022-02-29T00:00:00")
+    @example(value="0001-01-01T00:00:00")
+    @example(value="2022-04-15t10:00:00")
+    def test_parse_time(self, value):
+        assert bwfile._parse_time(value) == strptime_parse_time(value)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(line=entry_lines())
+    @example(line="bw=1 node_id=$%s time=2022-04-15T10:00:00" % R1)
+    @example(line="bw=1 bw=2 node_id=$%s time=5 time=6" % R1)
+    @example(line="bw=1 node_id=$%s time=5 nick=a nick=b" % R1)
+    @example(line="bw=1 node_id=$%s time=5 trailing" % R1)
+    @example(line="bw=1 node_id=$%s time=5" % R1.lower())
+    @example(line="bw=-1 node_id=$%s time=5" % R1)
+    @example(line="bw=1 node_id=$%s node_id=$DEADBEEF time=5" % R1)
+    @example(line="bw=1 node_id=$%s time=2022-4-5T1:2:3" % R1)
+    def test_parse_entry(self, line):
+        assert bwfile._parse_entry(line) == dict_parse_entry(line)
 
 
 class TestSerialize:

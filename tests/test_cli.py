@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+import random
 import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -70,7 +72,8 @@ def schema_config():
 
 
 # section -> (path, value, message) for an unknown key, a wrongly shaped
-# section and a wrongly typed value; the empty path replaces the document
+# section and a wrongly typed value, then any out-of-range values; the empty
+# path replaces the document
 SCHEMA_CASES = {
     "root": [
         (("durration",), 3600, "config: unknown key 'durration'"),
@@ -109,12 +112,18 @@ SCHEMA_CASES = {
         (("scanners",), {"threads": 1}, "config.scanners: expected list, got dict"),
         (("scanners", 0, "threads"), "4",
          "config.scanners[0].threads: expected int, got str"),
+        (("scanners", 0, "round_budget"), 0,
+         "config.scanners[0]: round_budget must be > 0, got 0"),
+        (("scanners", 0, "round_budget"), -5,
+         "config.scanners[0]: round_budget must be > 0, got -5"),
     ],
     "detector": [
         (("detector", "fp_rate"), 0.3, "config.detector: unknown key 'fp_rate'"),
         (("detector",), [], "config.detector: expected dict, got list"),
         (("detector", "false_negative_rate"), "0.1",
          "config.detector.false_negative_rate: expected int or float, got str"),
+        (("detector", "per_packet_latency"), -0.0005,
+         "config.detector: per_packet_latency must be >= 0, got -0.0005"),
     ],
     "user_load": [
         (("user_load", fp("cli/ghost")), "1 MB",
@@ -708,6 +717,109 @@ class TestDetect:
             )
             assert code == EXIT_CONFIG, line
             assert "records.jsonl:1" in err
+
+
+def write_archive(directory):
+    """Hourly files from two scanners, in the shape of a published archive.
+
+    Each file repeats the latest entry of every relay measured so far, so
+    most entries recur across consecutive files, and each carries a few
+    malformed lines. End times come as canonical ISO, unpadded ISO and unix
+    seconds. Four pot relays split one capacity while their assumed 39 s
+    measurements overlap. Returns the relays file listing the pot.
+    """
+    rng = random.Random("pinned-archive")
+    relays = [fp("archive/%d" % i) for i in range(24)]
+    pot = relays[:4]
+    for scanner in ("sbws-a", "sbws-b"):
+        ends = []
+        t = T0
+        while t < T0 + 4 * 3600:
+            t += rng.randrange(4, 40)
+            ends.append((t, rng.choice(pot if rng.random() < 0.35 else relays)))
+        pot_ends = [end for end, relay in ends if relay in pot]
+        latest = {}
+        for hour in range(1, 5):
+            file_time = T0 + hour * 3600
+            for end, relay in ends:
+                if file_time - 3600 < end <= file_time:
+                    if relay in pot:
+                        k = sum(1 for e in pot_ends if abs(e - end) < 39)
+                        bw = 40000 // k
+                    else:
+                        bw = 6000 + 100 * relays.index(relay)
+                    latest[relay] = (end, bw + rng.randrange(-50, 50))
+            lines = [str(file_time), "software=sbws", "====="]
+            for relay in sorted(latest):
+                end, bw = latest[relay]
+                stamp = datetime.fromtimestamp(end, tz=timezone.utc)
+                form = rng.randrange(3)
+                when = (stamp.strftime("%Y-%m-%dT%H:%M:%S") if form == 0 else
+                        "%d-%d-%dT%d:%d:%d" % stamp.timetuple()[:6] if form == 1
+                        else str(end))
+                lines.append("bw=%d nick=n%d node_id=$%s time=%s"
+                             % (bw, relays.index(relay), relay, when))
+            for bad in ("bw=12x node_id=$%s time=%d" % (pot[0], file_time),
+                        "truncated entry line",
+                        "bw=5 node_id=$ABAB time=%d" % file_time)[:hour % 3 + 1]:
+                lines.insert(rng.randrange(3, len(lines) + 1), bad)
+            name = "%s-%s.bw" % (datetime.fromtimestamp(file_time, tz=timezone.utc)
+                                 .strftime("%Y-%m-%d-%H-%M-%S"), scanner)
+            (directory / name).write_text("\n".join(lines) + "\n")
+    relays_path = directory.parent / "pot.txt"
+    relays_path.write_text("".join("$%s\n" % r for r in pot))
+    return str(relays_path)
+
+
+class TestForensicsOutputsPinned:
+    # sha256 of stdout and of every output file but manifest.json (which
+    # holds wall-clock times and tmp paths) for analyze and detect on
+    # write_archive. A refactor of parsing, thread inference, coincidence
+    # or scoring must leave these unchanged; a change that moves them must
+    # say why.
+    COMMANDS = {
+        "durations": ["analyze", "durations", "{bw}", "--iterations", "6",
+                      "--seed", "3"],
+        "coincidence": ["analyze", "coincidence", "{bw}", "--relays", "{pot}"],
+        "window-sweep": ["analyze", "window-sweep", "{bw}", "--relays", "{pot}",
+                         "--window", "3600", "--window", "7200"],
+        "detect": ["detect", "{bw}"],
+    }
+    SHA256 = {
+        "coincidence": {
+            "stdout": "0a22e026e2f78b5db03a56e941b649b578de028ef552ecb5ce579bc15b1eddf0",
+            "distribution.csv": "3e6be3e97efc64c236b43315a60e684ea9ab58f1fc11356e8a00d6e707d604d5",
+        },
+        "detect": {
+            "stdout": "d2b53df4a9e5f9278d9de15a9bb0002ca40f0259b89b68a6cb341b633df77084",
+            "probes.csv": "bd25e75b30864be9014073b256dfa4e19516fff25f2389c95f7ae6d6cd3e6603",
+            "suspicion.json": "dea694c7c1f3b87d8b76a64d556b57b064e5007d611657622db21f37e082a0a2",
+        },
+        "durations": {
+            "stdout": "8fd005ad1556877d80cd3540c8657b03dbf82e4e2768fe9c2fba951c5f2a52b4",
+            "durations.json": "49c92a3d0ee9fd0567c947216fe5330dc5e65339078bfd06f363d362dba13fec",
+        },
+        "window-sweep": {
+            "stdout": "8724a5c6525fc06e3890c9d5a133bc1209b05b4ce5250e5aea3e9c6416f64de2",
+            "window_sweep.csv": "7a09c2f0c4b515675e982ef1d2c5808e8dde740bde95d098f62d9f8f1525fcb6",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_outputs_pinned(self, command, tmp_path, capsys, caplog):
+        bwdir = tmp_path / "bw"
+        bwdir.mkdir()
+        pot = write_archive(bwdir)
+        out = tmp_path / "out"
+        argv = [arg.format(bw=bwdir, pot=pot) for arg in self.COMMANDS[command]]
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_OK, err
+        assert any("malformed entry" in r.message for r in caplog.records)
+        digests = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+        for name in sorted(os.listdir(out)):
+            if name != "manifest.json":
+                digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digests == self.SHA256[command]
 
 
 class TestReadme:

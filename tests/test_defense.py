@@ -1,15 +1,20 @@
 import ast
+import json
 import os
+import statistics
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import MB, cotormult_topology, sim_config
 from torbwsim.core import MeasurementRecord
 from torbwsim import defense
 from torbwsim.defense import (
     ProbePlan,
+    SuspicionReport,
     plan_probes,
     probe_rows,
     report_to_dict,
@@ -148,8 +153,8 @@ class TestScoreSuspects:
         assert report.pair_drops[(A, B)] == 0.0
 
     def test_group_order_independent_of_hash_seed(self):
-        # union-find roots follow the set order of the overlap partners,
-        # which follows PYTHONHASHSEED; the groups must not
+        # which relay ends up as a union-find root may follow PYTHONHASHSEED;
+        # the order of the groups must not
         script = (
             "from torbwsim.core import MeasurementRecord as R\n"
             "from torbwsim.defense import score_suspects\n"
@@ -186,6 +191,168 @@ class TestScoreSuspects:
         report = score_suspects(shared_pair_records(), threshold=0.6)
         assert report.pair_drops[(A, B)] == pytest.approx(0.5)
         assert report.groups == ()
+
+
+def _overlapping_partners(items):
+    """items: (start, end, relay, bw) sorted by start.
+
+    Returns per-item sets of (index, relay, overlap length) for every other
+    item whose interval intersects, including zero-length touching.
+    """
+    partners = [set() for _ in items]
+    for i, (start_i, end_i, relay_i, _bw) in enumerate(items):
+        for j in range(i + 1, len(items)):
+            start_j, end_j, relay_j, _bwj = items[j]
+            if start_j > end_i:
+                break
+            overlap = min(end_i, end_j) - start_j
+            partners[i].add((j, relay_j, overlap))
+            partners[j].add((i, relay_i, overlap))
+    return partners
+
+
+def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
+                            relay_ids=None, min_overlap_fraction=0.5):
+    """Oracle: score_suspects as it was before the collapsed sweep.
+
+    Every record is its own item, every overlapping pair of items is
+    visited, and the means are statistics.fmean over sets of item indices.
+    """
+    if not 0 <= threshold <= 1:
+        raise ValueError("threshold must lie in [0, 1]")
+    items = []
+    for r in records:
+        if not r.ok:
+            continue
+        if relay_ids is not None and r.relay_id not in relay_ids:
+            continue
+        start, end = defense._interval_of(r, assumed_duration)
+        items.append((start, end, r.relay_id, r.measured_bw))
+    relays = sorted({relay for _s, _e, relay, _b in items})
+    if len(relays) < 2:
+        raise ValueError("need records for at least 2 relays")
+    items.sort(key=lambda t: (t[0], t[1], t[2]))
+    partners = _overlapping_partners(items)
+
+    records_of = {r: [] for r in relays}
+    for i, (_start, _end, relay, _bw) in enumerate(items):
+        records_of[relay].append(i)
+    co_idx = {}
+    touched_idx = {}
+    for i, (start, end, relay, _bw) in enumerate(items):
+        duration = end - start
+        best = {}
+        for _j, rel, overlap in partners[i]:
+            if rel != relay:
+                best[rel] = max(best.get(rel, 0.0), overlap)
+        for rel, overlap in best.items():
+            touched_idx.setdefault((relay, rel), set()).add(i)
+            if duration <= 0 or overlap / duration >= min_overlap_fraction:
+                co_idx.setdefault((relay, rel), set()).add(i)
+
+    def directional(r1, r2):
+        co = co_idx.get((r1, r2), set())
+        touched = touched_idx.get((r1, r2), set())
+        solo = [i for i in records_of[r1] if i not in touched]
+        if not co or not solo:
+            return None
+        co_mean = statistics.fmean(items[i][3] for i in co)
+        solo_mean = statistics.fmean(items[i][3] for i in solo)
+        if solo_mean <= 0:
+            return None
+        return min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
+
+    pair_drops = {}
+    undecided = set()
+    for (r1, r2) in co_idx:
+        if r1 > r2:
+            continue
+        d12 = directional(r1, r2)
+        d21 = directional(r2, r1)
+        if d12 is None or d21 is None:
+            undecided.add((r1, r2))
+            continue
+        pair_drops[(r1, r2)] = (d12 + d21) / 2.0
+
+    has_pair = {r for pair in pair_drops for r in pair}
+    insufficient = tuple(
+        r for r in relays
+        if r not in has_pair and any(r in pair for pair in undecided)
+    )
+    scores = {r: 0.0 for r in relays if r not in insufficient}
+    for (r1, r2), drop in pair_drops.items():
+        scores[r1] = max(scores[r1], drop)
+        scores[r2] = max(scores[r2], drop)
+    parent = {r: r for r in scores}
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    for (r1, r2), drop in pair_drops.items():
+        if drop >= threshold:
+            parent[find(r1)] = find(r2)
+    components = {}
+    for r in scores:
+        components.setdefault(find(r), []).append(r)
+    groups = tuple(sorted(
+        tuple(sorted(members)) for members in components.values()
+        if len(members) >= 2
+    ))
+    return SuspicionReport(scores=scores, pair_drops=pair_drops, groups=groups,
+                           threshold=threshold, insufficient_data=insufficient)
+
+
+@st.composite
+def record_histories(draw):
+    """Records on a coarse integer grid, so intervals often touch, nest and
+    repeat exactly; some lack a start time, some failed, some are copies."""
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        relay = draw(st.sampled_from((A, B, C, D, E)))
+        end = float(draw(st.integers(0, 60)))
+        start = (end - draw(st.sampled_from((1, 2, 5, 10, 20)))
+                 if draw(st.booleans()) else None)
+        ok = draw(st.integers(0, 9)) > 0
+        bw = draw(st.sampled_from((100.0, 50.0, 25.5, 1e8 / 3, 0.1)))
+        record = rec(relay, start, end, bw if ok else 0.0, ok=ok)
+        records.extend([record] * draw(st.integers(1, 3)))
+    return draw(st.permutations(records))
+
+
+def _outputs(score, records, **kwargs):
+    try:
+        report = score(records, **kwargs)
+    except ValueError as exc:
+        return "error: %s" % exc
+    plans = plan_probes(report, 5, start_time=10.0)
+    return (json.dumps(report_to_dict(report), indent=2),
+            probe_rows(plans), plans)
+
+
+class TestCollapsedSweepMatchesPairwise:
+    @settings(max_examples=400, deadline=None)
+    @given(records=record_histories(),
+           assumed_duration=st.sampled_from((39.0, 10.0, 2.0, 0.0, -3.0)),
+           threshold=st.sampled_from((0.3, 0.0, 1.0, 0.05)),
+           relay_ids=st.one_of(st.none(), st.sets(st.sampled_from((A, B, C, D, E)))),
+           min_overlap_fraction=st.sampled_from((0.5, 0.0, 1.0, 0.25)))
+    @example(records=shared_pair_records() * 2, assumed_duration=39.0,
+             threshold=0.3, relay_ids=None, min_overlap_fraction=0.5)
+    @example(records=[rec(A, None, 10.0, 100.0), rec(B, None, 10.0, 50.0),
+                      rec(A, None, 10.0, 100.0), rec(B, 9.0, 10.0, 50.0),
+                      rec(A, None, 50.0, 100.0), rec(B, None, 60.0, 100.0)],
+             assumed_duration=0.0, threshold=0.3, relay_ids=None,
+             min_overlap_fraction=0.5)
+    def test_same_report_and_probes(self, records, assumed_duration, threshold,
+                                    relay_ids, min_overlap_fraction):
+        kwargs = dict(assumed_duration=assumed_duration, threshold=threshold,
+                      relay_ids=relay_ids,
+                      min_overlap_fraction=min_overlap_fraction)
+        assert (_outputs(score_suspects, records, **kwargs)
+                == _outputs(pairwise_score_suspects, records, **kwargs))
 
 
 class TestPlanProbes:
