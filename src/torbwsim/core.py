@@ -4,6 +4,7 @@ Bandwidth is bytes/second everywhere in this package. Unit conversion happens
 only where configs are read (units.py, netsim.build_sim_config).
 """
 
+import math
 import re
 import statistics
 from dataclasses import dataclass, field
@@ -190,9 +191,9 @@ class MeasurementRecord:
             raise ValueError(
                 "measurement of %s: end_time must exceed start_time" % self.relay_id
             )
-        if self.ok and self.measured_bw <= 0:
+        if self.ok and not 0 < self.measured_bw < math.inf:
             raise ValueError(
-                "successful measurement of %s must have measured_bw > 0"
+                "successful measurement of %s must have a finite measured_bw > 0"
                 % self.relay_id
             )
 

@@ -82,12 +82,13 @@ def score_suspects(records,
     (start, end, relay), each carrying the bandwidths of all its records.
     One sweep in start order pairs each interval with every later one that
     starts no later than it ends, touching included, and keeps the deepest
-    overlap per partner relay. Per (relay, partner), a bit mask over the
-    relay's intervals then marks the deeply co-measured ones and those
-    touched at all. A mean counts every record of the intervals in its mask,
-    as math.fsum(xs) / len(xs), which is what statistics.fmean computes. An
-    exactly rounded sum depends only on the multiset of values, so the
-    collapse changes no drop, score or group.
+    overlap per partner relay. Every mean counts each record, repeats
+    included, and is math.fsum(xs) / len(xs), which is what
+    statistics.fmean computes. The records apart from r2 are all of r1's
+    less those touching r2, so their sum is taken as the fsum of all of
+    r1's bandwidths and the negated touching ones: fsum rounds the exact
+    sum once, so this equals the fsum of the records apart, for the finite
+    bandwidths MeasurementRecord admits.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
@@ -118,41 +119,34 @@ def score_suspects(records,
             deepest_j = deepest[j]
             deepest_j[relay_i] = max(deepest_j.get(relay_i, 0.0), overlap)
 
-    intervals_of = {r: [] for r in relays}
-    bit = []  # per interval: its bit among its relay's intervals
-    for i, (_start, _end, relay) in enumerate(items):
-        bit.append(1 << len(intervals_of[relay]))
-        intervals_of[relay].append(i)
-    co_mask = {}       # (relay, partner) -> relay's deeply co-measured intervals
-    touched_mask = {}  # (relay, partner) -> relay's intervals with any overlap
-    for i, (start, end, relay) in enumerate(items):
+    all_bws = {r: [] for r in relays}
+    co_bws = {}    # (relay, partner) -> bandwidths of deeply co-measured records
+    near_bws = {}  # (relay, partner) -> negated bandwidths of records it touches
+    for (start, end, relay), partners in zip(items, deepest):
+        values = bws_of[start, end, relay]
+        negated = [-bw for bw in values]
+        all_bws[relay].extend(values)
         duration = end - start
-        for partner, overlap in deepest[i].items():
-            key = (relay, partner)
-            touched_mask[key] = touched_mask.get(key, 0) | bit[i]
+        for partner, overlap in partners.items():
+            near_bws.setdefault((relay, partner), []).extend(negated)
             if duration <= 0 or overlap / duration >= min_overlap_fraction:
-                co_mask[key] = co_mask.get(key, 0) | bit[i]
-
-    means = {}  # (relay, intervals mask) -> mean bw over their records
-
-    def mean(relay, mask):
-        if (relay, mask) not in means:
-            xs = [bw for k, i in enumerate(intervals_of[relay]) if mask >> k & 1
-                  for bw in bws_of[items[i]]]
-            means[relay, mask] = math.fsum(xs) / len(xs) if xs else None
-        return means[relay, mask]
+                co_bws.setdefault((relay, partner), []).extend(values)
 
     def directional(r1, r2):
-        everything = (1 << len(intervals_of[r1])) - 1
-        co_mean = mean(r1, co_mask.get((r1, r2), 0))
-        solo_mean = mean(r1, everything & ~touched_mask.get((r1, r2), 0))
-        if co_mean is None or solo_mean is None or solo_mean <= 0:
+        co = co_bws.get((r1, r2))
+        near = near_bws.get((r1, r2), [])
+        n_solo = len(all_bws[r1]) - len(near)
+        if not co or not n_solo:
             return None
+        solo_mean = math.fsum(all_bws[r1] + near) / n_solo
+        if solo_mean <= 0:
+            return None
+        co_mean = math.fsum(co) / len(co)
         return min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
 
     pair_drops = {}
     undecided = set()  # pairs with co samples but a missing baseline
-    for (r1, r2) in co_mask:
+    for (r1, r2) in co_bws:
         if r1 > r2:
             continue
         d12 = directional(r1, r2)

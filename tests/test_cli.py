@@ -710,7 +710,9 @@ class TestDetect:
 
     def test_detect_bad_jsonl(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
-        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"'):
+        bad_bw = '{"relay_id": "%s", "ba_id": "ba0", "end": 30, "bw": %s}'
+        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"',
+                     bad_bw % (fp("x"), "Infinity"), bad_bw % (fp("x"), "NaN")):
             path.write_text(line + "\n")
             code, _out, err = run(
                 capsys, "detect", str(path), "--out", str(tmp_path / "det")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import MB, fp
@@ -153,8 +155,9 @@ class TestMeasurementRecord:
             self._record(end_time=0.0)
 
     def test_ok_requires_positive_bw(self):
-        with pytest.raises(ValueError):
-            self._record(measured_bw=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite measured_bw > 0"):
+                self._record(measured_bw=bad)
         failed = self._record(measured_bw=0.0, ok=False)
         assert not failed.ok
 
