@@ -22,13 +22,15 @@ threads can be re-assigned from end times alone, and same-thread gaps under
 """
 
 import logging
+import math
+import os
 import random
 import re
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .core import InsufficientDataError, is_fingerprint
+from .core import ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint
 
 log = logging.getLogger(__name__)
 
@@ -220,6 +222,43 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     )
 
 
+def to_records(files) -> list:
+    """Invert from_records: one record per entry with bw > 0, in file order,
+    on thread 0 and without a start time, which files do not keep."""
+    return [
+        MeasurementRecord(relay_id=entry.node_id, ba_id=bwf.ba_id, thread_id=0,
+                          start_time=None, end_time=float(entry.end_time),
+                          measured_bw=float(entry.bw))
+        for bwf in files for entry in bwf.entries if entry.bw > 0
+    ]
+
+
+def load_corpus(directory: str) -> list:
+    """Parse every regular file of a directory in name order, stem as ba_id.
+
+    Unparsable files are skipped with a warning. Raises ConfigError when the
+    directory cannot be read or holds no parsable file.
+    """
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ConfigError("cannot read bandwidth file directory: %s" % exc)
+    files = []
+    for name in names:
+        path = os.path.join(directory, name)
+        if not os.path.isfile(path):
+            continue
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            files.append(parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0]))
+        except ParseError as exc:
+            log.warning("skipping %s: %s", path, exc)
+    if not files:
+        raise ConfigError("no parsable bandwidth files in %s" % directory)
+    return files
+
+
 # -- thread and duration inference -------------------------------------------
 
 
@@ -231,17 +270,15 @@ class ThreadAssignment:
 
 
 def infer_threads(bwf: BandwidthFile, rng_seed=0,
-                  min_gap: float = MIN_MEASUREMENT_GAP,
-                  max_sequential_gap: float = MAX_SEQUENTIAL_GAP,
                   first_fit: bool = False) -> ThreadAssignment:
     """Assign entries to plausible scanner threads from end times alone.
 
     Walks entries in end-time order. A thread can accept an entry if its
-    previous end lies at least min_gap earlier; the accepting thread is
-    chosen uniformly at random (or lowest-index with first_fit=True, which
-    realizes the minimal feasible thread count). Entries no thread can
-    accept open a new thread. Same-thread gaps shorter than
-    max_sequential_gap are collected as duration samples.
+    previous end lies at least MIN_MEASUREMENT_GAP earlier; the accepting
+    thread is chosen uniformly at random (or lowest-index with
+    first_fit=True, which realizes the minimal feasible thread count).
+    Entries no thread can accept open a new thread. Same-thread gaps
+    shorter than MAX_SEQUENTIAL_GAP are collected as duration samples.
     """
     rng = random.Random(str(rng_seed))
     last_end = []  # per thread
@@ -250,12 +287,12 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0,
     for entry in bwf.entries:
         eligible = [
             t for t, end in enumerate(last_end)
-            if entry.end_time - end >= min_gap
+            if entry.end_time - end >= MIN_MEASUREMENT_GAP
         ]
         if eligible:
             thread = eligible[0] if first_fit else rng.choice(eligible)
             gap = entry.end_time - last_end[thread]
-            if gap < max_sequential_gap:
+            if gap < MAX_SEQUENTIAL_GAP:
                 durations.append(float(gap))
             last_end[thread] = entry.end_time
         else:
@@ -277,9 +314,7 @@ class DurationEstimate:
     iterations: int
 
 
-def estimate_duration(files, iterations: int = 120, rng_seed=0,
-                      min_gap: float = MIN_MEASUREMENT_GAP,
-                      max_sequential_gap: float = MAX_SEQUENTIAL_GAP) -> DurationEstimate:
+def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstimate:
     """Median measurement duration over repeated random thread assignments.
 
     Each iteration re-runs infer_threads on every file with a derived
@@ -294,10 +329,7 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0,
     histogram = {}
     for it in range(iterations):
         for fi, bwf in enumerate(files):
-            ta = infer_threads(
-                bwf, rng_seed="%s/it%d/file%d" % (rng_seed, it, fi),
-                min_gap=min_gap, max_sequential_gap=max_sequential_gap,
-            )
+            ta = infer_threads(bwf, rng_seed="%s/it%d/file%d" % (rng_seed, it, fi))
             samples.extend(ta.durations)
             histogram[ta.num_threads] = histogram.get(ta.num_threads, 0) + 1
     if not samples:
@@ -328,8 +360,8 @@ class TimelineEstimate:
 
 def build_timeline(files, duration: float = DEFAULT_ASSUMED_DURATION) -> TimelineEstimate:
     """Give every measurement the interval [end - duration, end]."""
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
+    if not 0 < duration < math.inf:
+        raise ValueError("duration must be finite and > 0")
     intervals = []
     for bwf in files:
         for entry in bwf.entries:

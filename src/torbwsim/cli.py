@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import statistics
 import sys
@@ -28,13 +29,12 @@ from . import __version__, bwfile, coincidence, defense, estimator, netsim, unit
 from .core import (
     ConfigError,
     InsufficientDataError,
-    MeasurementRecord,
     SimulationError,
     Topology,
+    read_records_jsonl,
+    records_to_jsonl,
 )
 from .netsim import build_sim_config
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,48 +120,6 @@ class _OutputDir:
         )
 
 
-def _records_jsonl(records) -> str:
-    lines = []
-    for rec in records:
-        lines.append(json.dumps({
-            "relay_id": rec.relay_id,
-            "ba_id": rec.ba_id,
-            "thread_id": rec.thread_id,
-            "start": rec.start_time,
-            "end": rec.end_time,
-            "bw": rec.measured_bw,
-            "bytes": rec.bytes_total,
-            "downloads": rec.downloads,
-            "ok": rec.ok,
-        }))
-    return "\n".join(lines) + "\n"
-
-
-def _read_records_jsonl(path: str):
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                records.append(MeasurementRecord(
-                    relay_id=doc["relay_id"],
-                    ba_id=doc["ba_id"],
-                    thread_id=doc.get("thread_id", 0),
-                    start_time=doc.get("start"),
-                    end_time=doc["end"],
-                    measured_bw=doc["bw"],
-                    bytes_total=doc.get("bytes", 0),
-                    downloads=doc.get("downloads", 0),
-                    ok=doc.get("ok", True),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
-    return records
-
-
 # -- simulate -----------------------------------------------------------------
 
 
@@ -228,7 +186,7 @@ def cmd_simulate(args) -> int:
     result = netsim.run_simulation(cfg)
 
     out = _OutputDir(args.out, args.argv, config_digest=digest, seed=cfg.seed)
-    out.write("records.jsonl", _records_jsonl(result.records))
+    out.write("records.jsonl", records_to_jsonl(result.records))
 
     consensus_rows = ["epoch,relay_id,weight"]
     for snap in result.consensus:
@@ -261,29 +219,6 @@ def cmd_simulate(args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 
-def _load_bwfiles(directory: str):
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError as exc:
-        raise ConfigError("cannot read bandwidth file directory: %s" % exc)
-    files = []
-    for name in names:
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            files.append(bwfile.parse_bandwidth_file(
-                data, ba_id=os.path.splitext(name)[0]
-            ))
-        except bwfile.ParseError as exc:
-            log.warning("skipping %s: %s", path, exc)
-    if not files:
-        raise ConfigError("no parsable bandwidth files in %s" % directory)
-    return files
-
-
 def _load_relay_set(path: str) -> set:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -301,7 +236,7 @@ def _load_relay_set(path: str) -> set:
 
 
 def cmd_analyze(args) -> int:
-    files = _load_bwfiles(args.bwdir)
+    files = bwfile.load_corpus(args.bwdir)
     out = _OutputDir(args.out, args.argv, seed=getattr(args, "seed", None))
 
     if args.subcommand == "durations":
@@ -317,9 +252,12 @@ def cmd_analyze(args) -> int:
             },
         }, indent=2) + "\n")
         print(json.dumps({"median": est.median}))
-    elif args.subcommand == "coincidence":
-        relay_set = _load_relay_set(args.relays)
-        timeline = bwfile.build_timeline(files, duration=args.duration)
+        out.finish()
+        return EXIT_OK
+
+    relay_set = _load_relay_set(args.relays)
+    timeline = bwfile.build_timeline(files, duration=args.duration)
+    if args.subcommand == "coincidence":
         window = None
         if args.window:
             try:
@@ -337,8 +275,6 @@ def cmd_analyze(args) -> int:
             "expected_inflation": coincidence.expected_inflation(dist),
         }))
     else:  # window-sweep
-        relay_set = _load_relay_set(args.relays)
-        timeline = bwfile.build_timeline(files, duration=args.duration)
         windows = []
         for chunk in args.window or []:
             for part in chunk.split(","):
@@ -430,28 +366,11 @@ def cmd_estimate(args) -> int:
 # -- detect -------------------------------------------------------------------
 
 
-def _records_from_bwfiles(files):
-    records = []
-    for bwf in files:
-        for entry in bwf.entries:
-            if entry.bw <= 0:
-                continue
-            records.append(MeasurementRecord(
-                relay_id=entry.node_id,
-                ba_id=bwf.ba_id,
-                thread_id=0,
-                start_time=None,
-                end_time=float(entry.end_time),
-                measured_bw=float(entry.bw),
-            ))
-    return records
-
-
 def cmd_detect(args) -> int:
     if os.path.isfile(args.input):
-        records = _read_records_jsonl(args.input)
+        records = read_records_jsonl(args.input)
     elif os.path.isdir(args.input):
-        records = _records_from_bwfiles(_load_bwfiles(args.input))
+        records = bwfile.to_records(bwfile.load_corpus(args.input))
     else:
         raise ConfigError("input path %s does not exist" % args.input)
 
@@ -491,6 +410,16 @@ def cmd_detect(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _duration(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite seconds > 0, got %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torbwsim",
@@ -517,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--iterations", type=int, default=120)
             p.add_argument("--seed", type=int, default=0)
         else:
-            p.add_argument("--duration", type=float, default=39.0,
+            p.add_argument("--duration", type=_duration, default=39.0,
                            help="assumed measurement duration in seconds")
             p.add_argument("--relays", required=True,
                            help="file listing relay fingerprints, one per line")
@@ -555,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("input", help="records.jsonl or a bandwidth-file directory")
     det.add_argument("--threshold", type=float, default=defense.DEFAULT_THRESHOLD)
     det.add_argument("--probe-budget", type=int, default=10)
-    det.add_argument("--duration", type=float, default=39.0,
+    det.add_argument("--duration", type=_duration, default=39.0,
                      help="assumed duration for records without start times")
     det.add_argument("--out", required=True)
     det.set_defaults(func=cmd_detect)

@@ -4,6 +4,7 @@ Bandwidth is bytes/second everywhere in this package. Unit conversion happens
 only where configs are read (units.py, netsim.build_sim_config).
 """
 
+import json
 import math
 import re
 import statistics
@@ -202,6 +203,49 @@ class MeasurementRecord:
         if self.start_time is None:
             return None
         return self.end_time - self.start_time
+
+
+_REQUIRED = object()
+
+# records.jsonl: (json key, MeasurementRecord field, default when absent)
+_RECORD_KEYS = (
+    ("relay_id", "relay_id", _REQUIRED),
+    ("ba_id", "ba_id", _REQUIRED),
+    ("thread_id", "thread_id", 0),
+    ("start", "start_time", None),
+    ("end", "end_time", _REQUIRED),
+    ("bw", "measured_bw", _REQUIRED),
+    ("bytes", "bytes_total", 0),
+    ("downloads", "downloads", 0),
+    ("ok", "ok", True),
+)
+
+
+def records_to_jsonl(records) -> str:
+    """One JSON object per record, keys in _RECORD_KEYS order."""
+    return "\n".join(
+        json.dumps({key: getattr(rec, name) for key, name, _ in _RECORD_KEYS})
+        for rec in records
+    ) + "\n"
+
+
+def read_records_jsonl(path: str) -> list:
+    """Parse records.jsonl, ignoring unknown keys; a bad line raises ConfigError."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                records.append(MeasurementRecord(**{
+                    name: doc[key] if default is _REQUIRED else doc.get(key, default)
+                    for key, name, default in _RECORD_KEYS
+                }))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
+    return records
 
 
 @dataclass(frozen=True)

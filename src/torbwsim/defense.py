@@ -46,7 +46,6 @@ class VerificationVerdict:
     co_sum: float
     shared_bound: float
     independent_bound: float
-    sample_size: int = 1
     caveat: str = "single probe pair; repeat probes before acting"
 
 

@@ -235,7 +235,6 @@ class MeasurementFlow:
     ba_id: str
     detected: bool
     detect_time: float
-    start_time: float
 
 
 class FlowState:
@@ -367,10 +366,8 @@ def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
     active = [key for key in state.flows if key[0] == relay_id]
     if active:
         return max(state.flow_bandwidth(*key, now) for key in active)
-    probe = MeasurementFlow(
-        relay_id=relay_id, ba_id="__probe__", detected=True,
-        detect_time=now, start_time=now,
-    )
+    probe = MeasurementFlow(relay_id=relay_id, ba_id="__probe__",
+                            detected=True, detect_time=now)
     state.add_flow(probe)
     try:
         return state.flow_bandwidth(relay_id, "__probe__", now)
@@ -393,7 +390,7 @@ _PRIO_ROUND = 2
 
 
 class _ThreadCtx:
-    __slots__ = ("gen", "plan", "start", "now", "pending_duration", "busy")
+    __slots__ = ("gen", "plan", "start", "now", "pending_duration")
 
     def __init__(self):
         self.gen = None
@@ -401,7 +398,6 @@ class _ThreadCtx:
         self.start = 0.0
         self.now = 0.0
         self.pending_duration = None
-        self.busy = False
 
 
 class _Loop:
@@ -459,7 +455,6 @@ class _Loop:
             None,
         )
         if idx is None:
-            ctx.busy = False
             return
         plan = queue.pop(idx)
         scancfg = self.scanner_by_ba[ba_id]
@@ -472,9 +467,7 @@ class _Loop:
         self.state.add_flow(MeasurementFlow(
             relay_id=plan.target, ba_id=ba_id, detected=detected,
             detect_time=now + self.cfg.detector.detection_delay,
-            start_time=now,
         ))
-        ctx.busy = True
         ctx.plan = plan
         ctx.start = now
         ctx.now = now
@@ -524,7 +517,6 @@ class _Loop:
         ))
         ctx.gen = None
         ctx.plan = None
-        ctx.busy = False
 
     # -- rounds and consensus ------------------------------------------------
 
@@ -542,7 +534,7 @@ class _Loop:
         )
         self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
         for thread_id in range(scancfg.threads):
-            if not self.threads[(ba_id, thread_id)].busy:
+            if self.threads[(ba_id, thread_id)].plan is None:
                 self._start_next(ba_id, thread_id, now)
 
     def _on_consensus(self, epoch):

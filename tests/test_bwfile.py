@@ -2,7 +2,7 @@ import logging
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fp
@@ -351,6 +351,23 @@ class TestFromRecords:
     def test_no_usable_records_rejected(self):
         with pytest.raises(InsufficientDataError, match="ba0"):
             from_records([self._rec(R1, 40.0, ok=False)], "ba0")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from((R1, R2, R3)), st.sampled_from(("ba0", "other")),
+        st.integers(0, 10**7), st.integers(1, 10**10), st.booleans(),
+    ), max_size=20))
+    def test_to_records_inverts_from_records(self, rows):
+        # integral bandwidths and end times survive the file's 1 s and
+        # 1 B/s resolution, so the round trip keeps (relay, end, bw)
+        records = [self._rec(relay, float(end), ba_id=ba, ok=ok, bw=float(bw))
+                   for relay, ba, end, bw, ok in rows]
+        kept = sorted((relay, float(end), float(bw))
+                      for relay, ba, end, bw, ok in rows if ok and ba == "ba0")
+        assume(kept)
+        back = bwfile.to_records([from_records(records, "ba0", base_time=0)])
+        assert sorted((r.relay_id, r.end_time, r.measured_bw) for r in back) == kept
+        assert {(r.ba_id, r.thread_id, r.start_time) for r in back} == {("ba0", 0, None)}
 
 
 class TestInferThreads:

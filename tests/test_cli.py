@@ -14,12 +14,11 @@ from torbwsim.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_SIMULATION,
-    _read_records_jsonl,
-    _records_jsonl,
     _write_atomic,
     build_sim_config,
     main,
 )
+from torbwsim.core import MeasurementRecord, read_records_jsonl, records_to_jsonl
 
 T0 = 1672531200
 
@@ -263,9 +262,16 @@ class TestSimulate:
         cfg = write_config(tmp_path, minimal_config())
         out = tmp_path / "run"
         assert run(capsys, "simulate", "--config", cfg, "--out", str(out))[0] == 0
-        records = _read_records_jsonl(str(out / "records.jsonl"))
+        records = read_records_jsonl(str(out / "records.jsonl"))
         assert records
-        assert _records_jsonl(records) == (out / "records.jsonl").read_text()
+        assert records_to_jsonl(records) == (out / "records.jsonl").read_text()
+        # unknown keys are ignored; a missing start and the counters default
+        with open(out / "records.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"relay_id": "%s", "ba_id": "ba0", "end": 30, "bw": 5, '
+                     '"note": "x", "scanner": {}}\n' % fp("x"))
+        assert read_records_jsonl(str(out / "records.jsonl"))[-1] == MeasurementRecord(
+            relay_id=fp("x"), ba_id="ba0", thread_id=0, start_time=None,
+            end_time=30, measured_bw=5)
 
     def test_bwfile_written_per_scanner(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())
@@ -711,7 +717,8 @@ class TestDetect:
     def test_detect_bad_jsonl(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
         bad_bw = '{"relay_id": "%s", "ba_id": "ba0", "end": 30, "bw": %s}'
-        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"',
+        no_end = '{"relay_id": "%s", "ba_id": "ba0", "bw": 5}' % fp("x")
+        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"', no_end,
                      bad_bw % (fp("x"), "Infinity"), bad_bw % (fp("x"), "NaN")):
             path.write_text(line + "\n")
             code, _out, err = run(
@@ -771,6 +778,21 @@ def write_archive(directory):
     relays_path = directory.parent / "pot.txt"
     relays_path.write_text("".join("$%s\n" % r for r in pot))
     return str(relays_path)
+
+
+@pytest.mark.parametrize("value", ["0", "-39", "nan", "inf"])
+@pytest.mark.parametrize("command", ["detect", "coincidence", "window-sweep"])
+def test_unusable_duration_exits_2(command, value, tmp_path):
+    bwdir = tmp_path / "bw"
+    bwdir.mkdir()
+    pot = write_archive(bwdir)
+    argv = ["detect"] if command == "detect" else ["analyze", command, "--relays", pot]
+    argv += [str(bwdir), "--out", str(tmp_path / "out"), "--duration", value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad value on its own
+        code = exc.code
+    assert code == EXIT_CONFIG
 
 
 class TestForensicsOutputsPinned:
@@ -840,9 +862,11 @@ class TestReadme:
             build_sim_config(json.loads(text))
 
     def test_library_example(self, capsys):
-        (block,) = self.blocks("python")
-        exec(block, {})
-        assert capsys.readouterr().out == "5.0\n"
+        # the blocks run in order in one namespace, as a reader would
+        namespace = {}
+        for block in self.blocks("python"):
+            exec(block, namespace)
+        assert capsys.readouterr().out == "5.0\n()\nTrue\n"
 
 
 class TestOutputPlumbing:

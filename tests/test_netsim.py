@@ -44,9 +44,9 @@ from torbwsim.netsim import (
 from torbwsim.units import MIB
 
 
-def measurement(relay_id, ba_id, detected=True, detect_time=0.0, start=0.0):
+def measurement(relay_id, ba_id, detected=True, detect_time=0.0):
     return MeasurementFlow(relay_id=relay_id, ba_id=ba_id, detected=detected,
-                           detect_time=detect_time, start_time=start)
+                           detect_time=detect_time)
 
 
 def shared_host_topology(policy_a="drop_on_measure"):
@@ -116,8 +116,7 @@ def oracle_available_bandwidth(state, relay_id, now):
     if active:
         alloc = oracle_allocations(state, now)
         return max(alloc[("m",) + key] for key in active)
-    state.add_flow(measurement(relay_id, "__probe__", detect_time=now,
-                               start=now))
+    state.add_flow(measurement(relay_id, "__probe__", detect_time=now))
     try:
         return oracle_allocations(state, now)[("m", relay_id, "__probe__")]
     finally:
