@@ -27,6 +27,8 @@ import os
 import random
 import re
 import statistics
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -47,7 +49,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandwidthEntry:
     node_id: str
     bw: int
@@ -279,25 +281,42 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0,
     first_fit=True, which realizes the minimal feasible thread count).
     Entries no thread can accept open a new thread. Same-thread gaps
     shorter than MAX_SEQUENTIAL_GAP are collected as duration samples.
+
+    As end times never decrease, a thread that can accept one entry can
+    accept every later one, and busy threads free up in the order they
+    last ended: they wait in a queue and move to a sorted ready list once
+    their gap is long enough. Raises ValueError for an entry that ends
+    before the one preceding it.
     """
     rng = random.Random(str(rng_seed))
     last_end = []  # per thread
+    busy = deque()  # threads that cannot accept yet, by last end
+    ready = []      # threads that can accept, by index
     assignment = []
     durations = []
+    previous_end = -math.inf
     for entry in bwf.entries:
-        eligible = [
-            t for t, end in enumerate(last_end)
-            if entry.end_time - end >= MIN_MEASUREMENT_GAP
-        ]
-        if eligible:
-            thread = eligible[0] if first_fit else rng.choice(eligible)
-            gap = entry.end_time - last_end[thread]
+        end_time = entry.end_time
+        if end_time < previous_end:
+            raise ValueError("entries must be in end-time order: %r ends before %r"
+                             % (end_time, previous_end))
+        previous_end = end_time
+        while busy and end_time - last_end[busy[0]] >= MIN_MEASUREMENT_GAP:
+            insort(ready, busy.popleft())
+        if ready:
+            if first_fit:
+                thread = ready.pop(0)
+            else:
+                thread = rng.choice(ready)
+                ready.remove(thread)
+            gap = end_time - last_end[thread]
             if gap < MAX_SEQUENTIAL_GAP:
                 durations.append(float(gap))
-            last_end[thread] = entry.end_time
+            last_end[thread] = end_time
         else:
             thread = len(last_end)
-            last_end.append(entry.end_time)
+            last_end.append(end_time)
+        busy.append(thread)
         assignment.append(thread)
     return ThreadAssignment(
         assignment=tuple(assignment),
@@ -342,7 +361,7 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstim
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """One measurement placed on the reconstructed timeline."""
 

@@ -169,7 +169,7 @@ class Topology:
         return self.hosts[self.relays[relay_id].host_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One scanner measurement of one relay.
 

@@ -81,13 +81,17 @@ def score_suspects(records,
     (start, end, relay), each carrying the bandwidths of all its records.
     One sweep in start order pairs each interval with every later one that
     starts no later than it ends, touching included, and keeps the deepest
-    overlap per partner relay. Every mean counts each record, repeats
+    overlap per partner relay. Then one relay at a time gathers its
+    bandwidths, all of them and per partner the co-measured and the
+    touching ones, and turns them into its directional drops, so only that
+    relay's lists are alive at once. Every mean counts each record, repeats
     included, and is math.fsum(xs) / len(xs), which is what
-    statistics.fmean computes. The records apart from r2 are all of r1's
-    less those touching r2, so their sum is taken as the fsum of all of
-    r1's bandwidths and the negated touching ones: fsum rounds the exact
-    sum once, so this equals the fsum of the records apart, for the finite
-    bandwidths MeasurementRecord admits.
+    statistics.fmean computes; fsum rounds the exact sum once, so the order
+    of its inputs cannot change a mean. The records apart from r2 are all
+    of r1's less those touching r2, so their sum is taken as the fsum of
+    all of r1's bandwidths and the negated touching ones, which equals the
+    fsum of the records apart, for the finite bandwidths MeasurementRecord
+    admits.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
@@ -118,38 +122,42 @@ def score_suspects(records,
             deepest_j = deepest[j]
             deepest_j[relay_i] = max(deepest_j.get(relay_i, 0.0), overlap)
 
-    all_bws = {r: [] for r in relays}
-    co_bws = {}    # (relay, partner) -> bandwidths of deeply co-measured records
-    near_bws = {}  # (relay, partner) -> negated bandwidths of records it touches
-    for (start, end, relay), partners in zip(items, deepest):
-        values = bws_of[start, end, relay]
-        negated = [-bw for bw in values]
-        all_bws[relay].extend(values)
-        duration = end - start
-        for partner, overlap in partners.items():
-            near_bws.setdefault((relay, partner), []).extend(negated)
-            if duration <= 0 or overlap / duration >= min_overlap_fraction:
-                co_bws.setdefault((relay, partner), []).extend(values)
+    indices_of = {}  # relay -> its interval indices, in items order
+    for i, (_start, _end, relay) in enumerate(items):
+        indices_of.setdefault(relay, []).append(i)
 
-    def directional(r1, r2):
-        co = co_bws.get((r1, r2))
-        near = near_bws.get((r1, r2), [])
-        n_solo = len(all_bws[r1]) - len(near)
-        if not co or not n_solo:
-            return None
-        solo_mean = math.fsum(all_bws[r1] + near) / n_solo
-        if solo_mean <= 0:
-            return None
-        co_mean = math.fsum(co) / len(co)
-        return min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
+    drops = {}  # (relay, partner) with co samples -> drop, None without baseline
+    for relay, indices in indices_of.items():
+        all_bws = []
+        co_bws = {}    # partner -> bandwidths of deeply co-measured records
+        near_bws = {}  # partner -> negated bandwidths of records it touches
+        for i in indices:
+            start, end, _relay = items[i]
+            values = bws_of[items[i]]
+            negated = [-bw for bw in values]
+            all_bws.extend(values)
+            duration = end - start
+            for partner, overlap in deepest[i].items():
+                near_bws.setdefault(partner, []).extend(negated)
+                if duration <= 0 or overlap / duration >= min_overlap_fraction:
+                    co_bws.setdefault(partner, []).extend(values)
+        for partner, co in co_bws.items():
+            near = near_bws[partner]
+            n_solo = len(all_bws) - len(near)
+            drop = None
+            if n_solo:
+                solo_mean = math.fsum(all_bws + near) / n_solo
+                if solo_mean > 0:
+                    co_mean = math.fsum(co) / len(co)
+                    drop = min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
+            drops[relay, partner] = drop
 
     pair_drops = {}
     undecided = set()  # pairs with co samples but a missing baseline
-    for (r1, r2) in co_bws:
+    for (r1, r2), d12 in drops.items():
         if r1 > r2:
             continue
-        d12 = directional(r1, r2)
-        d21 = directional(r2, r1)
+        d21 = drops.get((r2, r1))
         if d12 is None or d21 is None:
             undecided.add((r1, r2))
             continue

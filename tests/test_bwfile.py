@@ -1,5 +1,7 @@
 import logging
+import random
 from datetime import datetime, timezone
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -418,6 +420,49 @@ class TestInferThreads:
         bwf = entry_file([0, 5, 40, 45, 80, 85],
                          node_ids=[R1, R2, R1, R2, R1, R2])
         assert infer_threads(bwf, rng_seed=9) == infer_threads(bwf, rng_seed=9)
+
+    def test_entries_out_of_end_time_order_rejected(self):
+        bwf = entry_file([0, 40, 30], node_ids=[R1, R2, R3])
+        with pytest.raises(ValueError, match="end-time order"):
+            infer_threads(bwf)
+
+
+def scan_infer_threads(bwf, rng_seed=0, first_fit=False):
+    """Oracle: infer_threads as a scan of every thread for every entry."""
+    rng = random.Random(str(rng_seed))
+    last_end = []
+    assignment = []
+    durations = []
+    for entry in bwf.entries:
+        eligible = [
+            t for t, end in enumerate(last_end)
+            if entry.end_time - end >= bwfile.MIN_MEASUREMENT_GAP
+        ]
+        if eligible:
+            thread = eligible[0] if first_fit else rng.choice(eligible)
+            gap = entry.end_time - last_end[thread]
+            if gap < bwfile.MAX_SEQUENTIAL_GAP:
+                durations.append(float(gap))
+            last_end[thread] = entry.end_time
+        else:
+            thread = len(last_end)
+            last_end.append(entry.end_time)
+        assignment.append(thread)
+    return bwfile.ThreadAssignment(assignment=tuple(assignment),
+                                   num_threads=len(last_end),
+                                   durations=tuple(durations))
+
+
+class TestInferThreadsMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(st.one_of(st.sampled_from((0, 1, 24, 25, 26, 49, 50, 51)),
+                                   st.integers(0, 120)), max_size=80),
+           rng_seed=st.one_of(st.integers(0, 5), st.just("s/it3/file1")),
+           first_fit=st.booleans())
+    def test_same_assignment(self, gaps, rng_seed, first_fit):
+        bwf = entry_file(list(accumulate(gaps)))
+        assert (infer_threads(bwf, rng_seed=rng_seed, first_fit=first_fit)
+                == scan_infer_threads(bwf, rng_seed=rng_seed, first_fit=first_fit))
 
 
 class TestEstimateDuration:
