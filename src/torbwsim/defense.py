@@ -70,11 +70,13 @@ def score_suspects(records,
     record with zero overlap against r2. A record only counts as co-measured
     when the overlap covers at least min_overlap_fraction of it; a brief
     graze at the edge splits capacity for a second or two and barely moves
-    the mean, so grazes are left out of both sides. A pair's symmetric drop
-    is the mean of both directions and needs co samples plus a baseline on
-    each side. A relay's score is its worst symmetric drop; relays that are
-    co-measured yet never observed apart from any partner have no usable
-    baseline and are reported separately, excluded from grouping.
+    the mean, so grazes are left out of both sides. A pair is considered
+    once either relay has a co-measured record against the other, whichever
+    sorts first. Its symmetric drop is the mean of both directions and
+    needs co samples plus a baseline on each side. A relay's score is its
+    worst symmetric drop; relays that are co-measured yet never observed
+    apart from any partner have no usable baseline and are reported
+    separately, excluded from grouping.
 
     Archives repeat an entry in every file until the relay is measured
     again, so records first collapse onto their distinct intervals
@@ -154,9 +156,12 @@ def score_suspects(records,
 
     pair_drops = {}
     undecided = set()  # pairs with co samples but a missing baseline
-    for (r1, r2), d12 in drops.items():
+    for r1, r2 in drops:
         if r1 > r2:
-            continue
+            if (r2, r1) in drops:
+                continue  # visited from (r2, r1)
+            r1, r2 = r2, r1
+        d12 = drops.get((r1, r2))
         d21 = drops.get((r2, r1))
         if d12 is None or d21 is None:
             undecided.add((r1, r2))

@@ -179,6 +179,22 @@ class TestScoreSuspects:
         groups = ast.literal_eval(outputs.pop())
         assert [len(g) for g in groups] == [3, 3]
 
+    @pytest.mark.parametrize("long, short", [(A, B), (B, A)],
+                             ids=["long-sorts-first", "short-sorts-first"])
+    def test_pair_visited_whichever_relay_sorts_first(self, long, short):
+        # only the short record is deeply co-measured, and it has no solo
+        # baseline: the pair is undecided under either naming
+        records = [
+            rec(long, 0, 100, 100.0), rec(long, 200, 300, 100.0),
+            rec(short, 10, 20, 50.0),
+            rec(C, 400, 410, 100.0),
+        ]
+        report = score_suspects(records)
+        assert report.insufficient_data == (A, B)
+        assert report.scores == {C: 0.0}
+        assert report.pair_drops == {}
+        assert report == pairwise_score_suspects(records)
+
     def test_needs_two_relays(self):
         with pytest.raises(ValueError, match="2 relays"):
             score_suspects([rec(A, 0, 10, 100.0)])
@@ -217,6 +233,7 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
 
     Every record is its own item, every overlapping pair of items is
     visited, and the means are statistics.fmean over sets of item indices.
+    A pair is scored when either relay has co samples against the other.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
@@ -264,9 +281,8 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
 
     pair_drops = {}
     undecided = set()
-    for (r1, r2) in co_idx:
-        if r1 > r2:
-            continue
+    # a pair counts when either direction has co samples
+    for (r1, r2) in sorted({tuple(sorted(pair)) for pair in co_idx}):
         d12 = directional(r1, r2)
         d21 = directional(r2, r1)
         if d12 is None or d21 is None:
