@@ -26,7 +26,7 @@ POLICIES = frozenset(
 
 HOST_KINDS = frozenset({"relay_host", "dedicated_server"})
 
-_FINGERPRINT_RE = re.compile(r"^[0-9A-F]{40}$")
+_FINGERPRINT_RE = re.compile(r"[0-9A-F]{40}")
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ class InsufficientDataError(ValueError):
 
 
 def is_fingerprint(s: str) -> bool:
-    return isinstance(s, str) and bool(_FINGERPRINT_RE.match(s))
+    return isinstance(s, str) and bool(_FINGERPRINT_RE.fullmatch(s))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,8 @@ def records_to_jsonl(records) -> str:
 
 
 def read_records_jsonl(path: str) -> list:
-    """Parse records.jsonl, ignoring unknown keys; a bad line raises ConfigError."""
+    """Parse records.jsonl, ignoring unknown keys; a bad line, including one
+    whose relay_id is not a fingerprint, raises ConfigError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -239,10 +240,15 @@ def read_records_jsonl(path: str) -> list:
                 continue
             try:
                 doc = json.loads(line)
-                records.append(MeasurementRecord(**{
+                rec = MeasurementRecord(**{
                     name: doc[key] if default is _REQUIRED else doc.get(key, default)
                     for key, name, default in _RECORD_KEYS
-                }))
+                })
+                if not is_fingerprint(rec.relay_id):
+                    raise ValueError(
+                        "relay_id must be a 40-char uppercase hex fingerprint, got %r"
+                        % (rec.relay_id,))
+                records.append(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records

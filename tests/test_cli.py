@@ -719,7 +719,8 @@ class TestDetect:
         bad_bw = '{"relay_id": "%s", "ba_id": "ba0", "end": 30, "bw": %s}'
         no_end = '{"relay_id": "%s", "ba_id": "ba0", "bw": 5}' % fp("x")
         for line in ('{"relay_id": "x"}', "[1, 2]", '"x"', no_end,
-                     bad_bw % (fp("x"), "Infinity"), bad_bw % (fp("x"), "NaN")):
+                     bad_bw % (fp("x"), "Infinity"), bad_bw % (fp("x"), "NaN"),
+                     bad_bw % ("A" * 40 + "\\n", 5)):
             path.write_text(line + "\n")
             code, _out, err = run(
                 capsys, "detect", str(path), "--out", str(tmp_path / "det")

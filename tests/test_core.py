@@ -24,6 +24,7 @@ def test_is_fingerprint():
     assert not is_fingerprint("a" * 40)      # lowercase
     assert not is_fingerprint("A" * 39)
     assert not is_fingerprint("G" * 40)      # not hex
+    assert not is_fingerprint("A" * 40 + "\n")
     assert not is_fingerprint(123)
 
 
