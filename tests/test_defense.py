@@ -281,7 +281,6 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
 
     pair_drops = {}
     undecided = set()
-    # a pair counts when either direction has co samples
     for (r1, r2) in sorted({tuple(sorted(pair)) for pair in co_idx}):
         d12 = directional(r1, r2)
         d21 = directional(r2, r1)
