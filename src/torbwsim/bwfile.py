@@ -271,16 +271,14 @@ class ThreadAssignment:
     durations: tuple   # same-thread gaps below MAX_SEQUENTIAL_GAP
 
 
-def infer_threads(bwf: BandwidthFile, rng_seed=0,
-                  first_fit: bool = False) -> ThreadAssignment:
+def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     """Assign entries to plausible scanner threads from end times alone.
 
     Walks entries in end-time order. A thread can accept an entry if its
     previous end lies at least MIN_MEASUREMENT_GAP earlier; the accepting
-    thread is chosen uniformly at random (or lowest-index with
-    first_fit=True, which realizes the minimal feasible thread count).
-    Entries no thread can accept open a new thread. Same-thread gaps
-    shorter than MAX_SEQUENTIAL_GAP are collected as duration samples.
+    thread is chosen uniformly at random. Entries no thread can accept open
+    a new thread. Same-thread gaps shorter than MAX_SEQUENTIAL_GAP are
+    collected as duration samples.
 
     As end times never decrease, a thread that can accept one entry can
     accept every later one, and busy threads free up in the order they
@@ -304,11 +302,8 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0,
         while busy and end_time - last_end[busy[0]] >= MIN_MEASUREMENT_GAP:
             insort(ready, busy.popleft())
         if ready:
-            if first_fit:
-                thread = ready.pop(0)
-            else:
-                thread = rng.choice(ready)
-                ready.remove(thread)
+            thread = rng.choice(ready)
+            ready.remove(thread)
             gap = end_time - last_end[thread]
             if gap < MAX_SEQUENTIAL_GAP:
                 durations.append(float(gap))
@@ -368,13 +363,11 @@ class Interval:
     relay_id: str
     start: float
     end: float
-    ba_id: str = "unknown"
 
 
 @dataclass(frozen=True)
 class TimelineEstimate:
     intervals: tuple
-    assumed_duration: float = DEFAULT_ASSUMED_DURATION
 
 
 def build_timeline(files, duration: float = DEFAULT_ASSUMED_DURATION) -> TimelineEstimate:
@@ -388,6 +381,5 @@ def build_timeline(files, duration: float = DEFAULT_ASSUMED_DURATION) -> Timelin
                 relay_id=entry.node_id,
                 start=entry.end_time - duration,
                 end=float(entry.end_time),
-                ba_id=bwf.ba_id,
             ))
-    return TimelineEstimate(intervals=tuple(intervals), assumed_duration=duration)
+    return TimelineEstimate(intervals=tuple(intervals))

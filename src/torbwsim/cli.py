@@ -199,10 +199,9 @@ def cmd_simulate(args) -> int:
     summary = _summarize(cfg, result)
     out.write("summary.json", json.dumps(summary, indent=2) + "\n")
 
-    base_time = 1650000000
     for scanner_cfg in cfg.scanners:
         if any(r.ok and r.ba_id == scanner_cfg.ba_id for r in result.records):
-            bwf = bwfile.from_records(result.records, scanner_cfg.ba_id, base_time)
+            bwf = bwfile.from_records(result.records, scanner_cfg.ba_id)
             out.write(
                 os.path.join("bwfiles", scanner_cfg.ba_id + ".bw"),
                 bwfile.serialize_bandwidth_file(bwf),
@@ -263,7 +262,10 @@ def cmd_analyze(args) -> int:
             try:
                 lo, hi = (float(part) for part in args.window.split(","))
             except ValueError:
-                raise ConfigError("--window must be START,END in unix seconds")
+                lo = hi = math.nan
+            if not lo <= hi:
+                raise ConfigError(
+                    "--window must be START,END in unix seconds, START <= END")
             window = (lo, hi)
         dist = coincidence.count_events(timeline, relay_set, window=window)
         rows = ["k,count,probability"]
@@ -275,11 +277,7 @@ def cmd_analyze(args) -> int:
             "expected_inflation": coincidence.expected_inflation(dist),
         }))
     else:  # window-sweep
-        windows = []
-        for chunk in args.window or []:
-            for part in chunk.split(","):
-                if part:
-                    windows.append(float(part))
+        windows = [w for chunk in args.window or [] for w in chunk]
         if not windows:
             windows = list(DEFAULT_SWEEP_WINDOWS)
         sweep = coincidence.coincidence_vs_window(timeline, relay_set, windows)
@@ -388,7 +386,7 @@ def cmd_detect(args) -> int:
     report = defense.score_suspects(
         records, assumed_duration=args.duration, threshold=args.threshold
     )
-    plans = defense.plan_probes(report, args.probe_budget) if report.pair_drops else []
+    plans = defense.plan_probes(report, args.probe_budget)
 
     out = _OutputDir(args.out, args.argv)
     out.write(
@@ -420,6 +418,20 @@ def _duration(text: str) -> float:
     return value
 
 
+def _durations(text: str) -> list:
+    return [_duration(part) for part in text.split(",") if part]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torbwsim",
@@ -446,7 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--iterations", type=int, default=120)
             p.add_argument("--seed", type=int, default=0)
         else:
-            p.add_argument("--duration", type=_duration, default=39.0,
+            p.add_argument("--duration", type=_duration,
+                           default=bwfile.DEFAULT_ASSUMED_DURATION,
                            help="assumed measurement duration in seconds")
             p.add_argument("--relays", required=True,
                            help="file listing relay fingerprints, one per line")
@@ -454,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", default=None,
                            help="START,END unix-second bounds on end times")
         if name == "window-sweep":
-            p.add_argument("--window", action="append", default=None,
+            p.add_argument("--window", type=_durations, action="append",
+                           default=None,
                            help="window length in seconds, repeatable")
         p.set_defaults(func=cmd_analyze)
 
@@ -483,8 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     det = sub.add_parser("detect", help="score co-measurement suspects")
     det.add_argument("input", help="records.jsonl or a bandwidth-file directory")
     det.add_argument("--threshold", type=float, default=defense.DEFAULT_THRESHOLD)
-    det.add_argument("--probe-budget", type=int, default=10)
-    det.add_argument("--duration", type=_duration, default=39.0,
+    det.add_argument("--probe-budget", type=_positive_int, default=10)
+    det.add_argument("--duration", type=_duration,
+                     default=bwfile.DEFAULT_ASSUMED_DURATION,
                      help="assumed duration for records without start times")
     det.add_argument("--out", required=True)
     det.set_defaults(func=cmd_detect)

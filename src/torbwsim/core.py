@@ -165,9 +165,6 @@ class Topology:
                     "dedicated_server %s must have kind dedicated_server" % ded
                 )
 
-    def host_of(self, relay_id: str) -> HostSpec:
-        return self.hosts[self.relays[relay_id].host_id]
-
 
 @dataclass(frozen=True, slots=True)
 class MeasurementRecord:

@@ -58,7 +58,6 @@ def _interval_of(rec, assumed_duration):
 def score_suspects(records,
                    assumed_duration: float = DEFAULT_ASSUMED_DURATION,
                    threshold: float = DEFAULT_THRESHOLD,
-                   relay_ids=None,
                    min_overlap_fraction: float = 0.5) -> SuspicionReport:
     """Score relays by bandwidth drop under co-measurement.
 
@@ -100,8 +99,6 @@ def score_suspects(records,
     bws_of = {}  # (start, end, relay) -> bandwidths of its records
     for rec in records:
         if not rec.ok:
-            continue
-        if relay_ids is not None and rec.relay_id not in relay_ids:
             continue
         start, end = _interval_of(rec, assumed_duration)
         bws_of.setdefault((start, end, rec.relay_id), []).append(rec.measured_bw)
@@ -205,12 +202,12 @@ def score_suspects(records,
     )
 
 
-def plan_probes(report: SuspicionReport, budget: int, start_time: float = 0.0,
-                spacing: float = DEFAULT_PROBE_SPACING) -> list:
+def plan_probes(report: SuspicionReport, budget: int) -> list:
     """Schedule one simultaneous probe per suspect pair, worst drop first.
 
-    Only pairs at or above the report threshold are probed. Ties break on
-    node ids so plans are reproducible.
+    Probes start at time 0, DEFAULT_PROBE_SPACING apart. Only pairs at or
+    above the report threshold are probed. Ties break on node ids so plans
+    are reproducible.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -225,22 +222,20 @@ def plan_probes(report: SuspicionReport, budget: int, start_time: float = 0.0,
         ProbePlan(
             relay_a=pair[0],
             relay_b=pair[1],
-            scheduled_time=start_time + i * spacing,
+            scheduled_time=i * DEFAULT_PROBE_SPACING,
             expected_drop=drop,
         )
         for i, (pair, drop) in enumerate(ranked[:budget])
     ]
 
 
-def verify_shared_resource(probe_a, probe_b, solo_baselines: dict,
-                           shared_factor: float = SHARED_BAND_FACTOR,
-                           independent_factor: float = INDEPENDENT_BAND_FACTOR) -> VerificationVerdict:
+def verify_shared_resource(probe_a, probe_b, solo_baselines: dict) -> VerificationVerdict:
     """Judge one simultaneous probe pair against solo baselines.
 
-    shared: the pair together moved no more than shared_factor times the
-    better solo rate, i.e. they appear to drain one pot. independent: the
-    pair together kept at least independent_factor of the sum of solo
-    rates. The bands can both match for skewed baselines; shared takes
+    shared: the pair together moved no more than SHARED_BAND_FACTOR times
+    the better solo rate, i.e. they appear to drain one pot. independent:
+    the pair together kept at least INDEPENDENT_BAND_FACTOR of the sum of
+    solo rates. The bands can both match for skewed baselines; shared takes
     precedence, then independent, else inconclusive.
     """
     if probe_a.start_time is None or probe_b.start_time is None:
@@ -265,8 +260,8 @@ def verify_shared_resource(probe_a, probe_b, solo_baselines: dict,
         return _invalid("missing solo baseline")
 
     co_sum = probe_a.measured_bw + probe_b.measured_bw
-    shared_bound = shared_factor * max(solo_a, solo_b)
-    independent_bound = independent_factor * (solo_a + solo_b)
+    shared_bound = SHARED_BAND_FACTOR * max(solo_a, solo_b)
+    independent_bound = INDEPENDENT_BAND_FACTOR * (solo_a + solo_b)
     if co_sum <= shared_bound:
         verdict = "shared"
     elif co_sum >= independent_bound:

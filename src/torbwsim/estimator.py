@@ -92,17 +92,14 @@ def inflation_curve(x: int, model: InflationModel = DEFAULT_MODEL) -> float:
     return model.evaluate(x)
 
 
-def _servers_raw(q: ResourceQuery, model: InflationModel) -> float:
-    return (2.0 * q.b * (q.p / 100.0)) / (q.d * inflation_curve(q.x, model))
-
-
 def servers_required(q: ResourceQuery, model: InflationModel = DEFAULT_MODEL) -> int:
     """Dedicated servers needed to reach the target traffic share."""
-    return math.ceil(_servers_raw(q, model))
+    return math.ceil(
+        (2.0 * q.b * (q.p / 100.0)) / (q.d * inflation_curve(q.x, model))
+    )
 
 
-def optimize_cluster(b: float, p: float, d: float,
-                     model: InflationModel = DEFAULT_MODEL) -> dict:
+def optimize_cluster(b: float, p: float, d: float) -> dict:
     """Pick the cluster size minimizing relays-per-server plus server count.
 
     Exhaustive search over the 120-point domain; ties resolve to the
@@ -110,7 +107,7 @@ def optimize_cluster(b: float, p: float, d: float,
     """
     best = None
     for x in range(X_MIN, X_MAX + 1):
-        s = servers_required(ResourceQuery(x=x, b=b, p=p, d=d), model)
+        s = servers_required(ResourceQuery(x=x, b=b, p=p, d=d))
         objective = x + s
         if best is None or objective < best["objective"]:
             best = {"x": x, "servers": s, "objective": objective,

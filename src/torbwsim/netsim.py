@@ -124,22 +124,21 @@ def _expect(value, types, where):
     return value
 
 
-def _from_doc(cls, doc, where, parse, keys=None, **values):
+def _from_doc(cls, doc, where, parse, **values):
     """Build the dataclass cls from the config object doc.
 
-    doc may carry the keys in keys, by default cls's fields less those in
-    values. A field it leaves out takes its entry in values, else cls's own
-    default. parse maps a key to a function (value, where) that builds the
-    field, and null there means the key is absent; any other value must be
-    of its field's annotated type, an int passing for a float. Each problem
-    raises ConfigError naming where.
+    doc may carry cls's fields less those in values as keys. A field it
+    leaves out takes its entry in values, else cls's own default. parse
+    maps a key to a function (value, where) that builds the field, and null
+    there means the key is absent; any other value must be of its field's
+    annotated type, an int passing for a float. Each problem raises
+    ConfigError naming where.
     """
     fields = cls.__dataclass_fields__
-    keys = keys or fields.keys() - values.keys()
     kwargs = dict(values)
     for key, value in _expect(doc, (dict,), where).items():
         here = "%s.%s" % (where, key)
-        if key not in keys:
+        if key not in fields or key in values:
             raise ConfigError("%s: unknown key %r" % (where, key))
         if key in parse:
             if value is not None:
@@ -190,13 +189,12 @@ def _rate(value, where):
 def _scanners(value, where):
     if not _expect(value, (list,), where):
         raise ConfigError("%s: at least one scanner is required" % where)
-    # the download ladder's fields are not config keys
-    keys = ("ba_id", "threads", "downloads_per_measurement", "exit_speed_factor",
-            "round_budget")
-    return tuple(
-        _from_doc(ScannerConfig, doc, "%s[%d]" % (where, i), {}, keys, ba_id="ba%d" % i)
-        for i, doc in enumerate(value)
-    )
+    scanners = []
+    for i, doc in enumerate(value):
+        here = "%s[%d]" % (where, i)
+        doc = {"ba_id": "ba%d" % i, **_expect(doc, (dict,), here)}
+        scanners.append(_from_doc(ScannerConfig, doc, here, {}))
+    return tuple(scanners)
 
 
 _TOPOLOGY_PARSE = {

@@ -17,25 +17,24 @@ from .units import GIB, MIB
 log = logging.getLogger(__name__)
 
 MAX_ADAPTATION_STEPS = 20
+# the sbws download ladder: in-band durations (s), size step and cap (bytes)
+MIN_DURATION_PER_DOWNLOAD = 5.0
+MAX_DURATION_PER_DOWNLOAD = 10.0
+RANGE_INCREMENT = 16 * MIB
+MAX_FILE = GIB
 
 
 @dataclass(frozen=True)
 class ScannerConfig:
     ba_id: str = "ba0"
     threads: int = 4
-    min_duration_per_download: float = 5.0
-    max_duration_per_download: float = 10.0
     downloads_per_measurement: int = 5
-    range_increment: int = 16 * MIB
-    max_file: int = GIB
     exit_speed_factor: float = 2.0
     round_budget: float = 3600.0
 
     def __post_init__(self):
         if not 1 <= self.threads <= 8:
             raise ValueError("threads must be in [1, 8], got %d" % self.threads)
-        if self.min_duration_per_download >= self.max_duration_per_download:
-            raise ValueError("min download duration must be below max")
         if self.downloads_per_measurement < 1:
             raise ValueError("downloads_per_measurement must be >= 1")
         if not self.round_budget > 0:
@@ -46,7 +45,6 @@ class ScannerConfig:
 class MeasurementPlan:
     target: str
     exit: str
-    order: int = 0
 
 
 def select_exit(cfg: ScannerConfig, exits, target, rng):
@@ -88,23 +86,20 @@ def plan_round(cfg: ScannerConfig, relays, rng_seed) -> tuple:
     rng.shuffle(plans)
     if targets and not plans:
         log.warning("%s: round is empty, no target has a qualifying exit", cfg.ba_id)
-    return tuple(
-        MeasurementPlan(target=t, exit=e, order=i)
-        for i, (t, e) in enumerate(plans)
-    )
+    return tuple(MeasurementPlan(target=t, exit=e) for t, e in plans)
 
 
-def adapt_range(size: int, observed_duration: float, cfg: ScannerConfig) -> int:
+def adapt_range(size: int, observed_duration: float) -> int:
     """Double below the band, halve above it, clamp to legal increment bounds."""
-    if observed_duration < cfg.min_duration_per_download:
+    if observed_duration < MIN_DURATION_PER_DOWNLOAD:
         size *= 2
-    elif observed_duration > cfg.max_duration_per_download:
+    elif observed_duration > MAX_DURATION_PER_DOWNLOAD:
         size //= 2
-    size = max(cfg.range_increment, min(cfg.max_file, size))
+    size = max(RANGE_INCREMENT, min(MAX_FILE, size))
     # round up to the next increment multiple
-    remainder = size % cfg.range_increment
+    remainder = size % RANGE_INCREMENT
     if remainder:
-        size += cfg.range_increment - remainder
+        size += RANGE_INCREMENT - remainder
     return size
 
 
@@ -117,7 +112,7 @@ def measurement_steps(cfg: ScannerConfig):
     bandwidth (mean per-download throughput, 0.0 unless ok), total bytes
     moved, download count, and an ok flag.
     """
-    size = cfg.range_increment
+    size = RANGE_INCREMENT
     bytes_total = 0
     downloads = 0
     sizes, durations = [], []
@@ -129,10 +124,10 @@ def measurement_steps(cfg: ScannerConfig):
             break
         bytes_total += size
         downloads += 1
-        if cfg.min_duration_per_download <= duration <= cfg.max_duration_per_download:
+        if MIN_DURATION_PER_DOWNLOAD <= duration <= MAX_DURATION_PER_DOWNLOAD:
             ok = True
             break
-        size = adapt_range(size, duration, cfg)
+        size = adapt_range(size, duration)
 
     if ok:
         for _ in range(cfg.downloads_per_measurement):

@@ -52,12 +52,3 @@ def parse_rate(text: str) -> float:
     if rate <= 0:
         raise UnitError("bandwidth must be positive, got %r" % (text,))
     return rate
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render bytes/second with the largest byte suffix that keeps value >= 1."""
-    for suffix in ("GB", "MB", "KB"):
-        scale = BYTES_PER_SECOND[suffix]
-        if bytes_per_second >= scale:
-            return "%g%s" % (bytes_per_second / scale, suffix)
-    return "%gB" % bytes_per_second

@@ -728,6 +728,22 @@ class TestDetect:
             assert code == EXIT_CONFIG, line
             assert "records.jsonl:1" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_unusable_probe_budget_exits_2(self, budget, tmp_path, capsys):
+        # the relays never overlap, so no pair drop would reach plan_probes
+        records = [
+            {"relay_id": fp("apart/%d" % (i % 2)), "ba_id": "ba0",
+             "start": 100.0 * i, "end": 100.0 * i + 30, "bw": 1.0}
+            for i in range(6)
+        ]
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", str(path), "--out", str(tmp_path / "det"),
+                  "--probe-budget", budget])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--probe-budget" in capsys.readouterr().err
+
 
 def write_archive(directory):
     """Hourly files from two scanners, in the shape of a published archive.
@@ -794,6 +810,25 @@ def test_unusable_duration_exits_2(command, value, tmp_path):
     except SystemExit as exc:  # argparse rejects a bad value on its own
         code = exc.code
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, window", [
+    ("window-sweep", "nan"), ("window-sweep", "inf"), ("window-sweep", "30,nan"),
+    ("coincidence", "%d,%d" % (T0 + 7200, T0 + 3600)),
+    ("coincidence", "nan,%d" % T0), ("coincidence", "%d,nan" % T0),
+])
+def test_unusable_window_exits_2(command, window, tmp_path, capsys):
+    bwdir = tmp_path / "bw"
+    bwdir.mkdir()
+    pot = write_archive(bwdir)
+    argv = ["analyze", command, "--relays", pot, str(bwdir),
+            "--out", str(tmp_path / "out"), "--window", window]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad value on its own
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert "--window" in capsys.readouterr().err
 
 
 class TestForensicsOutputsPinned:

@@ -134,12 +134,6 @@ class TestTopology:
             Topology(relays={relay.relay_id: relay}, hosts=hosts,
                      clusters=clusters)
 
-    def test_host_of(self):
-        host = HostSpec(host_id="h", capacity=MB)
-        relay = RelaySpec(relay_id=fp("r"), host_id="h", advertised_bw=MB)
-        topo = Topology(relays={relay.relay_id: relay}, hosts={"h": host})
-        assert topo.host_of(relay.relay_id) is host
-
 
 class TestMeasurementRecord:
     def _record(self, **kwargs):

@@ -124,15 +124,6 @@ class TestScoreSuspects:
         report = score_suspects(records)
         assert report.pair_drops[(A, B)] == pytest.approx(0.5)
 
-    def test_relay_ids_filter(self):
-        records = shared_pair_records() + [
-            rec(E, 0, 10, 1.0),
-            rec(E, 40, 50, 1.0),
-        ]
-        report = score_suspects(records, relay_ids={A, B})
-        assert E not in report.scores
-        assert set(report.scores) == {A, B}
-
     def test_records_without_start_use_assumed_duration(self):
         records = [
             rec(A, None, 100, 50.0), rec(B, None, 100, 50.0),
@@ -228,7 +219,7 @@ def _overlapping_partners(items):
 
 
 def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
-                            relay_ids=None, min_overlap_fraction=0.5):
+                            min_overlap_fraction=0.5):
     """Oracle: score_suspects as it was before the collapsed sweep.
 
     Every record is its own item, every overlapping pair of items is
@@ -240,8 +231,6 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
     items = []
     for r in records:
         if not r.ok:
-            continue
-        if relay_ids is not None and r.relay_id not in relay_ids:
             continue
         start, end = defense._interval_of(r, assumed_duration)
         items.append((start, end, r.relay_id, r.measured_bw))
@@ -342,7 +331,7 @@ def _outputs(score, records, **kwargs):
         report = score(records, **kwargs)
     except ValueError as exc:
         return "error: %s" % exc
-    plans = plan_probes(report, 5, start_time=10.0)
+    plans = plan_probes(report, 5)
     return (json.dumps(report_to_dict(report), indent=2),
             probe_rows(plans), plans)
 
@@ -352,19 +341,16 @@ class TestCollapsedSweepMatchesPairwise:
     @given(records=record_histories(),
            assumed_duration=st.sampled_from((39.0, 10.0, 2.0, 0.0, -3.0)),
            threshold=st.sampled_from((0.3, 0.0, 1.0, 0.05)),
-           relay_ids=st.one_of(st.none(), st.sets(st.sampled_from((A, B, C, D, E)))),
            min_overlap_fraction=st.sampled_from((0.5, 0.0, 1.0, 0.25)))
     @example(records=shared_pair_records() * 2, assumed_duration=39.0,
-             threshold=0.3, relay_ids=None, min_overlap_fraction=0.5)
+             threshold=0.3, min_overlap_fraction=0.5)
     @example(records=[rec(A, None, 10.0, 100.0), rec(B, None, 10.0, 50.0),
                       rec(A, None, 10.0, 100.0), rec(B, 9.0, 10.0, 50.0),
                       rec(A, None, 50.0, 100.0), rec(B, None, 60.0, 100.0)],
-             assumed_duration=0.0, threshold=0.3, relay_ids=None,
-             min_overlap_fraction=0.5)
+             assumed_duration=0.0, threshold=0.3, min_overlap_fraction=0.5)
     def test_same_report_and_probes(self, records, assumed_duration, threshold,
-                                    relay_ids, min_overlap_fraction):
+                                    min_overlap_fraction):
         kwargs = dict(assumed_duration=assumed_duration, threshold=threshold,
-                      relay_ids=relay_ids,
                       min_overlap_fraction=min_overlap_fraction)
         assert (_outputs(score_suspects, records, **kwargs)
                 == _outputs(pairwise_score_suspects, records, **kwargs))
@@ -383,12 +369,11 @@ class TestPlanProbes:
         return score_suspects(records)
 
     def test_worst_pair_first(self):
-        plans = plan_probes(self._report(), budget=10, start_time=1000.0,
-                            spacing=60.0)
+        plans = plan_probes(self._report(), budget=10)
         assert [(p.relay_a, p.relay_b) for p in plans] == [(B, C), (A, B)]
         # (7/15 + 5/9) / 2, from the two pair-relative directional drops
         assert plans[0].expected_drop == pytest.approx(23 / 45)
-        assert [p.scheduled_time for p in plans] == [1000.0, 1060.0]
+        assert [p.scheduled_time for p in plans] == [0.0, 120.0]
 
     def test_budget_truncates(self):
         plans = plan_probes(self._report(), budget=1)

@@ -8,6 +8,7 @@ from conftest import MB, fp
 from torbwsim.core import RelaySpec
 from torbwsim.scanner import (
     MAX_ADAPTATION_STEPS,
+    MIN_DURATION_PER_DOWNLOAD,
     ScannerConfig,
     adapt_range,
     measurement_steps,
@@ -20,24 +21,24 @@ CFG = ScannerConfig()
 
 class TestAdaptRange:
     def test_doubles_below_band(self):
-        assert adapt_range(16 * MIB, 2.0, CFG) == 32 * MIB
+        assert adapt_range(16 * MIB, 2.0) == 32 * MIB
 
     def test_halves_above_band(self):
-        assert adapt_range(64 * MIB, 12.0, CFG) == 32 * MIB
+        assert adapt_range(64 * MIB, 12.0) == 32 * MIB
 
     def test_in_band_unchanged(self):
         for d in (5.0, 7.5, 10.0):
-            assert adapt_range(64 * MIB, d, CFG) == 64 * MIB
+            assert adapt_range(64 * MIB, d) == 64 * MIB
 
     def test_clamps_to_minimum_increment(self):
-        assert adapt_range(16 * MIB, 60.0, CFG) == 16 * MIB
+        assert adapt_range(16 * MIB, 60.0) == 16 * MIB
 
     def test_clamps_to_max_file(self):
-        assert adapt_range(GIB, 1.0, CFG) == GIB
+        assert adapt_range(GIB, 1.0) == GIB
 
     def test_halving_rounds_up_to_increment(self):
         # 48 MiB halves to 24 MiB, which is not a legal range; next multiple up
-        assert adapt_range(48 * MIB, 12.0, CFG) == 32 * MIB
+        assert adapt_range(48 * MIB, 12.0) == 32 * MIB
 
 
 def run_steps(rates):
@@ -84,7 +85,7 @@ class TestMeasurementSteps:
     def test_in_band_measurement_lasts_at_least_25s(self):
         outcome, _sizes = run_steps([25 * MB])
         total = sum(outcome["durations"])
-        assert total >= 5 * CFG.min_duration_per_download == 25.0
+        assert total >= 5 * MIN_DURATION_PER_DOWNLOAD == 25.0
 
     def test_dead_path_fails(self):
         outcome, sizes = run_steps([0.0])
@@ -200,8 +201,3 @@ class TestScannerConfig:
     def test_thread_bounds(self, threads):
         with pytest.raises(ValueError):
             ScannerConfig(threads=threads)
-
-    def test_band_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            ScannerConfig(min_duration_per_download=10.0,
-                          max_duration_per_download=5.0)
