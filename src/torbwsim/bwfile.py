@@ -32,7 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .core import ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint
+from .core import (ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint,
+                   read_records_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -225,13 +226,14 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
 
 
 def to_records(files) -> list:
-    """Invert from_records: one record per entry with bw > 0, in file order,
-    on thread 0 and without a start time, which files do not keep."""
+    """Invert from_records: one record per entry, in file order, on thread 0
+    and without a start time, which files do not keep. An entry with bw=0
+    becomes a failed record."""
     return [
         MeasurementRecord(relay_id=entry.node_id, ba_id=bwf.ba_id, thread_id=0,
                           start_time=None, end_time=float(entry.end_time),
-                          measured_bw=float(entry.bw))
-        for bwf in files for entry in bwf.entries if entry.bw > 0
+                          measured_bw=float(entry.bw), ok=entry.bw > 0)
+        for bwf in files for entry in bwf.entries
     ]
 
 
@@ -259,6 +261,15 @@ def load_corpus(directory: str) -> list:
     if not files:
         raise ConfigError("no parsable bandwidth files in %s" % directory)
     return files
+
+
+def load_records(path: str) -> list:
+    """Records of a records.jsonl file or of a bandwidth-file directory."""
+    if os.path.isfile(path):
+        return read_records_jsonl(path)
+    if os.path.isdir(path):
+        return to_records(load_corpus(path))
+    raise ConfigError("input path %s does not exist" % path)
 
 
 # -- thread and duration inference -------------------------------------------
@@ -370,16 +381,20 @@ class TimelineEstimate:
     intervals: tuple
 
 
-def build_timeline(files, duration: float = DEFAULT_ASSUMED_DURATION) -> TimelineEstimate:
-    """Give every measurement the interval [end - duration, end]."""
+def measurement_interval(rec, duration: float) -> tuple:
+    """(start, end) of a record: its own start time when known, else the
+    assumed duration ending at its end time."""
+    if rec.start_time is not None:
+        return rec.start_time, rec.end_time
+    return rec.end_time - duration, rec.end_time
+
+
+def build_timeline(records, duration: float = DEFAULT_ASSUMED_DURATION) -> TimelineEstimate:
+    """Place every record, failed ones included, on its measurement_interval,
+    in input order."""
     if not 0 < duration < math.inf:
         raise ValueError("duration must be finite and > 0")
-    intervals = []
-    for bwf in files:
-        for entry in bwf.entries:
-            intervals.append(Interval(
-                relay_id=entry.node_id,
-                start=entry.end_time - duration,
-                end=float(entry.end_time),
-            ))
-    return TimelineEstimate(intervals=tuple(intervals))
+    return TimelineEstimate(intervals=tuple(
+        Interval(rec.relay_id, *measurement_interval(rec, duration))
+        for rec in records
+    ))

@@ -2,7 +2,7 @@
 
 Subcommands:
     simulate   run a scenario config or preset, persist records and consensus
-    analyze    duration / coincidence analytics over bandwidth-file corpora
+    analyze    duration / coincidence analytics over records and bandwidth files
     estimate   closed-form attack resource estimates
     detect     countermeasure scoring and probe planning
 
@@ -31,7 +31,6 @@ from .core import (
     InsufficientDataError,
     SimulationError,
     Topology,
-    read_records_jsonl,
     records_to_jsonl,
 )
 from .netsim import build_sim_config
@@ -218,27 +217,10 @@ def cmd_simulate(args) -> int:
 # -- analyze ------------------------------------------------------------------
 
 
-def _load_relay_set(path: str) -> set:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError("cannot read relays file: %s" % exc)
-    relay_set = set()
-    for line in lines:
-        token = line.strip().lstrip("$").upper()
-        if token:
-            relay_set.add(token)
-    if not relay_set:
-        raise ConfigError("relays file %s lists no relays" % path)
-    return relay_set
-
-
 def cmd_analyze(args) -> int:
-    files = bwfile.load_corpus(args.bwdir)
-    out = _OutputDir(args.out, args.argv, seed=getattr(args, "seed", None))
-
     if args.subcommand == "durations":
+        files = bwfile.load_corpus(args.input)
+        out = _OutputDir(args.out, args.argv, seed=args.seed)
         est = bwfile.estimate_duration(
             files, iterations=args.iterations, rng_seed=args.seed
         )
@@ -254,8 +236,11 @@ def cmd_analyze(args) -> int:
         out.finish()
         return EXIT_OK
 
-    relay_set = _load_relay_set(args.relays)
-    timeline = bwfile.build_timeline(files, duration=args.duration)
+    records = bwfile.load_records(args.input)
+    out = _OutputDir(args.out, args.argv)
+    relay_set = coincidence.load_relay_set(args.relays)
+    timeline = bwfile.build_timeline(
+        [rec for rec in records if rec.relay_id in relay_set], args.duration)
     if args.subcommand == "coincidence":
         window = None
         if args.window:
@@ -295,34 +280,6 @@ def cmd_analyze(args) -> int:
 # -- estimate -----------------------------------------------------------------
 
 
-def _load_samples(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError("cannot read samples file: %s" % exc)
-    samples = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if lineno == 1 and any(not _is_number(p) for p in parts):
-            continue  # header row
-        if len(parts) != 2 or not all(_is_number(p) for p in parts):
-            raise ConfigError("%s:%d: expected 'x,y' pairs" % (path, lineno))
-        samples.append((float(parts[0]), float(parts[1])))
-    return samples
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def cmd_estimate(args) -> int:
     if args.subcommand == "inflation":
         value = estimator.inflation_curve(args.x)
@@ -347,11 +304,7 @@ def cmd_estimate(args) -> int:
             "d_bytes_per_second": args.d,
         })
     else:  # refit
-        samples = _load_samples(args.samples)
-        try:
-            fit = estimator.refit_curve(samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        fit = estimator.refit_curve(estimator.load_samples(args.samples))
         result = {
             "coefficients": fit.model.coefficients(),
             "mse": fit.mse,
@@ -365,24 +318,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if os.path.isfile(args.input):
-        records = read_records_jsonl(args.input)
-    elif os.path.isdir(args.input):
-        records = bwfile.to_records(bwfile.load_corpus(args.input))
-    else:
-        raise ConfigError("input path %s does not exist" % args.input)
-
-    counts = {}
-    for rec in records:
-        if rec.ok:
-            counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
-    if len(counts) < 2:
-        for relay_id in sorted(counts):
-            print("%s: %d records" % (relay_id, counts[relay_id]), file=sys.stderr)
-        raise InsufficientDataError(
-            "need successful records for at least 2 relays, have %d" % len(counts)
-        )
-
+    records = bwfile.load_records(args.input)
     report = defense.score_suspects(
         records, assumed_duration=args.duration, threshold=args.threshold
     )
@@ -452,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     anasub = ana.add_subparsers(dest="subcommand", required=True)
     for name in ("durations", "coincidence", "window-sweep"):
         p = anasub.add_parser(name)
-        p.add_argument("bwdir", help="directory of bandwidth files")
+        p.add_argument("input", help="directory of bandwidth files" if name == "durations"
+                       else "records.jsonl or a bandwidth-file directory")
         p.add_argument("--out", required=True)
         if name == "durations":
             p.add_argument("--iterations", type=int, default=120)
@@ -460,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--duration", type=_duration,
                            default=bwfile.DEFAULT_ASSUMED_DURATION,
-                           help="assumed measurement duration in seconds")
+                           help="assumed duration for records without start times")
             p.add_argument("--relays", required=True,
                            help="file listing relay fingerprints, one per line")
         if name == "coincidence":

@@ -16,7 +16,7 @@ finds in O(m log m).
 import math
 from dataclasses import dataclass
 
-from .core import InsufficientDataError
+from .core import ConfigError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,23 @@ class CoincidenceDistribution:
 
     def probability(self, k: int) -> float:
         return self.probabilities.get(k, 0.0)
+
+
+def load_relay_set(path: str) -> set:
+    """Relay ids listed one per line, less blanks, a leading $ and case."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError("cannot read relays file: %s" % exc)
+    relay_set = set()
+    for line in lines:
+        token = line.strip().lstrip("$").upper()
+        if token:
+            relay_set.add(token)
+    if not relay_set:
+        raise ConfigError("relays file %s lists no relays" % path)
+    return relay_set
 
 
 def _selected_intervals(timeline, relay_set, window):

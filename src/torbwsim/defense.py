@@ -7,15 +7,16 @@ together. These helpers score that drop from historical records, group
 suspects, schedule active co-probes for the worst pairs, and turn a probe
 outcome into a shared/independent verdict.
 
-Scoring prefers records that carry true start times; records without one
-fall back to an assumed duration ending at end_time, matching the timeline
-reconstruction used elsewhere.
+Scoring places records on time through bwfile.measurement_interval, the
+rule the coincidence timeline uses: a record's true start time when it
+carries one, else an assumed duration ending at end_time.
 """
 
 import math
 from dataclasses import dataclass
 
-from .bwfile import DEFAULT_ASSUMED_DURATION
+from .bwfile import DEFAULT_ASSUMED_DURATION, measurement_interval
+from .core import InsufficientDataError
 
 DEFAULT_THRESHOLD = 0.3
 SHARED_BAND_FACTOR = 1.25
@@ -49,12 +50,6 @@ class VerificationVerdict:
     caveat: str = "single probe pair; repeat probes before acting"
 
 
-def _interval_of(rec, assumed_duration):
-    if rec.start_time is not None:
-        return rec.start_time, rec.end_time
-    return rec.end_time - assumed_duration, rec.end_time
-
-
 def score_suspects(records,
                    assumed_duration: float = DEFAULT_ASSUMED_DURATION,
                    threshold: float = DEFAULT_THRESHOLD,
@@ -75,7 +70,8 @@ def score_suspects(records,
     needs co samples plus a baseline on each side. A relay's score is its
     worst symmetric drop; relays that are co-measured yet never observed
     apart from any partner have no usable baseline and are reported
-    separately, excluded from grouping.
+    separately, excluded from grouping. Successful records of fewer than
+    two relays raise InsufficientDataError, which names each relay's count.
 
     Archives repeat an entry in every file until the relay is measured
     again, so records first collapse onto their distinct intervals
@@ -100,11 +96,14 @@ def score_suspects(records,
     for rec in records:
         if not rec.ok:
             continue
-        start, end = _interval_of(rec, assumed_duration)
+        start, end = measurement_interval(rec, assumed_duration)
         bws_of.setdefault((start, end, rec.relay_id), []).append(rec.measured_bw)
     relays = sorted({relay for _s, _e, relay in bws_of})
     if len(relays) < 2:
-        raise ValueError("need records for at least 2 relays")
+        n_ok = sum(map(len, bws_of.values()))  # all of the one relay's, if any
+        raise InsufficientDataError(
+            "need successful records for at least 2 relays, have %d%s"
+            % (len(relays), "".join("; %s: %d records" % (r, n_ok) for r in relays)))
     items = sorted(bws_of)
 
     deepest = [{} for _ in items]  # per interval: partner relay -> overlap

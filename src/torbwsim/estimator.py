@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError
+
 # Power-law-minus-quadratic coefficients for the inflation curve. The paper's
 # published fit (PAPER_MODEL below) rises above the identity for x <= 7, but
 # each of x relays on one server is measured at no more than the server's
@@ -113,6 +115,32 @@ def optimize_cluster(b: float, p: float, d: float) -> dict:
             best = {"x": x, "servers": s, "objective": objective,
                     "total_relays": x * s}
     return best
+
+
+def load_samples(path: str) -> list:
+    """(x, y) pairs, one per line, split by a comma or blanks, after an
+    optional header row; # starts a comment. Raises ConfigError naming a bad
+    line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError("cannot read samples file: %s" % exc)
+    samples = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            values = [float(part) for part in line.replace(",", " ").split()]
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            values = []
+        if len(values) != 2:
+            raise ConfigError("%s:%d: expected 'x,y' pairs" % (path, lineno))
+        samples.append(tuple(values))
+    return samples
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ from torbwsim.bwfile import (
     parse_bandwidth_file,
     serialize_bandwidth_file,
 )
-from torbwsim.core import InsufficientDataError, MeasurementRecord, is_fingerprint
+from torbwsim.core import (
+    ConfigError,
+    InsufficientDataError,
+    MeasurementRecord,
+    is_fingerprint,
+    records_to_jsonl,
+)
 
 # 2023-01-01T00:00:00 UTC
 T0 = 1672531200
@@ -371,6 +377,15 @@ class TestFromRecords:
         assert sorted((r.relay_id, r.end_time, r.measured_bw) for r in back) == kept
         assert {(r.ba_id, r.thread_id, r.start_time) for r in back} == {("ba0", 0, None)}
 
+    def test_to_records_keeps_zero_bandwidth_as_failed(self):
+        bwf = BandwidthFile(header_timestamp=T0, ba_id="ba0", entries=(
+            BandwidthEntry(node_id=R1, bw=0, end_time=T0),
+            BandwidthEntry(node_id=R2, bw=7, end_time=T0 + 1),
+        ))
+        zero, seven = bwfile.to_records([bwf])
+        assert (zero.relay_id, zero.ok, zero.measured_bw) == (R1, False, 0.0)
+        assert (seven.relay_id, seven.ok, seven.measured_bw) == (R2, True, 7.0)
+
 
 class TestInferThreads:
     def test_single_thread_chain(self):
@@ -491,14 +506,79 @@ class TestEstimateDuration:
             estimate_duration([entry_file([0, 40])], iterations=0)
 
 
+def file_timeline(files, duration):
+    """Reference: build_timeline as it was over bandwidth files, every entry
+    on [end - duration, end] in file order."""
+    return [
+        bwfile.Interval(relay_id=entry.node_id, start=entry.end_time - duration,
+                        end=float(entry.end_time))
+        for bwf in files for entry in bwf.entries
+    ]
+
+
 class TestBuildTimeline:
     def test_intervals_extend_backwards_from_end(self):
         bwf = entry_file([100, 200], node_ids=[R1, R2], ba_id="ba7")
-        timeline = build_timeline([bwf], duration=40.0)
+        timeline = build_timeline(bwfile.to_records([bwf]), duration=40.0)
         first, second = timeline.intervals
         assert (first.relay_id, first.start, first.end) == (R1, T0 + 60, T0 + 100)
         assert (second.relay_id, second.start, second.end) == (R2, T0 + 160, T0 + 200)
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError, match="duration"):
-            build_timeline([entry_file([0])], duration=0.0)
+            build_timeline(bwfile.to_records([entry_file([0])]), duration=0.0)
+
+    def test_known_start_times_are_kept(self):
+        records = [
+            MeasurementRecord(relay_id=R1, ba_id="ba0", thread_id=0,
+                              start_time=5.0, end_time=60.0, measured_bw=1.0),
+            MeasurementRecord(relay_id=R2, ba_id="ba0", thread_id=1,
+                              start_time=None, end_time=60.0, measured_bw=1.0),
+            MeasurementRecord(relay_id=R3, ba_id="ba0", thread_id=2,
+                              start_time=50.0, end_time=70.0, measured_bw=0.0,
+                              ok=False),
+        ]
+        timeline = build_timeline(records, duration=39.0)
+        assert [(iv.relay_id, iv.start, iv.end) for iv in timeline.intervals] == [
+            (R1, 5.0, 60.0), (R2, 21.0, 60.0), (R3, 50.0, 70.0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        files=st.lists(st.lists(st.tuples(
+            st.sampled_from((R1, R2, R3)), st.sampled_from((0, 1, 25_000_000)),
+            st.integers(0, 10**6),
+        ), min_size=1, max_size=12), min_size=1, max_size=4),
+        duration=st.one_of(st.sampled_from((39.0, 0.5, 3600.0)),
+                           st.floats(1e-3, 1e6)),
+    )
+    def test_records_match_file_reference(self, files, duration):
+        # a file repeats its entries, as an archive keeps a relay's last
+        # measurement in every file until the next one
+        corpus = [
+            BandwidthFile(header_timestamp=T0, ba_id="ba%d" % i, entries=tuple(
+                BandwidthEntry(node_id=relay, bw=bw, end_time=T0 + end)
+                for relay, bw, end in rows + rows[:2]))
+            for i, rows in enumerate(files)
+        ]
+        got = build_timeline(bwfile.to_records(corpus), duration).intervals
+        want = file_timeline(corpus, duration)
+        assert [repr(iv) for iv in got] == [repr(iv) for iv in want]
+
+
+class TestLoadRecords:
+    def test_file_directory_and_missing_path(self, tmp_path):
+        rec = MeasurementRecord(relay_id=R1, ba_id="ba0", thread_id=1,
+                                start_time=1.0, end_time=40.0, measured_bw=5.0)
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl([rec]))
+        assert bwfile.load_records(str(path)) == [rec]
+
+        bwdir = tmp_path / "bw"
+        bwdir.mkdir()
+        (bwdir / "ba3.bw").write_bytes(serialize_bandwidth_file(
+            entry_file([0, 40], node_ids=[R1, R2])))
+        assert [(r.relay_id, r.ba_id, r.end_time) for r in
+                bwfile.load_records(str(bwdir))] == [(R1, "ba3", T0), (R2, "ba3", T0 + 40)]
+
+        with pytest.raises(ConfigError, match="does not exist"):
+            bwfile.load_records(str(tmp_path / "nothing"))

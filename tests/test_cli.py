@@ -9,6 +9,8 @@ import pytest
 
 from conftest import fp
 from torbwsim import estimator
+from torbwsim.bwfile import build_timeline
+from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -19,6 +21,7 @@ from torbwsim.cli import (
     main,
 )
 from torbwsim.core import MeasurementRecord, read_records_jsonl, records_to_jsonl
+from torbwsim.netsim import run_simulation
 
 T0 = 1672531200
 
@@ -523,6 +526,26 @@ class TestAnalyze:
         )
         assert code == EXIT_OK
         assert json.loads(stdout) == {"windows_reported": 4}
+
+    def test_coincidence_on_simulated_records(self, tmp_path, capsys):
+        # records.jsonl carries true start times, which the timeline keeps
+        records_path, members = TestDetect()._sim_records(tmp_path, capsys)
+        relays = tmp_path / "members.txt"
+        relays.write_text("\n".join(sorted(members)) + "\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "analyze", "coincidence", records_path, "--out", str(out),
+            "--relays", str(relays)
+        )
+        assert code == EXIT_OK, err
+        result = run_simulation(build_sim_config(read_json(tmp_path / "config.json")))
+        want = count_events(build_timeline(result.records, 39.0), members)
+        assert json.loads(stdout) == {
+            "total_measurements": want.total_measurements,
+            "expected_inflation": expected_inflation(want),
+        }
+        rows = (out / "distribution.csv").read_text().splitlines()
+        assert rows[1:] == ["%d,%d,%.9f" % row for row in distribution_rows(want)]
 
     def test_empty_relays_file(self, tmp_path, capsys):
         bwdir, _relays = self._coincidence_corpus(tmp_path)

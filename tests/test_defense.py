@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MB, cotormult_topology, sim_config
-from torbwsim.core import MeasurementRecord
+from torbwsim.bwfile import measurement_interval
+from torbwsim.core import InsufficientDataError, MeasurementRecord
 from torbwsim import defense
 from torbwsim.defense import (
     ProbePlan,
@@ -190,6 +191,13 @@ class TestScoreSuspects:
         with pytest.raises(ValueError, match="2 relays"):
             score_suspects([rec(A, 0, 10, 100.0)])
 
+    def test_too_few_relays_names_each_count(self):
+        records = [rec(A, 0, 10, 100.0), rec(A, 20, 30, 100.0),
+                   rec(B, 0, 10, 0.0, ok=False)]
+        with pytest.raises(InsufficientDataError,
+                           match=r"at least 2 relays, have 1; %s: 2 records$" % A):
+            score_suspects(records)
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
             score_suspects(shared_pair_records(), threshold=1.5)
@@ -232,11 +240,13 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
     for r in records:
         if not r.ok:
             continue
-        start, end = defense._interval_of(r, assumed_duration)
+        start, end = measurement_interval(r, assumed_duration)
         items.append((start, end, r.relay_id, r.measured_bw))
     relays = sorted({relay for _s, _e, relay, _b in items})
     if len(relays) < 2:
-        raise ValueError("need records for at least 2 relays")
+        raise ValueError("need successful records for at least 2 relays, have %d%s"
+                         % (len(relays), "".join("; %s: %d records" % (r, len(items))
+                                                 for r in relays)))
     items.sort(key=lambda t: (t[0], t[1], t[2]))
     partners = _overlapping_partners(items)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torbwsim.core import ConfigError
 from torbwsim.estimator import (
     DEFAULT_MODEL,
     PAPER_MODEL,
@@ -12,6 +13,7 @@ from torbwsim.estimator import (
     InflationModel,
     ResourceQuery,
     inflation_curve,
+    load_samples,
     optimize_cluster,
     refit_curve,
     servers_required,
@@ -255,6 +257,13 @@ class TestRefit:
         samples = [(x, float(x)) for x in (0, 1, 2, 3, 4)]
         with pytest.raises(ValueError):
             refit_curve(samples)
+
+
+class TestLoadSamples:
+    def test_header_comments_and_separators(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("x,y\n1,2.5  # first\n\n2 3\n# only a comment\n")
+        assert load_samples(str(path)) == [(1.0, 2.5), (2.0, 3.0)]
 
 
 def test_model_evaluate_vectorizes_scalars_only():
