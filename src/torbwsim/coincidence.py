@@ -16,7 +16,7 @@ finds in O(m log m).
 import math
 from dataclasses import dataclass
 
-from .core import ConfigError, InsufficientDataError
+from .core import ConfigError, InsufficientDataError, is_fingerprint
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,22 @@ class CoincidenceDistribution:
 
 
 def load_relay_set(path: str) -> set:
-    """Relay ids listed one per line, less blanks, a leading $ and case."""
+    """Fingerprints listed one per line; blanks, a leading $ and case are
+    forgiven, anything else raises ConfigError naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read relays file: %s" % exc)
     relay_set = set()
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         token = line.strip().lstrip("$").upper()
-        if token:
-            relay_set.add(token)
+        if not token:
+            continue
+        if not is_fingerprint(token):
+            raise ConfigError("%s:%d: not a relay fingerprint: %r"
+                              % (path, lineno, line.strip()))
+        relay_set.add(token)
     if not relay_set:
         raise ConfigError("relays file %s lists no relays" % path)
     return relay_set

@@ -527,6 +527,17 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(stdout) == {"windows_reported": 4}
 
+    def test_relays_file_rejects_non_fingerprint(self, tmp_path, capsys):
+        bwdir, relays = self._coincidence_corpus(tmp_path)
+        with open(relays, "a", encoding="utf-8") as fh:
+            fh.write("\nnot-a-fingerprint\n")
+        code, _out, err = run(
+            capsys, "analyze", "coincidence", str(bwdir), "--out",
+            str(tmp_path / "out"), "--relays", str(relays)
+        )
+        assert code == EXIT_CONFIG
+        assert "%s:8: not a relay fingerprint: 'not-a-fingerprint'" % relays in err
+
     def test_coincidence_on_simulated_records(self, tmp_path, capsys):
         # records.jsonl carries true start times, which the timeline keeps
         records_path, members = TestDetect()._sim_records(tmp_path, capsys)
