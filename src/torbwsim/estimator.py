@@ -137,8 +137,9 @@ def load_samples(path: str) -> list:
             if lineno == 1:
                 continue  # header row
             values = []
-        if len(values) != 2:
-            raise ConfigError("%s:%d: expected 'x,y' pairs" % (path, lineno))
+        if len(values) != 2 or not all(map(math.isfinite, values)):
+            raise ConfigError(
+                "%s:%d: expected 'x,y' pairs of finite numbers" % (path, lineno))
         samples.append(tuple(values))
     return samples
 
@@ -221,6 +222,8 @@ def refit_curve(samples) -> FitResult:
         raise ValueError("need at least 5 samples to refit, got %d" % len(samples))
     xs = np.array([float(x) for x, _ in samples])
     ys = np.array([float(y) for _, y in samples])
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("sample x and y values must be finite")
     if len(set(xs.tolist())) < 3:
         raise ValueError("underdetermined fit: samples span fewer than 3 x values")
     if np.any(xs <= 0):

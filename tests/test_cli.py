@@ -637,6 +637,18 @@ class TestEstimate:
         assert len(doc["coefficients"]) == 5
         assert doc["evaluations"] > 0
 
+    @pytest.mark.parametrize("bad", ["5,nan", "inf,4"])
+    def test_refit_rejects_nonfinite_samples(self, tmp_path, capsys, bad):
+        samples = tmp_path / "samples.csv"
+        rows = ["x,y"] + ["%d,%d" % (x, x) for x in range(1, 9)] + [bad]
+        samples.write_text("\n".join(rows) + "\n")
+        code, stdout, err = run(
+            capsys, "estimate", "refit", "--samples", str(samples)
+        )
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert "samples.csv:10: expected 'x,y' pairs of finite numbers" in err
+
     def test_refit_rejects_malformed_samples(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         samples.write_text("x,y\n1,2\nthree,4\n")

@@ -258,12 +258,26 @@ class TestRefit:
         with pytest.raises(ValueError):
             refit_curve(samples)
 
+    @pytest.mark.parametrize("bad", [(5.0, math.nan), (math.inf, 4.0),
+                                     (6.0, -math.inf)])
+    def test_nonfinite_samples_rejected(self, bad):
+        samples = [(x, float(x)) for x in (1, 2, 3, 4)] + [bad]
+        with pytest.raises(ValueError, match="finite"):
+            refit_curve(samples)
+
 
 class TestLoadSamples:
     def test_header_comments_and_separators(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("x,y\n1,2.5  # first\n\n2 3\n# only a comment\n")
         assert load_samples(str(path)) == [(1.0, 2.5), (2.0, 3.0)]
+
+    @pytest.mark.parametrize("line", ["5,nan", "inf,4", "3,-inf"])
+    def test_nonfinite_rejected(self, tmp_path, line):
+        path = tmp_path / "samples.csv"
+        path.write_text("x,y\n1,2\n%s\n" % line)
+        with pytest.raises(ConfigError, match="samples.csv:3: .* finite numbers"):
+            load_samples(str(path))
 
 
 def test_model_evaluate_vectorizes_scalars_only():
