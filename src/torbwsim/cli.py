@@ -267,9 +267,9 @@ def cmd_analyze(args) -> int:
             windows = list(DEFAULT_SWEEP_WINDOWS)
         sweep = coincidence.coincidence_vs_window(timeline, relay_set, windows)
         rows = ["window_seconds,p2"]
-        for w in windows:
-            if w in sweep:
-                rows.append("%.0f,%.9f" % (w, sweep[w]))
+        for w, p2 in sweep.items():  # a repeated length once, first place
+            label = "%d" % w if w.is_integer() else repr(w)
+            rows.append("%s,%.9f" % (label, p2))
         out.write("window_sweep.csv", "\n".join(rows) + "\n")
         print(json.dumps({"windows_reported": len(sweep)}))
 

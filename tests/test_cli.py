@@ -527,6 +527,20 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(stdout) == {"windows_reported": 4}
 
+    def test_window_sweep_repeated_and_fractional_lengths(self, tmp_path, capsys):
+        bwdir, relays = self._coincidence_corpus(tmp_path)
+        out = tmp_path / "out"
+        code, stdout, _err = run(
+            capsys, "analyze", "window-sweep", str(bwdir), "--out", str(out),
+            "--relays", str(relays), "--duration", "10",
+            "--window", "80,30,80", "--window", "30.4"
+        )
+        assert code == EXIT_OK
+        assert json.loads(stdout) == {"windows_reported": 3}
+        rows = (out / "window_sweep.csv").read_text().splitlines()
+        assert rows == ["window_seconds,p2", "80,0.333333333",
+                        "30,0.666666667", "30.4,0.666666667"]
+
     def test_relays_file_rejects_non_fingerprint(self, tmp_path, capsys):
         bwdir, relays = self._coincidence_corpus(tmp_path)
         with open(relays, "a", encoding="utf-8") as fh:
