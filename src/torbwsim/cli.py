@@ -262,9 +262,7 @@ def cmd_analyze(args) -> int:
             "expected_inflation": coincidence.expected_inflation(dist),
         }))
     else:  # window-sweep
-        windows = [w for chunk in args.window or [] for w in chunk]
-        if not windows:
-            windows = list(DEFAULT_SWEEP_WINDOWS)
+        windows = [w for chunk in args.window or [] for w in chunk] or DEFAULT_SWEEP_WINDOWS
         sweep = coincidence.coincidence_vs_window(timeline, relay_set, windows)
         rows = ["window_seconds,p2"]
         for w, p2 in sweep.items():  # a repeated length once, first place
