@@ -16,9 +16,11 @@ identity on files this package wrote itself.
 
 Bandwidth files record only the END of each measurement. The inference
 helpers reconstruct what the scanner was doing: measurements on one thread
-must be at least 25 s apart (five downloads of at least 5 s each), so
-threads can be re-assigned from end times alone, and same-thread gaps under
-50 s approximate measurement durations.
+must be at least MIN_MEASUREMENT_GAP = 25 s apart (the scanner's five timed
+downloads of at least 5 s each, scanner.DOWNLOADS_PER_MEASUREMENT times
+scanner.MIN_DURATION_PER_DOWNLOAD), so threads can be re-assigned from end
+times alone, and same-thread gaps under 50 s approximate measurement
+durations.
 """
 
 import logging
@@ -34,10 +36,11 @@ from datetime import datetime, timezone
 
 from .core import (ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint,
                    read_records_jsonl)
+from .scanner import DOWNLOADS_PER_MEASUREMENT, MIN_DURATION_PER_DOWNLOAD
 
 log = logging.getLogger(__name__)
 
-MIN_MEASUREMENT_GAP = 25.0
+MIN_MEASUREMENT_GAP = DOWNLOADS_PER_MEASUREMENT * MIN_DURATION_PER_DOWNLOAD
 MAX_SEQUENTIAL_GAP = 50.0
 DEFAULT_ASSUMED_DURATION = 39.0
 

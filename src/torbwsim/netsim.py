@@ -49,6 +49,8 @@ from .scanner import (
 )
 
 _EPS = 1e-9
+# seconds per packet the detector inspects before it recognises a scanner
+PER_PACKET_LATENCY = 0.0005
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class DetectorModel:
     detection_delay_packets: Optional[int] = None
     false_negative_rate: float = 0.0
     false_positive_rate: float = 0.0
-    per_packet_latency: float = 0.0005
 
     def __post_init__(self):
         if self.mode not in ("ip_filter", "parametric"):
@@ -72,13 +73,10 @@ class DetectorModel:
         for rate in (self.false_negative_rate, self.false_positive_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError("detector rates must be in [0, 1]")
-        if not self.per_packet_latency >= 0:
-            raise ConfigError("per_packet_latency must be >= 0, got %r"
-                              % (self.per_packet_latency,))
 
     @property
     def detection_delay(self) -> float:
-        return self.detection_delay_packets * self.per_packet_latency
+        return self.detection_delay_packets * PER_PACKET_LATENCY
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,10 @@ class SimConfig:
     seed: int = 0
     consensus_interval: float = 3600.0
     activation_times: dict = field(default_factory=dict)
-    time_compression: float = 1.0
 
     def __post_init__(self):
         if self.duration < self.consensus_interval:
             raise ConfigError("duration must cover at least one consensus interval")
-        if self.time_compression <= 0:
-            raise ConfigError("time_compression must be > 0")
         ba_ids = [s.ba_id for s in self.scanners]
         if len(ba_ids) != len(set(ba_ids)):
             raise ConfigError("scanner ba_ids must be unique")
@@ -109,9 +104,6 @@ class SimConfig:
         for relay_id in self.activation_times:
             if relay_id not in self.topology.relays:
                 raise ConfigError("activation time for unknown relay %r" % (relay_id,))
-
-    def activation_of(self, relay_id: str) -> float:
-        return self.activation_times.get(relay_id, 0.0) / self.time_compression
 
 
 # -- config documents ---------------------------------------------------------
@@ -227,14 +219,6 @@ def build_sim_config(doc) -> SimConfig:
         Topology, topology, "config", _TOPOLOGY_PARSE))
 
 
-@dataclass
-class MeasurementFlow:
-    relay_id: str
-    ba_id: str
-    detected: bool
-    detect_time: float
-
-
 class FlowState:
     """Active flows plus the topology needed to allocate them.
 
@@ -246,7 +230,8 @@ class FlowState:
     def __init__(self, topology: Topology, user_load: dict):
         self.topology = topology
         self.user_load = dict(user_load)
-        self.flows = {}  # (relay_id, ba_id) -> MeasurementFlow
+        # (relay_id, ba_id) -> detect time; math.inf for a missed detection
+        self.flows = {}
         self.fp_suppressed_hosts = set()
         # host_id -> [(relay_id, demand)], in user_load order
         self._user_demands = {}
@@ -258,21 +243,20 @@ class FlowState:
                 (relay_id, min(load, relay.advertised_bw))
             )
 
-    def add_flow(self, flow: MeasurementFlow):
-        key = (flow.relay_id, flow.ba_id)
+    def add_flow(self, relay_id: str, ba_id: str, detect_time: float):
+        key = (relay_id, ba_id)
         if key in self.flows:
             raise SimulationError("duplicate measurement flow %s" % (key,))
-        self.flows[key] = flow
+        self.flows[key] = detect_time
 
     def remove_flow(self, relay_id: str, ba_id: str):
         del self.flows[(relay_id, ba_id)]
 
     # -- allocation ---------------------------------------------------------
 
-    def _flow_host(self, flow: MeasurementFlow, now: float) -> str:
-        relay = self.topology.relays[flow.relay_id]
-        if (relay.policy == "detormult_member"
-                and flow.detected and now >= flow.detect_time):
+    def _flow_host(self, relay_id: str, detect_time: float, now: float) -> str:
+        relay = self.topology.relays[relay_id]
+        if relay.policy == "detormult_member" and now >= detect_time:
             return self.topology.clusters.dedicated_server
         return relay.host_id
 
@@ -289,12 +273,12 @@ class FlowState:
         demands = []
         paused = set()
         pause_members = False
-        for key, flow in self.flows.items():
-            if self._flow_host(flow, now) != host_id:
+        for key, detect_time in self.flows.items():
+            if self._flow_host(key[0], detect_time, now) != host_id:
                 continue
-            relay = relays[flow.relay_id]
+            relay = relays[key[0]]
             demands.append((("m",) + key, relay.advertised_bw))
-            if flow.detected and now >= flow.detect_time:
+            if now >= detect_time:
                 if relay.policy == "drop_on_measure":
                     paused.add(relay.relay_id)
                 elif relay.policy == "cotormult_member":
@@ -320,7 +304,8 @@ class FlowState:
         ("u", relay_id): host_allocations over every host with demand.
         """
         hosts = dict.fromkeys(
-            self._flow_host(flow, now) for flow in self.flows.values()
+            self._flow_host(relay_id, detect_time, now)
+            for (relay_id, _ba_id), detect_time in self.flows.items()
         )
         hosts.update(dict.fromkeys(self._user_demands))
         alloc = {}
@@ -329,8 +314,9 @@ class FlowState:
         return alloc
 
     def flow_bandwidth(self, relay_id: str, ba_id: str, now: float) -> float:
-        flow = self.flows[(relay_id, ba_id)]
-        alloc = self.host_allocations(self._flow_host(flow, now), now)
+        detect_time = self.flows[(relay_id, ba_id)]
+        alloc = self.host_allocations(
+            self._flow_host(relay_id, detect_time, now), now)
         return alloc[("m", relay_id, ba_id)]
 
 
@@ -364,9 +350,7 @@ def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
     active = [key for key in state.flows if key[0] == relay_id]
     if active:
         return max(state.flow_bandwidth(*key, now) for key in active)
-    probe = MeasurementFlow(relay_id=relay_id, ba_id="__probe__",
-                            detected=True, detect_time=now)
-    state.add_flow(probe)
+    state.add_flow(relay_id, "__probe__", now)
     try:
         return state.flow_bandwidth(relay_id, "__probe__", now)
     finally:
@@ -388,21 +372,23 @@ _PRIO_ROUND = 2
 
 
 class _ThreadCtx:
-    __slots__ = ("gen", "plan", "start", "now", "pending_duration")
+    __slots__ = ("scanner", "thread_id", "gen", "plan", "start", "now")
 
-    def __init__(self):
+    def __init__(self, scanner: ScannerConfig, thread_id: int):
+        self.scanner = scanner
+        self.thread_id = thread_id
         self.gen = None
         self.plan = None
         self.start = 0.0
         self.now = 0.0
-        self.pending_duration = None
 
 
 class _Loop:
     """The one event loop: scanner threads, rounds, and consensus epochs.
 
-    seed drives every random draw of the loop (round plans, detector misses,
-    false positives).
+    An event is (time, prio, seq, handler, args); run calls
+    handler(time, *args). seed drives every random draw of the loop (round
+    plans, detector misses, false positives).
     """
 
     def __init__(self, cfg: SimConfig, seed):
@@ -415,35 +401,32 @@ class _Loop:
         self.seq = 0
         self.queues = {s.ba_id: [] for s in cfg.scanners}
         self.threads = {
-            (s.ba_id, t): _ThreadCtx()
-            for s in cfg.scanners for t in range(s.threads)
+            s.ba_id: [_ThreadCtx(s, t) for t in range(s.threads)]
+            for s in cfg.scanners
         }
-        self.scanner_by_ba = {s.ba_id: s for s in cfg.scanners}
+        self.adversarial_hosts = sorted({
+            r.host_id for r in cfg.topology.relays.values()
+            if r.policy != "honest"
+        })
         self.rng_detect = random.Random("%s/detect" % (seed,))
         self.rng_fp = random.Random("%s/fp" % (seed,))
 
-    def push(self, time, prio, payload):
-        heapq.heappush(self.events, (time, prio, self.seq, payload))
+    def push(self, time, prio, handler, *args):
+        heapq.heappush(self.events, (time, prio, self.seq, handler, args))
         self.seq += 1
 
     def run(self, until: float):
         """Dispatch events in time order; drop the first one past until."""
         while self.events:
-            time, _prio, _seq, payload = heapq.heappop(self.events)
+            time, _prio, _seq, handler, args = heapq.heappop(self.events)
             if time > until:
                 break
-            kind = payload[0]
-            if kind == "step":
-                self._on_step(time, payload[1], payload[2])
-            elif kind == "round":
-                self._on_round(time, payload[1], payload[2])
-            elif kind == "consensus":
-                self._on_consensus(payload[1])
+            handler(time, *args)
 
     # -- scanner thread driving --------------------------------------------
 
-    def _start_next(self, ba_id, thread_id, now):
-        ctx = self.threads[(ba_id, thread_id)]
+    def _start_next(self, ctx, now):
+        ba_id = ctx.scanner.ba_id
         queue = self.queues[ba_id]
         # a target may still be mid-measurement from the previous round;
         # leave it queued for whichever thread frees up after it
@@ -455,57 +438,46 @@ class _Loop:
         if idx is None:
             return
         plan = queue.pop(idx)
-        scancfg = self.scanner_by_ba[ba_id]
-        relay = self.cfg.topology.relays[plan.target]
-        detected = True
-        if relay.policy != "honest":
-            detected = (
-                self.rng_detect.random() >= self.cfg.detector.false_negative_rate
-            )
-        self.state.add_flow(MeasurementFlow(
-            relay_id=plan.target, ba_id=ba_id, detected=detected,
-            detect_time=now + self.cfg.detector.detection_delay,
-        ))
+        detect_time = now + self.cfg.detector.detection_delay
+        if (self.cfg.topology.relays[plan.target].policy != "honest"
+                and self.rng_detect.random() < self.cfg.detector.false_negative_rate):
+            detect_time = math.inf
+        self.state.add_flow(plan.target, ba_id, detect_time)
         ctx.plan = plan
         ctx.start = now
         ctx.now = now
-        ctx.gen = measurement_steps(scancfg)
-        step = ctx.gen.send(None)
-        self._issue_download(ba_id, thread_id, step)
+        ctx.gen = measurement_steps()
+        self._issue_download(ctx, ctx.gen.send(None))
 
-    def _issue_download(self, ba_id, thread_id, step):
-        ctx = self.threads[(ba_id, thread_id)]
+    def _issue_download(self, ctx, step):
         _phase, size = step
         rate = min(
-            self.state.flow_bandwidth(ctx.plan.target, ba_id, ctx.now),
+            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id, ctx.now),
             available_bandwidth(self.state, ctx.plan.exit, ctx.now),
         )
         if rate <= 0:
-            ctx.pending_duration = None
-            self.push(ctx.now, _PRIO_STEP, ("step", ba_id, thread_id))
+            self.push(ctx.now, _PRIO_STEP, self._on_step, ctx, None)
             return
-        ctx.pending_duration = size / rate
-        self.push(ctx.now + ctx.pending_duration, _PRIO_STEP,
-                  ("step", ba_id, thread_id))
+        duration = size / rate
+        self.push(ctx.now + duration, _PRIO_STEP, self._on_step, ctx, duration)
 
-    def _on_step(self, now, ba_id, thread_id):
-        ctx = self.threads[(ba_id, thread_id)]
-        ctx.now = now if ctx.pending_duration is not None else ctx.now + _EPS
+    def _on_step(self, now, ctx, duration):
+        ctx.now = now if duration is not None else ctx.now + _EPS
         try:
-            step = ctx.gen.send(ctx.pending_duration)
+            step = ctx.gen.send(duration)
         except StopIteration as stop:
-            self._complete(ba_id, thread_id, stop.value)
-            self._start_next(ba_id, thread_id, ctx.now)
+            self._complete(ctx, stop.value)
+            self._start_next(ctx, ctx.now)
             return
-        self._issue_download(ba_id, thread_id, step)
+        self._issue_download(ctx, step)
 
-    def _complete(self, ba_id, thread_id, outcome):
-        ctx = self.threads[(ba_id, thread_id)]
+    def _complete(self, ctx, outcome):
+        ba_id = ctx.scanner.ba_id
         self.state.remove_flow(ctx.plan.target, ba_id)
         self.records.append(MeasurementRecord(
             relay_id=ctx.plan.target,
             ba_id=ba_id,
-            thread_id=thread_id,
+            thread_id=ctx.thread_id,
             start_time=ctx.start,
             end_time=ctx.now,
             measured_bw=outcome["measured_bw"],
@@ -518,39 +490,31 @@ class _Loop:
 
     # -- rounds and consensus ------------------------------------------------
 
-    def _active_relays(self, now):
-        return [
-            r for r in self.cfg.topology.relays.values()
-            if self.cfg.activation_of(r.relay_id) <= now
-        ]
-
-    def _on_round(self, now, ba_id, round_idx):
-        scancfg = self.scanner_by_ba[ba_id]
+    def _on_round(self, now, scanner, round_idx):
+        activation = self.cfg.activation_times
         plans = plan_round(
-            scancfg, self._active_relays(now),
-            "%s/%s/round%d" % (self.seed, ba_id, round_idx),
+            scanner,
+            [r for r in self.cfg.topology.relays.values()
+             if activation.get(r.relay_id, 0.0) <= now],
+            "%s/%s/round%d" % (self.seed, scanner.ba_id, round_idx),
         )
-        self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
-        for thread_id in range(scancfg.threads):
-            if self.threads[(ba_id, thread_id)].plan is None:
-                self._start_next(ba_id, thread_id, now)
+        self.queues[scanner.ba_id] = list(plans)  # leftovers of the old round vanish
+        for ctx in self.threads[scanner.ba_id]:
+            if ctx.plan is None:
+                self._start_next(ctx, now)
 
-    def _on_consensus(self, epoch):
+    def _on_consensus(self, _now, epoch):
         prior = self.consensus[-1] if self.consensus else None
         self.consensus.append(_fold_consensus(self.records, self.cfg, epoch, prior))
         self._resample_false_positives()
 
     def _resample_false_positives(self):
-        detector = self.cfg.detector
+        rate = self.cfg.detector.false_positive_rate
         self.state.fp_suppressed_hosts.clear()
-        if detector.false_positive_rate <= 0:
+        if rate <= 0:
             return
-        adversarial_hosts = sorted({
-            r.host_id for r in self.cfg.topology.relays.values()
-            if r.policy != "honest"
-        })
-        for host_id in adversarial_hosts:
-            if self.rng_fp.random() < detector.false_positive_rate:
+        for host_id in self.adversarial_hosts:
+            if self.rng_fp.random() < rate:
                 self.state.fp_suppressed_hosts.add(host_id)
 
 
@@ -568,11 +532,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     for scanner in cfg.scanners:
         n_rounds = max(1, int(cfg.duration // scanner.round_budget))
         for k in range(n_rounds):
-            loop.push(k * scanner.round_budget, _PRIO_ROUND,
-                      ("round", scanner.ba_id, k))
+            loop.push(k * scanner.round_budget, _PRIO_ROUND, loop._on_round,
+                      scanner, k)
     n_epochs = int(cfg.duration // cfg.consensus_interval)
     for e in range(1, n_epochs + 1):
-        loop.push(e * cfg.consensus_interval, _PRIO_CONSENSUS, ("consensus", e))
+        loop.push(e * cfg.consensus_interval, _PRIO_CONSENSUS, loop._on_consensus, e)
     loop.run(cfg.duration)
 
     if not any(rec.ok for rec in loop.records):
@@ -678,18 +642,17 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
         (r for r in cfg.topology.relays.values() if r.role == "exit"),
         key=lambda r: r.relay_id,
     )
-    base_scancfg = cfg.scanners[0] if cfg.scanners else ScannerConfig()
-    scancfg = replace(base_scancfg, ba_id="probe", threads=len(relay_ids))
+    scancfg = ScannerConfig(ba_id="probe", threads=len(relay_ids))
     plans = []
     for relay_id in relay_ids:
-        exit_relay = select_exit(scancfg, exits, cfg.topology.relays[relay_id], rng)
+        exit_relay = select_exit(exits, cfg.topology.relays[relay_id], rng)
         if exit_relay is None:
             raise SimulationError("no qualifying exit for probe of %s" % relay_id)
         plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))
 
     loop = _Loop(replace(cfg, scanners=(scancfg,)), probe_seed)
     loop.queues["probe"] = plans
-    for thread_id in range(scancfg.threads):
-        loop._start_next("probe", thread_id, start_time)
+    for ctx in loop.threads["probe"]:
+        loop._start_next(ctx, start_time)
     loop.run(math.inf)
     return tuple(loop.records)

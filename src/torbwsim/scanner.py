@@ -1,11 +1,13 @@
 """SBWS-style scanner model.
 
 A scanner measures one relay at a time over a two-hop circuit (target +
-exit at least twice as fast). It adapts a download size until a single
-download lands in the 5-10 s band, then runs five timed downloads; the
-measured bandwidth is the mean per-download throughput. With five in-band
-downloads a measurement can never finish in under 25 seconds, which is the
-constraint the timeline-inference code exploits later.
+exit at least EXIT_SPEED_FACTOR times as fast). It adapts a download size
+until a single download lands in the 5-10 s band, then runs
+DOWNLOADS_PER_MEASUREMENT timed downloads; the measured bandwidth is the
+mean per-download throughput. With five in-band downloads of at least
+MIN_DURATION_PER_DOWNLOAD seconds a measurement can never finish in under
+25 seconds, which is the constraint the timeline-inference code exploits
+later (bwfile.MIN_MEASUREMENT_GAP is that product).
 """
 
 import logging
@@ -22,21 +24,21 @@ MIN_DURATION_PER_DOWNLOAD = 5.0
 MAX_DURATION_PER_DOWNLOAD = 10.0
 RANGE_INCREMENT = 16 * MIB
 MAX_FILE = GIB
+# timed downloads per measurement, and how much faster than the target an
+# exit must advertise itself to carry the measurement
+DOWNLOADS_PER_MEASUREMENT = 5
+EXIT_SPEED_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class ScannerConfig:
     ba_id: str = "ba0"
     threads: int = 4
-    downloads_per_measurement: int = 5
-    exit_speed_factor: float = 2.0
     round_budget: float = 3600.0
 
     def __post_init__(self):
         if not 1 <= self.threads <= 8:
             raise ValueError("threads must be in [1, 8], got %d" % self.threads)
-        if self.downloads_per_measurement < 1:
-            raise ValueError("downloads_per_measurement must be >= 1")
         if not self.round_budget > 0:
             raise ValueError("round_budget must be > 0, got %r" % (self.round_budget,))
 
@@ -47,17 +49,17 @@ class MeasurementPlan:
     exit: str
 
 
-def select_exit(cfg: ScannerConfig, exits, target, rng):
+def select_exit(exits, target, rng):
     """Draw an exit for target uniformly from those fast enough.
 
     An exit qualifies when its advertised bandwidth is at least
-    exit_speed_factor times the target's. exits must be sorted by relay_id,
+    EXIT_SPEED_FACTOR times the target's. exits must be sorted by relay_id,
     so a given rng state always picks the same exit. Returns None, without
     drawing, when no exit qualifies.
     """
     candidates = [
         e for e in exits
-        if e.advertised_bw >= cfg.exit_speed_factor * target.advertised_bw
+        if e.advertised_bw >= EXIT_SPEED_FACTOR * target.advertised_bw
     ]
     return rng.choice(candidates) if candidates else None
 
@@ -77,10 +79,10 @@ def plan_round(cfg: ScannerConfig, relays, rng_seed) -> tuple:
     )
     plans = []
     for target in targets:
-        exit_relay = select_exit(cfg, exits, target, rng)
+        exit_relay = select_exit(exits, target, rng)
         if exit_relay is None:
             log.warning("%s: no exit at least %.1fx faster than target %s, skipping",
-                        cfg.ba_id, cfg.exit_speed_factor, target.relay_id)
+                        cfg.ba_id, EXIT_SPEED_FACTOR, target.relay_id)
             continue
         plans.append((target.relay_id, exit_relay.relay_id))
     rng.shuffle(plans)
@@ -103,7 +105,7 @@ def adapt_range(size: int, observed_duration: float) -> int:
     return size
 
 
-def measurement_steps(cfg: ScannerConfig):
+def measurement_steps():
     """Generator protocol driving one measurement, one download at a time.
 
     Yields ("adapt" | "timed", size_bytes); the caller sends back the
@@ -130,7 +132,7 @@ def measurement_steps(cfg: ScannerConfig):
         size = adapt_range(size, duration)
 
     if ok:
-        for _ in range(cfg.downloads_per_measurement):
+        for _ in range(DOWNLOADS_PER_MEASUREMENT):
             duration = yield ("timed", size)
             if duration is None or duration <= 0:
                 ok = False

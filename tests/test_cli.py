@@ -81,6 +81,7 @@ SCHEMA_CASES = {
         (("durration",), 3600, "config: unknown key 'durration'"),
         ((), [], "config: expected dict, got list"),
         (("duration",), "3600", "config.duration: expected int or float, got str"),
+        (("time_compression",), 1.0, "config: unknown key 'time_compression'"),
     ],
     "relays": [
         (("relays", 0, "polcy"), "honest", "config.relays[0]: unknown key 'polcy'"),
@@ -111,6 +112,10 @@ SCHEMA_CASES = {
     "scanners": [
         (("scanners", 0, "min_duration_per_download"), 5.0,
          "config.scanners[0]: unknown key 'min_duration_per_download'"),
+        (("scanners", 0, "downloads_per_measurement"), 5,
+         "config.scanners[0]: unknown key 'downloads_per_measurement'"),
+        (("scanners", 0, "exit_speed_factor"), 2.0,
+         "config.scanners[0]: unknown key 'exit_speed_factor'"),
         (("scanners",), {"threads": 1}, "config.scanners: expected list, got dict"),
         (("scanners", 0, "threads"), "4",
          "config.scanners[0].threads: expected int, got str"),
@@ -124,8 +129,8 @@ SCHEMA_CASES = {
         (("detector",), [], "config.detector: expected dict, got list"),
         (("detector", "false_negative_rate"), "0.1",
          "config.detector.false_negative_rate: expected int or float, got str"),
-        (("detector", "per_packet_latency"), -0.0005,
-         "config.detector: per_packet_latency must be >= 0, got -0.0005"),
+        (("detector", "per_packet_latency"), 0.0005,
+         "config.detector: unknown key 'per_packet_latency'"),
     ],
     "user_load": [
         (("user_load", fp("cli/ghost")), "1 MB",

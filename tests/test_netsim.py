@@ -31,7 +31,6 @@ from torbwsim import netsim
 from torbwsim.netsim import (
     DetectorModel,
     FlowState,
-    MeasurementFlow,
     SimResult,
     _baseline_bw,
     _fold_consensus,
@@ -44,9 +43,7 @@ from torbwsim.netsim import (
 from torbwsim.units import MIB
 
 
-def measurement(relay_id, ba_id, detected=True, detect_time=0.0):
-    return MeasurementFlow(relay_id=relay_id, ba_id=ba_id, detected=detected,
-                           detect_time=detect_time)
+MISSED = math.inf  # the detect time of a measurement the detector misses
 
 
 def shared_host_topology(policy_a="drop_on_measure"):
@@ -73,10 +70,10 @@ def oracle_allocations(state, now):
     the paused user flows found by scanning every relay."""
     relays = state.topology.relays
     dropped = set()
-    for flow in state.flows.values():
-        if not (flow.detected and now >= flow.detect_time):
+    for (relay_id, _ba_id), detect_time in state.flows.items():
+        if now < detect_time:
             continue
-        relay = relays[flow.relay_id]
+        relay = relays[relay_id]
         if relay.policy == "drop_on_measure":
             dropped.add(relay.relay_id)
         elif relay.policy == "cotormult_member":
@@ -88,11 +85,10 @@ def oracle_allocations(state, now):
         if relay.host_id in state.fp_suppressed_hosts:
             dropped.add(relay.relay_id)
     demands_by_host = {}
-    for key, flow in state.flows.items():
-        relay = relays[flow.relay_id]
+    for key, detect_time in state.flows.items():
+        relay = relays[key[0]]
         host = relay.host_id
-        if (relay.policy == "detormult_member"
-                and flow.detected and now >= flow.detect_time):
+        if relay.policy == "detormult_member" and now >= detect_time:
             host = state.topology.clusters.dedicated_server
         demands_by_host.setdefault(host, []).append(
             (("m",) + key, relay.advertised_bw)
@@ -116,7 +112,7 @@ def oracle_available_bandwidth(state, relay_id, now):
     if active:
         alloc = oracle_allocations(state, now)
         return max(alloc[("m",) + key] for key in active)
-    state.add_flow(measurement(relay_id, "__probe__", detect_time=now))
+    state.add_flow(relay_id, "__probe__", now)
     try:
         return oracle_allocations(state, now)[("m", relay_id, "__probe__")]
     finally:
@@ -127,8 +123,8 @@ def oracle_available_bandwidth(state, relay_id, now):
 def flow_states(draw):
     """A small network mixing all four policies, with flows at one instant.
 
-    Relay hosts share a dedicated server; flows may be detected or not,
-    with detection before or after now; several scanners may measure one
+    Relay hosts share a dedicated server; a flow's detect time may lie
+    before or after now, or be MISSED; several scanners may measure one
     relay; any host may be suppressed by a false positive.
     """
     hosts = {"ded": HostSpec(
@@ -169,10 +165,8 @@ def flow_states(draw):
         unique=True, max_size=8,
     ))
     for relay_id, ba_id in keys:
-        state.add_flow(measurement(
-            relay_id, ba_id, detected=draw(st.booleans()),
-            detect_time=draw(st.sampled_from((0.0, 5.0, 10.0))),
-        ))
+        state.add_flow(relay_id, ba_id,
+                       draw(st.sampled_from((0.0, 5.0, 10.0, MISSED))))
     return state, draw(st.sampled_from((0.0, 5.0, 7.5, 10.0)))
 
 
@@ -218,7 +212,7 @@ class TestFlowStateAllocations:
     def test_drop_on_measure_frees_own_user_flow(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0"))
+        state.add_flow(fp("A"), "ba0", 0.0)
         alloc = state.allocations(1.0)
         # A's own 30 MB/s of user traffic vanished; B's 20 MB/s remains and
         # is satisfied, the rest of the 50 MB host goes to the measurement
@@ -229,7 +223,7 @@ class TestFlowStateAllocations:
     def test_honest_relay_competes_with_all_user_flows(self):
         topology, load = shared_host_topology("honest")
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0"))
+        state.add_flow(fp("A"), "ba0", 0.0)
         alloc = state.allocations(1.0)
         # three flows (measurement, A's load, B's load) split 50 MB evenly
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
@@ -239,14 +233,14 @@ class TestFlowStateAllocations:
     def test_undetected_measurement_gets_no_special_treatment(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0", detected=False))
+        state.add_flow(fp("A"), "ba0", MISSED)
         alloc = state.allocations(1.0)
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
 
     def test_detection_delay_defers_the_drop(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0", detect_time=5.0))
+        state.add_flow(fp("A"), "ba0", 5.0)
         before = state.allocations(1.0)
         after = state.allocations(5.0)
         assert before[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
@@ -255,7 +249,7 @@ class TestFlowStateAllocations:
     def test_cotormult_measurement_drops_every_member_load(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(members[0], "ba0"))
+        state.add_flow(members[0], "ba0", 0.0)
         alloc = state.allocations(1.0)
         # all five member loads drop, the lone claim fits inside the pool
         assert alloc[("m", members[0], "ba0")] == pytest.approx(25 * MB)
@@ -264,15 +258,15 @@ class TestFlowStateAllocations:
     def test_cotormult_claim_capped_by_host_pool(self):
         topology, members, load = cotormult_topology(member_claim=60 * MB)
         state = FlowState(topology, load)
-        state.add_flow(measurement(members[0], "ba0"))
+        state.add_flow(members[0], "ba0", 0.0)
         alloc = state.allocations(1.0)
         assert alloc[("m", members[0], "ba0")] == pytest.approx(47.5 * MB)
 
     def test_cotormult_concurrent_measurements_split_pool(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(members[0], "ba0"))
-        state.add_flow(measurement(members[1], "ba1"))
+        state.add_flow(members[0], "ba0", 0.0)
+        state.add_flow(members[1], "ba1", 0.0)
         alloc = state.allocations(1.0)
         assert alloc[("m", members[0], "ba0")] == pytest.approx(23.75 * MB)
         assert alloc[("m", members[1], "ba1")] == pytest.approx(23.75 * MB)
@@ -280,7 +274,7 @@ class TestFlowStateAllocations:
     def test_cotormult_undetected_member_competes_with_loads(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(members[0], "ba0", detected=False))
+        state.add_flow(members[0], "ba0", MISSED)
         alloc = state.allocations(1.0)
         # pool 47.5 MB over six flows, none of which fits its demand
         assert alloc[("m", members[0], "ba0")] == pytest.approx(47.5 * MB / 6)
@@ -288,7 +282,7 @@ class TestFlowStateAllocations:
     def test_detormult_measurement_lands_on_dedicated_server(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(clusters[0][0], "ba0"))
+        state.add_flow(clusters[0][0], "ba0", 0.0)
         alloc = state.allocations(1.0)
         # dedicated pool: 50 MB * 0.22 efficiency
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(11 * MB)
@@ -296,8 +290,8 @@ class TestFlowStateAllocations:
     def test_detormult_concurrent_measurements_share_dedicated_pool(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(clusters[0][0], "ba0"))
-        state.add_flow(measurement(clusters[1][0], "ba1"))
+        state.add_flow(clusters[0][0], "ba0", 0.0)
+        state.add_flow(clusters[1][0], "ba1", 0.0)
         alloc = state.allocations(1.0)
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(5.5 * MB)
         assert alloc[("m", clusters[1][0], "ba1")] == pytest.approx(5.5 * MB)
@@ -305,7 +299,7 @@ class TestFlowStateAllocations:
     def test_detormult_undetected_measurement_stays_on_cluster_host(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(clusters[0][0], "ba0", detected=False))
+        state.add_flow(clusters[0][0], "ba0", MISSED)
         alloc = state.allocations(1.0)
         # cluster host raw capacity 25 MB, six members but no user load here
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(25 * MB)
@@ -314,7 +308,7 @@ class TestFlowStateAllocations:
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
         state.fp_suppressed_hosts.add("h")
-        state.add_flow(measurement(fp("A"), "ba0", detected=False))
+        state.add_flow(fp("A"), "ba0", MISSED)
         alloc = state.allocations(1.0)
         # no user flow survives on the suppressed host, even undetected
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(30 * MB)
@@ -323,9 +317,9 @@ class TestFlowStateAllocations:
     def test_duplicate_flow_rejected(self):
         topology, load = shared_host_topology()
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0"))
+        state.add_flow(fp("A"), "ba0", 0.0)
         with pytest.raises(SimulationError, match="duplicate"):
-            state.add_flow(measurement(fp("A"), "ba0"))
+            state.add_flow(fp("A"), "ba0", 0.0)
 
 
 class TestAvailableBandwidth:
@@ -339,7 +333,7 @@ class TestAvailableBandwidth:
     def test_active_measurement_reports_its_allocation(self):
         topology, load = shared_host_topology("honest")
         state = FlowState(topology, load)
-        state.add_flow(measurement(fp("A"), "ba0"))
+        state.add_flow(fp("A"), "ba0", 0.0)
         assert available_bandwidth(state, fp("A"), 1.0) == pytest.approx(
             50 * MB / 3
         )
@@ -448,17 +442,6 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError, match="activation"):
             sim_config(self._topology(), activation_times={"F" * 40: 10.0})
 
-    def test_time_compression_scales_activation(self):
-        relay_id = fp("farm/middle0")
-        cfg = sim_config(self._topology(), duration=36000.0,
-                         activation_times={relay_id: 3700.0},
-                         time_compression=10.0)
-        assert cfg.activation_of(relay_id) == pytest.approx(370.0)
-        assert cfg.activation_of(fp("farm/exit0")) == 0.0
-
-    def test_nonpositive_time_compression_rejected(self):
-        with pytest.raises(ConfigError, match="time_compression"):
-            sim_config(self._topology(), time_compression=0.0)
 
 
 class TestFoldConsensus:

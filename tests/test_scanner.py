@@ -16,8 +16,6 @@ from torbwsim.scanner import (
 )
 from torbwsim.units import GIB, MIB
 
-CFG = ScannerConfig()
-
 
 class TestAdaptRange:
     def test_doubles_below_band(self):
@@ -46,7 +44,7 @@ def run_steps(rates):
 
     The schedule repeats its last value. Returns (outcome, observed sizes).
     """
-    gen = measurement_steps(CFG)
+    gen = measurement_steps()
     sizes = []
     idx = 0
     step = gen.send(None)
