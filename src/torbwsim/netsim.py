@@ -91,6 +91,11 @@ class SimConfig:
     activation_times: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not 0 < self.consensus_interval < math.inf:
+            raise ConfigError("consensus_interval must be finite and > 0, got %r"
+                              % (self.consensus_interval,))
+        if not math.isfinite(self.duration):
+            raise ConfigError("duration must be finite, got %r" % (self.duration,))
         if self.duration < self.consensus_interval:
             raise ConfigError("duration must cover at least one consensus interval")
         ba_ids = [s.ba_id for s in self.scanners]
@@ -101,9 +106,12 @@ class SimConfig:
                 raise ConfigError("user_load for unknown relay %r" % (relay_id,))
             if load < 0:
                 raise ConfigError("user_load for %s must be >= 0" % relay_id)
-        for relay_id in self.activation_times:
+        for relay_id, when in self.activation_times.items():
             if relay_id not in self.topology.relays:
                 raise ConfigError("activation time for unknown relay %r" % (relay_id,))
+            if not math.isfinite(when):
+                raise ConfigError("activation time for %s must be finite, got %r"
+                                  % (relay_id, when))
 
 
 # -- config documents ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -82,6 +83,15 @@ SCHEMA_CASES = {
         ((), [], "config: expected dict, got list"),
         (("duration",), "3600", "config.duration: expected int or float, got str"),
         (("time_compression",), 1.0, "config: unknown key 'time_compression'"),
+        (("consensus_interval",), 0,
+         "config: consensus_interval must be finite and > 0, got 0"),
+        (("consensus_interval",), -3600,
+         "config: consensus_interval must be finite and > 0, got -3600"),
+        (("consensus_interval",), math.nan,
+         "config: consensus_interval must be finite and > 0, got nan"),
+        (("duration",), math.nan, "config: duration must be finite, got nan"),
+        (("activation_times",), {fp("cli/m1"): math.nan},
+         "config: activation time for %s must be finite, got nan" % fp("cli/m1")),
     ],
     "relays": [
         (("relays", 0, "polcy"), "honest", "config.relays[0]: unknown key 'polcy'"),
