@@ -228,7 +228,8 @@ def records_to_jsonl(records) -> str:
 
 def read_records_jsonl(path: str) -> list:
     """Parse records.jsonl, ignoring unknown keys; a bad line, including one
-    whose relay_id is not a fingerprint, raises ConfigError."""
+    that is not a JSON object or whose relay_id is not a fingerprint, raises
+    ConfigError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -237,6 +238,11 @@ def read_records_jsonl(path: str) -> list:
                 continue
             try:
                 doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError("expected a JSON object, got %s%s" % (
+                        type(doc).__name__,
+                        "; bandwidth files are read from their directory"
+                        if type(doc) in (int, float) else ""))
                 rec = MeasurementRecord(**{
                     name: doc[key] if default is _REQUIRED else doc.get(key, default)
                     for key, name, default in _RECORD_KEYS

@@ -803,6 +803,22 @@ class TestDetect:
             assert code == EXIT_CONFIG, line
             assert "records.jsonl:1" in err
 
+    def test_detect_non_object_lines(self, tmp_path, capsys):
+        bwdir = tmp_path / "bw"
+        bwdir.mkdir()
+        one = write_bwfile(bwdir, "one.bw", [0, 40])
+        path = tmp_path / "records.jsonl"
+        path.write_text("[1, 2]\n")
+        for given, message in (
+                (one, "one.bw:1: bad record: expected a JSON object, got int; "
+                      "bandwidth files are read from their directory"),
+                (path, "records.jsonl:1: bad record: expected a JSON object, got list")):
+            code, _out, err = run(
+                capsys, "detect", str(given), "--out", str(tmp_path / "det")
+            )
+            assert code == EXIT_CONFIG, given
+            assert message in err, err
+
     @pytest.mark.parametrize("budget", ["0", "-4"])
     def test_unusable_probe_budget_exits_2(self, budget, tmp_path, capsys):
         # the relays never overlap, so no pair drop would reach plan_probes
