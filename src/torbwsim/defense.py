@@ -71,7 +71,9 @@ def score_suspects(records,
     worst symmetric drop; relays that are co-measured yet never observed
     apart from any partner have no usable baseline and are reported
     separately, excluded from grouping. Successful records of fewer than
-    two relays raise InsufficientDataError, which names each relay's count.
+    two relays raise InsufficientDataError, which names each relay's count;
+    an assumed_duration that is not finite and > 0 raises ValueError, as
+    build_timeline does.
 
     Archives repeat an entry in every file until the relay is measured
     again, so records first collapse onto their distinct intervals
@@ -92,6 +94,8 @@ def score_suspects(records,
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
+    if not 0 < assumed_duration < math.inf:
+        raise ValueError("duration must be finite and > 0")
     bws_of = {}  # (start, end, relay) -> bandwidths of its records
     for rec in records:
         if not rec.ok:

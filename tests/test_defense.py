@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -53,6 +54,19 @@ class TestScoreSuspects:
         assert report.scores[B] == pytest.approx(0.5)
         assert report.groups == ((A, B),)
         assert report.insufficient_data == ()
+
+    def test_unusable_assumed_duration_rejected(self):
+        # end times only: A and B always end together, C 50 s later
+        records = [
+            MeasurementRecord(relay_id=relay, ba_id="ba0", thread_id=0,
+                              start_time=None, end_time=100.0 * k + offset,
+                              measured_bw=50.0)
+            for k in range(20) for relay, offset in ((A, 0), (B, 0), (C, 50))
+        ]
+        assert score_suspects(records, assumed_duration=39.0).insufficient_data == (A, B)
+        for duration in (-39.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duration must be finite and > 0"):
+                score_suspects(records, assumed_duration=duration)
 
     def test_independent_pair_scores_zero(self):
         records = [
@@ -236,6 +250,8 @@ def pairwise_score_suspects(records, assumed_duration=39.0, threshold=0.3,
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
+    if not 0 < assumed_duration < math.inf:
+        raise ValueError("duration must be finite and > 0")
     items = []
     for r in records:
         if not r.ok:
