@@ -459,10 +459,6 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print("error: simulation failed: %s" % exc, file=sys.stderr)
         return EXIT_SIMULATION
-    except (ConfigError, units.UnitError, estimator.DomainError,
-            bwfile.ParseError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
