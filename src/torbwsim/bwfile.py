@@ -228,16 +228,18 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     )
 
 
-def to_records(files) -> list:
+def to_records(files, relay_ids=None) -> list:
     """Invert from_records: one record per entry, in file order, on thread 0
     and without a start time, which files do not keep. An entry with bw=0
-    becomes a failed record."""
+    becomes a failed record. relay_ids, if given, keeps only the entries of
+    those relays."""
     # relay_id, ba_id, thread_id, start_time, end_time, measured_bw passed by
     # position: keyword matching took a quarter of the time on large corpora
     return [
         MeasurementRecord(entry.node_id, bwf.ba_id, 0, None, float(entry.end_time),
                           float(entry.bw), ok=entry.bw > 0)
         for bwf in files for entry in bwf.entries
+        if relay_ids is None or entry.node_id in relay_ids
     ]
 
 
@@ -267,12 +269,20 @@ def load_corpus(directory: str) -> list:
     return files
 
 
-def load_records(path: str) -> list:
-    """Records of a records.jsonl file or of a bandwidth-file directory."""
+def load_records(path: str, relay_ids=None) -> list:
+    """Records of a records.jsonl file or of a bandwidth-file directory.
+
+    relay_ids, if given, keeps only the records of those relays. A
+    directory's other entries never become records; a records.jsonl file is
+    still checked line by line in full.
+    """
     if os.path.isfile(path):
-        return read_records_jsonl(path)
+        records = read_records_jsonl(path)
+        if relay_ids is None:
+            return records
+        return [rec for rec in records if rec.relay_id in relay_ids]
     if os.path.isdir(path):
-        return to_records(load_corpus(path))
+        return to_records(load_corpus(path), relay_ids)
     raise ConfigError("input path %s does not exist" % path)
 
 

@@ -236,11 +236,10 @@ def cmd_analyze(args) -> int:
         out.finish()
         return EXIT_OK
 
-    records = bwfile.load_records(args.input)
-    out = _OutputDir(args.out, args.argv)
     relay_set = coincidence.load_relay_set(args.relays)
-    timeline = bwfile.build_timeline(
-        [rec for rec in records if rec.relay_id in relay_set], args.duration)
+    records = bwfile.load_records(args.input, relay_set)
+    out = _OutputDir(args.out, args.argv)
+    timeline = bwfile.build_timeline(records, args.duration)
     if args.subcommand == "coincidence":
         window = None
         if args.window:

@@ -233,6 +233,17 @@ class FlowState:
     Allocation is solved per host: a flow's rate depends only on the flows
     and user loads of the host it sits on, so a download re-solves that one
     host and never the rest of the network.
+
+    Each flow is also filed under every host it can sit on: its relay's
+    host and, for a detormult_member, the dedicated server. A host's solve
+    depends only on the flows filed under it, on which of their detect
+    times have passed, and on whether the host is in fp_suppressed_hosts.
+    So each solve is cached with the window [lo, hi) between the last
+    detect time at or before its instant and the next one after it, and
+    reused while now stays in that window and the false-positive flag is
+    unchanged. Adding or removing a flow drops the entries of its hosts.
+    fp_suppressed_hosts is a plain set that callers edit, so its flag is
+    checked on every lookup.
     """
 
     def __init__(self, topology: Topology, user_load: dict):
@@ -241,6 +252,10 @@ class FlowState:
         # (relay_id, ba_id) -> detect time; math.inf for a missed detection
         self.flows = {}
         self.fp_suppressed_hosts = set()
+        # host_id -> {(relay_id, ba_id): detect time}, in flows order
+        self._host_flows = {}
+        # host_id -> {probe relay_id or None: (lo, hi, suppressed, fill)}
+        self._solves = {}
         # host_id -> [(relay_id, demand)], in user_load order
         self._user_demands = {}
         for relay_id, load in self.user_load.items():
@@ -251,14 +266,28 @@ class FlowState:
                 (relay_id, min(load, relay.advertised_bw))
             )
 
+    def _filed_hosts(self, relay_id: str) -> tuple:
+        relay = self.topology.relays[relay_id]
+        dedicated = self.topology.clusters.dedicated_server
+        if relay.policy == "detormult_member" and dedicated != relay.host_id:
+            return (relay.host_id, dedicated)
+        return (relay.host_id,)
+
     def add_flow(self, relay_id: str, ba_id: str, detect_time: float):
         key = (relay_id, ba_id)
         if key in self.flows:
             raise SimulationError("duplicate measurement flow %s" % (key,))
         self.flows[key] = detect_time
+        for host_id in self._filed_hosts(relay_id):
+            self._host_flows.setdefault(host_id, {})[key] = detect_time
+            self._solves.pop(host_id, None)
 
     def remove_flow(self, relay_id: str, ba_id: str):
-        del self.flows[(relay_id, ba_id)]
+        key = (relay_id, ba_id)
+        del self.flows[key]
+        for host_id in self._filed_hosts(relay_id):
+            del self._host_flows[host_id][key]
+            self._solves.pop(host_id, None)
 
     # -- allocation ---------------------------------------------------------
 
@@ -268,20 +297,33 @@ class FlowState:
             return self.topology.clusters.dedicated_server
         return relay.host_id
 
-    def host_allocations(self, host_id: str, now: float) -> dict:
-        """Max-min allocation of every active flow on one host.
+    def _solve(self, host_id: str, now: float, probe=None) -> dict:
+        """The cached fill of host_allocations; callers must not mutate it.
 
-        Measurement flows come first, in the order they were added, then the
-        host's user flows. A detected drop_on_measure flow pauses its own
-        relay's user flow, a detected cotormult_member flow pauses every
-        cotormult_member user flow on the host, and a false-positive epoch
-        pauses all of them. Conserves capacity * efficiency.
+        probe, a relay id, adds a hypothetical measurement of that relay,
+        detected at now and keyed ("m", probe, "__probe__"), after the
+        host's own measurement flows.
         """
+        suppressed = host_id in self.fp_suppressed_hosts
+        solves = self._solves.setdefault(host_id, {})
+        hit = solves.get(probe)
+        if hit is not None and hit[0] <= now < hit[1] and hit[2] == suppressed:
+            return hit[3]
+        flows = self._host_flows.get(host_id, {})
+        lo, hi = -math.inf, math.inf
+        for detect_time in flows.values():
+            if detect_time <= now:
+                lo = max(lo, detect_time)
+            else:
+                hi = min(hi, detect_time)
+        flows = list(flows.items())
+        if probe is not None:
+            flows.append(((probe, "__probe__"), now))
         relays = self.topology.relays
         demands = []
         paused = set()
         pause_members = False
-        for key, detect_time in self.flows.items():
+        for key, detect_time in flows:
             if self._flow_host(key[0], detect_time, now) != host_id:
                 continue
             relay = relays[key[0]]
@@ -291,7 +333,7 @@ class FlowState:
                     paused.add(relay.relay_id)
                 elif relay.policy == "cotormult_member":
                     pause_members = True
-        if host_id not in self.fp_suppressed_hosts:
+        if not suppressed:
             for relay_id, demand in self._user_demands.get(host_id, ()):
                 if relay_id in paused or (
                         pause_members
@@ -303,7 +345,19 @@ class FlowState:
         assert sum(fill.values()) <= pool + 1e-6, (
             "allocation exceeds capacity on host %s" % host_id
         )
+        solves[probe] = (lo, hi, suppressed, fill)
         return fill
+
+    def host_allocations(self, host_id: str, now: float) -> dict:
+        """Max-min allocation of every active flow on one host.
+
+        Measurement flows come first, in the order they were added, then the
+        host's user flows. A detected drop_on_measure flow pauses its own
+        relay's user flow, a detected cotormult_member flow pauses every
+        cotormult_member user flow on the host, and a false-positive epoch
+        pauses all of them. Conserves capacity * efficiency.
+        """
+        return dict(self._solve(host_id, now))
 
     def allocations(self, now: float) -> dict:
         """Max-min allocation of every active flow, keyed by flow id.
@@ -318,14 +372,13 @@ class FlowState:
         hosts.update(dict.fromkeys(self._user_demands))
         alloc = {}
         for host_id in hosts:
-            alloc.update(self.host_allocations(host_id, now))
+            alloc.update(self._solve(host_id, now))
         return alloc
 
     def flow_bandwidth(self, relay_id: str, ba_id: str, now: float) -> float:
         detect_time = self.flows[(relay_id, ba_id)]
-        alloc = self.host_allocations(
-            self._flow_host(relay_id, detect_time, now), now)
-        return alloc[("m", relay_id, ba_id)]
+        fill = self._solve(self._flow_host(relay_id, detect_time, now), now)
+        return fill[("m", relay_id, ba_id)]
 
 
 def _max_min_fill(pool: float, demands: list) -> dict:
@@ -353,16 +406,15 @@ def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
     allocation. Otherwise the answer is hypothetical: what a newly started,
     already-detected measurement would be allocated right now.
     """
-    if relay_id not in state.topology.relays:
+    relay = state.topology.relays.get(relay_id)
+    if relay is None:
         raise ConfigError("unknown relay %r" % (relay_id,))
-    active = [key for key in state.flows if key[0] == relay_id]
+    active = [key for key in state._host_flows.get(relay.host_id, ())
+              if key[0] == relay_id]
     if active:
         return max(state.flow_bandwidth(*key, now) for key in active)
-    state.add_flow(relay_id, "__probe__", now)
-    try:
-        return state.flow_bandwidth(relay_id, "__probe__", now)
-    finally:
-        state.remove_flow(relay_id, "__probe__")
+    fill = state._solve(state._flow_host(relay_id, now, now), now, probe=relay_id)
+    return fill[("m", relay_id, "__probe__")]
 
 
 @dataclass(frozen=True)

@@ -582,3 +582,22 @@ class TestLoadRecords:
 
         with pytest.raises(ConfigError, match="does not exist"):
             bwfile.load_records(str(tmp_path / "nothing"))
+
+    def test_relay_filter(self, tmp_path):
+        recs = [MeasurementRecord(relay_id=relay, ba_id="ba0", thread_id=0,
+                                  start_time=None, end_time=40.0, measured_bw=5.0)
+                for relay in (R1, R2)]
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl(recs))
+        assert bwfile.load_records(str(path), {R2}) == recs[1:]
+        # the filter does not skip checking the lines of other relays
+        path.write_text(records_to_jsonl(recs) + "[1, 2]\n")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            bwfile.load_records(str(path), {R2})
+
+        bwdir = tmp_path / "bw"
+        bwdir.mkdir()
+        (bwdir / "ba3.bw").write_bytes(serialize_bandwidth_file(
+            entry_file([0, 40], node_ids=[R1, R2])))
+        assert [(r.relay_id, r.end_time) for r in
+                bwfile.load_records(str(bwdir), {R2})] == [(R2, T0 + 40)]

@@ -263,6 +263,62 @@ class TestSimulate:
         }
         assert digests == self.PRESET_SHA256[preset]
 
+    @staticmethod
+    def delayed_detector_config():
+        """CoTorMult, DeTorMult and drop_on_measure relays under a parametric
+        detector with a detection delay, misses and false positives, measured
+        by 2 scanners x 4 threads. Every preset detects at once and never
+        errs, so only a scenario like this one checks the simulator's
+        detection instants and false-positive epochs. With seed 2 the
+        CoTorMult host draws a false positive for the fourth epoch."""
+        def relay(label, host, bw, **extra):
+            return {"relay_id": fp("pin/" + label), "host_id": host,
+                    "advertised_bw": bw, **extra}
+
+        relays = [relay("ct%d" % i, "ct", "25 MB", policy="cotormult_member",
+                        family_id="ct") for i in range(3)]
+        relays += [relay("dt%d" % i, "dt", "25 MB", policy="detormult_member",
+                         family_id="dt") for i in range(3)]
+        relays += [relay("dr%d" % i, "dr", "30 MB", policy="drop_on_measure")
+                   for i in range(2)]
+        relays += [relay("h%d" % i, "h%d" % i, "25 MB") for i in range(3)]
+        exits = [relay("x%d" % i, "x%d" % i, "200 MB", role="exit")
+                 for i in range(2)]
+        hosts = [{"host_id": "ct", "capacity": "50 MB", "efficiency": 0.95},
+                 {"host_id": "dt", "capacity": "25 MB"},
+                 {"host_id": "ded", "capacity": "50 MB",
+                  "kind": "dedicated_server", "efficiency": 0.22},
+                 {"host_id": "dr", "capacity": "50 MB"}]
+        hosts += [{"host_id": "h%d" % i, "capacity": "50 MB"} for i in range(3)]
+        hosts += [{"host_id": "x%d" % i, "capacity": "400 MB"} for i in range(2)]
+        return {
+            "seed": 2, "duration": 3600, "consensus_interval": 600,
+            "hosts": hosts, "relays": relays + exits,
+            "clusters": {"clusters": [
+                {"cluster_id": c, "host_id": c, "members": [
+                    r["relay_id"] for r in relays if r["host_id"] == c]}
+                for c in ("ct", "dt")], "dedicated_server": "ded"},
+            "scanners": [{"threads": 4, "round_budget": 900}] * 2,
+            "user_load": {r["relay_id"]: "10 MB" for r in relays},
+            "detector": {"mode": "parametric", "detection_delay_packets": 5,
+                         "false_negative_rate": 0.05,
+                         "false_positive_rate": 0.02},
+        }
+
+    def test_delayed_detector_outputs_pinned(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.delayed_detector_config())
+        out = tmp_path / "run"
+        assert run(capsys, "simulate", "--config", cfg, "--out", str(out))[0] == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("records.jsonl", "consensus.csv", "summary.json")
+        }
+        assert digests == {
+            "records.jsonl": "67c949f55590404d0e683a399400f6c2ce741fc95d957e18d6edcc85276ba8ad",
+            "consensus.csv": "5bf127f0e4ad46c21592fc187ce2a7abc9e43f26413236bd7942679421f42d93",
+            "summary.json": "0c667aad9f1cfa74ff11987dac8af3716a225e33b72151b4883aae64fec41ef5",
+        }
+
     def test_custom_config_and_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())
         out = tmp_path / "run"

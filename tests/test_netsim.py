@@ -361,7 +361,69 @@ class TestPerHostSolve:
                     == oracle_available_bandwidth(state, relay_id, now))
         assert state.flows == flows
 
+    @settings(max_examples=200, deadline=None)
+    @given(scenario=flow_states(), data=st.data())
+    def test_matches_oracle_over_a_sequence_of_steps(self, scenario, data):
+        # solves are cached between steps, so each step is one way a stale
+        # solve could leak: a flow added or removed, now moved forward or
+        # backward across a detect time, a false-positive flag flipped
+        state, now = scenario
+        relays = sorted(state.topology.relays)
+        keys = [(r, ba) for r in relays for ba in ("ba0", "ba1", "ba2")]
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            free = [key for key in keys if key not in state.flows]
+            kinds = ["now", "fp"] + ["add"] * bool(free) + ["remove"] * bool(state.flows)
+            kind = data.draw(st.sampled_from(kinds), label="step")
+            if kind == "add":
+                state.add_flow(*data.draw(st.sampled_from(free)), data.draw(
+                    st.sampled_from((0.0, 2.5, 5.0, 10.0, now, MISSED))))
+            elif kind == "remove":
+                state.remove_flow(*data.draw(st.sampled_from(sorted(state.flows))))
+            elif kind == "now":
+                now = data.draw(st.sampled_from((0.0, 2.5, 5.0, 7.5, 10.0, 12.5)))
+            elif data.draw(st.booleans(), label="clear"):
+                state.fp_suppressed_hosts.clear()
+            else:
+                state.fp_suppressed_hosts.symmetric_difference_update({data.draw(
+                    st.sampled_from(sorted(state.topology.hosts)))})
+            # the oracle probes by adding a flow, so it runs on a twin
+            twin = FlowState(state.topology, state.user_load)
+            for (relay_id, ba_id), detect_time in state.flows.items():
+                twin.add_flow(relay_id, ba_id, detect_time)
+            twin.fp_suppressed_hosts.update(state.fp_suppressed_hosts)
+            flows = dict(state.flows)
+            expected = oracle_allocations(twin, now)
+            assert state.allocations(now) == expected
+            for relay_id, ba_id in flows:
+                assert (state.flow_bandwidth(relay_id, ba_id, now)
+                        == expected[("m", relay_id, ba_id)])
+            for relay_id in relays:
+                assert (available_bandwidth(state, relay_id, now)
+                        == oracle_available_bandwidth(twin, relay_id, now))
+            assert state.flows == flows
+
+    def test_returned_allocations_do_not_alias_the_cache(self):
+        topology, load = shared_host_topology("honest")
+        state = FlowState(topology, load)
+        state.add_flow(fp("A"), "ba0", 0.0)
+        expected = state.allocations(1.0)
+        on_h = state.host_allocations("h", 1.0)
+        state.host_allocations("h", 1.0)[("m", fp("A"), "ba0")] = -1.0
+        state.host_allocations("h", 1.0).clear()
+        state.allocations(1.0)[("u", fp("B"))] = -1.0
+        state.allocations(1.0).clear()
+        assert state.host_allocations("h", 1.0) == on_h
+        assert state.allocations(1.0) == expected
+        assert (state.flow_bandwidth(fp("A"), "ba0", 1.0)
+                == expected[("m", fp("A"), "ba0")])
+        assert (available_bandwidth(state, fp("B"), 1.0)
+                == oracle_available_bandwidth(state, fp("B"), 1.0))
+
     def test_solves_per_record_independent_of_network_size(self, monkeypatch):
+        # a host is re-solved only when its flows, detection state or
+        # false-positive flag change, so most downloads reuse both their
+        # target's and their exit's solve; a larger network spreads its
+        # exits' solves over more records, so it may need fewer per record
         solves = []
 
         def counting_fill(pool, demands):
@@ -379,7 +441,8 @@ class TestPerHostSolve:
                 threads=4, n_scanners=2,
             ))
             per_record.append(len(solves) / len(result.records))
-        assert per_record[0] == per_record[1]
+        assert per_record[1] <= per_record[0]
+        assert max(per_record) < 1.5
 
 
 class TestDetectorModel:
