@@ -309,14 +309,14 @@ class FlowState:
         hit = solves.get(probe)
         if hit is not None and hit[0] <= now < hit[1] and hit[2] == suppressed:
             return hit[3]
-        flows = self._host_flows.get(host_id, {})
+        filed = self._host_flows.get(host_id, {})
         lo, hi = -math.inf, math.inf
-        for detect_time in flows.values():
+        for detect_time in filed.values():
             if detect_time <= now:
                 lo = max(lo, detect_time)
             else:
                 hi = min(hi, detect_time)
-        flows = list(flows.items())
+        flows = list(filed.items())
         if probe is not None:
             flows.append(((probe, "__probe__"), now))
         relays = self.topology.relays
