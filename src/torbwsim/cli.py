@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import os
-import statistics
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -30,7 +29,6 @@ from .core import (
     ConfigError,
     InsufficientDataError,
     SimulationError,
-    Topology,
     records_to_jsonl,
 )
 from .netsim import build_sim_config
@@ -122,55 +120,6 @@ class _OutputDir:
 # -- simulate -----------------------------------------------------------------
 
 
-def _attacker_groups(topology: Topology) -> dict:
-    groups = {}
-    for relay in topology.relays.values():
-        if relay.policy == "honest":
-            continue
-        cluster = topology.clusters.cluster_of(relay.relay_id)
-        key = relay.family_id or (cluster.cluster_id if cluster else relay.policy)
-        groups.setdefault(key, []).append(relay.relay_id)
-    return {key: sorted(ids) for key, ids in sorted(groups.items())}
-
-
-def _summarize(cfg: netsim.SimConfig, result: netsim.SimResult) -> dict:
-    final = result.consensus[-1].weights if result.consensus else {}
-    groups = _attacker_groups(cfg.topology)
-    per_group = {}
-    all_attackers = []
-    for key, ids in groups.items():
-        all_attackers.extend(ids)
-        per_group[key] = {
-            "relays": ids,
-            "total_weight": sum(final.get(r, 0.0) for r in ids),
-            "inflation": netsim.inflation_factor(result, ids),
-        }
-    if all_attackers:
-        overall = netsim.inflation_factor(result, all_attackers)
-    else:
-        # no attackers configured: report the honest weight-to-baseline ratio,
-        # which should sit at 1 for a well-calibrated scenario
-        honest = [
-            final[r] for r, spec in cfg.topology.relays.items()
-            if spec.policy == "honest" and r in final and spec.role != "exit"
-        ]
-        overall = (
-            statistics.fmean(honest) / result.baseline_bw
-            if honest and result.baseline_bw > 0 else 0.0
-        )
-    ok_records = sum(1 for r in result.records if r.ok)
-    return {
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "baseline_bw": result.baseline_bw,
-        "inflation": overall,
-        "groups": per_group,
-        "records_total": len(result.records),
-        "records_ok": ok_records,
-        "consensus_epochs": len(result.consensus),
-    }
-
-
 def cmd_simulate(args) -> int:
     raw = _load_config_bytes(args)
     try:
@@ -195,7 +144,7 @@ def cmd_simulate(args) -> int:
             )
     out.write("consensus.csv", "\n".join(consensus_rows) + "\n")
 
-    summary = _summarize(cfg, result)
+    summary = netsim.summarize(cfg, result)
     out.write("summary.json", json.dumps(summary, indent=2) + "\n")
 
     for scanner_cfg in cfg.scanners:

@@ -204,32 +204,36 @@ class MeasurementRecord:
 
 _REQUIRED = object()
 
-# records.jsonl: (json key, MeasurementRecord field, default when absent)
+# records.jsonl: (json key, MeasurementRecord field, default when absent,
+# the JSON types its value may take, what they are called); a number must
+# be finite, and a bool is no number
 _RECORD_KEYS = (
-    ("relay_id", "relay_id", _REQUIRED),
-    ("ba_id", "ba_id", _REQUIRED),
-    ("thread_id", "thread_id", 0),
-    ("start", "start_time", None),
-    ("end", "end_time", _REQUIRED),
-    ("bw", "measured_bw", _REQUIRED),
-    ("bytes", "bytes_total", 0),
-    ("downloads", "downloads", 0),
-    ("ok", "ok", True),
+    ("relay_id", "relay_id", _REQUIRED, (str,),
+     "a 40-char uppercase hex fingerprint"),
+    ("ba_id", "ba_id", _REQUIRED, (str,), "a string"),
+    ("thread_id", "thread_id", 0, (int,), "an integer"),
+    ("start", "start_time", None, (int, float, type(None)),
+     "null or a finite number"),
+    ("end", "end_time", _REQUIRED, (int, float), "a finite number"),
+    ("bw", "measured_bw", _REQUIRED, (int, float), "a finite number"),
+    ("bytes", "bytes_total", 0, (int,), "an integer"),
+    ("downloads", "downloads", 0, (int,), "an integer"),
+    ("ok", "ok", True, (bool,), "true or false"),
 )
 
 
 def records_to_jsonl(records) -> str:
     """One JSON object per record, keys in _RECORD_KEYS order."""
     return "\n".join(
-        json.dumps({key: getattr(rec, name) for key, name, _ in _RECORD_KEYS})
+        json.dumps({key: getattr(rec, name) for key, name, *_ in _RECORD_KEYS})
         for rec in records
     ) + "\n"
 
 
 def read_records_jsonl(path: str) -> list:
     """Parse records.jsonl, ignoring unknown keys; a bad line, including one
-    that is not a JSON object or whose relay_id is not a fingerprint, raises
-    ConfigError."""
+    that is not a JSON object or has a value _RECORD_KEYS does not allow,
+    raises ConfigError."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -243,16 +247,17 @@ def read_records_jsonl(path: str) -> list:
                         type(doc).__name__,
                         "; bandwidth files are read from their directory"
                         if type(doc) in (int, float) else ""))
-                rec = MeasurementRecord(**{
-                    name: doc[key] if default is _REQUIRED else doc.get(key, default)
-                    for key, name, default in _RECORD_KEYS
-                })
-                if not is_fingerprint(rec.relay_id):
-                    raise ValueError(
-                        "relay_id must be a 40-char uppercase hex fingerprint, got %r"
-                        % (rec.relay_id,))
-                records.append(rec)
-            except (KeyError, TypeError, ValueError) as exc:
+                fields = {}
+                for key, name, default, types, wanted in _RECORD_KEYS:
+                    value = doc[key] if default is _REQUIRED else doc.get(key, default)
+                    if type(value) not in types or (
+                            float in types and value is not None
+                            and not math.isfinite(value)) or (
+                            key == "relay_id" and not is_fingerprint(value)):
+                        raise ValueError("%s must be %s, got %r" % (key, wanted, value))
+                    fields[name] = value
+                records.append(MeasurementRecord(**fields))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records
 

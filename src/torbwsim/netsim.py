@@ -24,6 +24,7 @@ that epoch.
 import heapq
 import math
 import random
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Optional, get_args
 
@@ -298,7 +299,14 @@ class FlowState:
         return relay.host_id
 
     def _solve(self, host_id: str, now: float, probe=None) -> dict:
-        """The cached fill of host_allocations; callers must not mutate it.
+        """Max-min allocation of every active flow on one host, cached;
+        callers must not mutate it.
+
+        Measurement flows come first, in the order they were added, then the
+        host's user flows. A detected drop_on_measure flow pauses its own
+        relay's user flow, a detected cotormult_member flow pauses every
+        cotormult_member user flow on the host, and a false-positive epoch
+        pauses all of them. Conserves capacity * efficiency.
 
         probe, a relay id, adds a hypothetical measurement of that relay,
         detected at now and keyed ("m", probe, "__probe__"), after the
@@ -348,22 +356,11 @@ class FlowState:
         solves[probe] = (lo, hi, suppressed, fill)
         return fill
 
-    def host_allocations(self, host_id: str, now: float) -> dict:
-        """Max-min allocation of every active flow on one host.
-
-        Measurement flows come first, in the order they were added, then the
-        host's user flows. A detected drop_on_measure flow pauses its own
-        relay's user flow, a detected cotormult_member flow pauses every
-        cotormult_member user flow on the host, and a false-positive epoch
-        pauses all of them. Conserves capacity * efficiency.
-        """
-        return dict(self._solve(host_id, now))
-
     def allocations(self, now: float) -> dict:
         """Max-min allocation of every active flow, keyed by flow id.
 
         Measurement flows are keyed ("m", relay_id, ba_id), user flows
-        ("u", relay_id): host_allocations over every host with demand.
+        ("u", relay_id): _solve over every host with demand.
         """
         hosts = dict.fromkeys(
             self._flow_host(relay_id, detect_time, now)
@@ -424,8 +421,8 @@ class SimResult:
     baseline_bw: float
 
 
-# Event priorities at equal timestamps: finish downloads first, then fold
-# records into a consensus, then start the next round.
+# Event priorities at equal timestamps: finish downloads first, then draw
+# the epoch's false positives, then start the next round.
 _PRIO_STEP = 0
 _PRIO_CONSENSUS = 1
 _PRIO_ROUND = 2
@@ -444,7 +441,7 @@ class _ThreadCtx:
 
 
 class _Loop:
-    """The one event loop: scanner threads, rounds, and consensus epochs.
+    """The one event loop: scanner threads, rounds, and false-positive epochs.
 
     An event is (time, prio, seq, handler, args); run calls
     handler(time, *args). seed drives every random draw of the loop (round
@@ -456,7 +453,6 @@ class _Loop:
         self.seed = seed
         self.state = FlowState(cfg.topology, cfg.user_load)
         self.records = []
-        self.consensus = []
         self.events = []
         self.seq = 0
         self.queues = {s.ba_id: [] for s in cfg.scanners}
@@ -548,7 +544,7 @@ class _Loop:
         ctx.gen = None
         ctx.plan = None
 
-    # -- rounds and consensus ------------------------------------------------
+    # -- rounds and false-positive epochs ------------------------------------
 
     def _on_round(self, now, scanner, round_idx):
         activation = self.cfg.activation_times
@@ -563,12 +559,7 @@ class _Loop:
             if ctx.plan is None:
                 self._start_next(ctx, now)
 
-    def _on_consensus(self, _now, epoch):
-        prior = self.consensus[-1] if self.consensus else None
-        self.consensus.append(_fold_consensus(self.records, self.cfg, epoch, prior))
-        self._resample_false_positives()
-
-    def _resample_false_positives(self):
+    def _resample_false_positives(self, _now):
         rate = self.cfg.detector.false_positive_rate
         self.state.fp_suppressed_hosts.clear()
         if rate <= 0:
@@ -587,7 +578,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     if not cfg.scanners:
         raise SimulationError("nothing to measure")
     loop = _Loop(cfg, cfg.seed)
-    loop._resample_false_positives()
+    loop._resample_false_positives(0.0)
 
     for scanner in cfg.scanners:
         n_rounds = max(1, int(cfg.duration // scanner.round_budget))
@@ -596,70 +587,63 @@ def run_simulation(cfg: SimConfig) -> SimResult:
                       scanner, k)
     n_epochs = int(cfg.duration // cfg.consensus_interval)
     for e in range(1, n_epochs + 1):
-        loop.push(e * cfg.consensus_interval, _PRIO_CONSENSUS, loop._on_consensus, e)
+        loop.push(e * cfg.consensus_interval, _PRIO_CONSENSUS,
+                  loop._resample_false_positives)
     loop.run(cfg.duration)
 
     if not any(rec.ok for rec in loop.records):
         raise SimulationError(
             "no successful measurements; check exit qualification and bandwidths"
         )
-    baseline = _baseline_bw(loop.records, cfg.topology)
-    return SimResult(
-        records=tuple(loop.records),
-        consensus=tuple(loop.consensus),
-        baseline_bw=baseline,
-    )
+    records = tuple(loop.records)
+    return SimResult(records, _fold_consensus(records, cfg),
+                     _baseline_bw(records, cfg.topology))
 
 
-def _fold_consensus(records, cfg, epoch, prior):
-    lo = (epoch - 1) * cfg.consensus_interval
-    hi = epoch * cfg.consensus_interval
-    votes = []
-    for scanner in cfg.scanners:
-        sums, counts = {}, {}
-        for rec in records:
-            if rec.ba_id != scanner.ba_id or not rec.ok:
-                continue
-            if not lo < rec.end_time <= hi:
-                continue
-            sums[rec.relay_id] = sums.get(rec.relay_id, 0.0) + rec.measured_bw
-            counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
-        if sums:
-            votes.append(
-                (scanner.ba_id, {r: sums[r] / counts[r] for r in sums})
-            )
-    if not votes:
-        weights = dict(prior.weights) if prior is not None else {}
-        return ConsensusSnapshot(epoch=epoch, weights=weights)
-    return aggregate_consensus(votes, prior=prior, epoch=epoch)
-
-
-def _attacker_host_classes(topology: Topology) -> set:
-    classes = set()
-    for relay in topology.relays.values():
-        if relay.policy != "honest":
-            host = topology.hosts[relay.host_id]
-            classes.add((host.kind, host.capacity))
-    return classes
+def _fold_consensus(records, cfg: SimConfig) -> tuple:
+    """One snapshot per consensus epoch: epoch e combines, over the prior
+    snapshot, each scanner's mean per relay of its ok records ending in
+    ((e-1)*interval, e*interval]; an epoch without votes re-emits the prior."""
+    snapshots = []
+    prior = None
+    for epoch in range(1, int(cfg.duration // cfg.consensus_interval) + 1):
+        lo = (epoch - 1) * cfg.consensus_interval
+        hi = epoch * cfg.consensus_interval
+        votes = []
+        for scanner in cfg.scanners:
+            sums, counts = {}, {}
+            for rec in records:
+                if rec.ba_id != scanner.ba_id or not rec.ok:
+                    continue
+                if not lo < rec.end_time <= hi:
+                    continue
+                sums[rec.relay_id] = sums.get(rec.relay_id, 0.0) + rec.measured_bw
+                counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
+            if sums:
+                votes.append(
+                    (scanner.ba_id, {r: sums[r] / counts[r] for r in sums})
+                )
+        if votes:
+            prior = aggregate_consensus(votes, prior=prior, epoch=epoch)
+        else:
+            weights = dict(prior.weights) if prior is not None else {}
+            prior = ConsensusSnapshot(epoch=epoch, weights=weights)
+        snapshots.append(prior)
+    return tuple(snapshots)
 
 
 def _baseline_bw(records, topology: Topology) -> float:
-    """Mean measured bandwidth of honest relays on attacker-class hosts."""
-    classes = _attacker_host_classes(topology)
-
-    def qualifies(relay):
-        if relay.policy != "honest":
-            return False
-        if not classes:
-            return True
+    """Mean measured bandwidth of the honest relays on hosts of the same
+    (kind, capacity) as an attacker's host, else of every honest relay."""
+    def host_class(relay):
         host = topology.hosts[relay.host_id]
-        return (host.kind, host.capacity) in classes
+        return host.kind, host.capacity
 
-    eligible = {r.relay_id for r in topology.relays.values() if qualifies(r)}
-    if not eligible:
-        eligible = {
-            r.relay_id for r in topology.relays.values() if r.policy == "honest"
-        }
+    relays = topology.relays.values()
+    attacker_classes = {host_class(r) for r in relays if r.policy != "honest"}
+    honest = [r for r in relays if r.policy == "honest"]
+    eligible = ({r.relay_id for r in honest if host_class(r) in attacker_classes}
+                or {r.relay_id for r in honest})
     values = [
         rec.measured_bw for rec in records
         if rec.ok and rec.relay_id in eligible
@@ -681,6 +665,58 @@ def inflation_factor(result: SimResult, attacker_relays) -> float:
     final = result.consensus[-1]
     total = sum(final.weights.get(r, 0.0) for r in sorted(attacker_relays))
     return total / result.baseline_bw
+
+
+def _attacker_groups(topology: Topology) -> dict:
+    groups = {}
+    for relay in topology.relays.values():
+        if relay.policy == "honest":
+            continue
+        cluster = topology.clusters.cluster_of(relay.relay_id)
+        key = relay.family_id or (cluster.cluster_id if cluster else relay.policy)
+        groups.setdefault(key, []).append(relay.relay_id)
+    return {key: sorted(ids) for key, ids in sorted(groups.items())}
+
+
+def summarize(cfg: SimConfig, result: SimResult) -> dict:
+    """The dict simulate writes as summary.json: attackers grouped by family,
+    else cluster, else policy, with the inflation_factor of each group and of
+    all; without attackers, the honest non-exit mean weight over the baseline."""
+    final = result.consensus[-1].weights if result.consensus else {}
+    groups = _attacker_groups(cfg.topology)
+    per_group = {}
+    all_attackers = []
+    for key, ids in groups.items():
+        all_attackers.extend(ids)
+        per_group[key] = {
+            "relays": ids,
+            "total_weight": sum(final.get(r, 0.0) for r in ids),
+            "inflation": inflation_factor(result, ids),
+        }
+    if all_attackers:
+        overall = inflation_factor(result, all_attackers)
+    else:
+        # no attackers configured: report the honest weight-to-baseline ratio,
+        # which should sit at 1 for a well-calibrated scenario
+        honest = [
+            final[r] for r, spec in cfg.topology.relays.items()
+            if spec.policy == "honest" and r in final and spec.role != "exit"
+        ]
+        overall = (
+            statistics.fmean(honest) / result.baseline_bw
+            if honest and result.baseline_bw > 0 else 0.0
+        )
+    ok_records = sum(1 for r in result.records if r.ok)
+    return {
+        "seed": cfg.seed,
+        "duration": cfg.duration,
+        "baseline_bw": result.baseline_bw,
+        "inflation": overall,
+        "groups": per_group,
+        "records_total": len(result.records),
+        "records_ok": ok_records,
+        "consensus_epochs": len(result.consensus),
+    }
 
 
 def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple:

@@ -4,12 +4,14 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import pytest
 
 from conftest import fp
-from torbwsim import estimator
+from torbwsim import estimator, netsim
 from torbwsim.bwfile import build_timeline
 from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
@@ -17,6 +19,7 @@ from torbwsim.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_SIMULATION,
+    _preset_bytes,
     _write_atomic,
     build_sim_config,
     main,
@@ -305,19 +308,49 @@ class TestSimulate:
                          "false_positive_rate": 0.02},
         }
 
+    DELAYED_DETECTOR_SHA256 = {
+        "records.jsonl": "67c949f55590404d0e683a399400f6c2ce741fc95d957e18d6edcc85276ba8ad",
+        "consensus.csv": "5bf127f0e4ad46c21592fc187ce2a7abc9e43f26413236bd7942679421f42d93",
+        "summary.json": "0c667aad9f1cfa74ff11987dac8af3716a225e33b72151b4883aae64fec41ef5",
+    }
+
     def test_delayed_detector_outputs_pinned(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.delayed_detector_config())
         out = tmp_path / "run"
         assert run(capsys, "simulate", "--config", cfg, "--out", str(out))[0] == 0
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("records.jsonl", "consensus.csv", "summary.json")
+            for name in self.DELAYED_DETECTOR_SHA256
         }
-        assert digests == {
-            "records.jsonl": "67c949f55590404d0e683a399400f6c2ce741fc95d957e18d6edcc85276ba8ad",
-            "consensus.csv": "5bf127f0e4ad46c21592fc187ce2a7abc9e43f26413236bd7942679421f42d93",
-            "summary.json": "0c667aad9f1cfa74ff11987dac8af3716a225e33b72151b4883aae64fec41ef5",
-        }
+        assert digests == self.DELAYED_DETECTOR_SHA256
+
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        # consensus weights and attacker groups are built in dict order
+        cfg = write_config(tmp_path, self.delayed_detector_config())
+        src = os.path.dirname(os.path.dirname(netsim.__file__))
+        for hash_seed in range(4):
+            out = tmp_path / ("run%d" % hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "torbwsim.cli", "simulate",
+                 "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, check=True)
+            digests = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.DELAYED_DETECTOR_SHA256
+            }
+            assert digests == self.DELAYED_DETECTOR_SHA256, hash_seed
+
+    @pytest.mark.parametrize("preset", ["all-honest", "detormult-3x6"])
+    def test_summary_json_is_summarize(self, preset, tmp_path, capsys):
+        # detormult-3x6 has three attacker groups; all-honest has none
+        out = tmp_path / "run"
+        assert run(capsys, "simulate", "--preset", preset, "--out", str(out))[0] == 0
+        cfg = build_sim_config(json.loads(_preset_bytes(preset)))
+        summary = netsim.summarize(cfg, run_simulation(cfg))
+        on_disk = read_json(out / "summary.json")
+        assert on_disk == summary
+        assert list(on_disk) == list(summary)
 
     def test_custom_config_and_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())
@@ -849,9 +882,19 @@ class TestDetect:
         path = tmp_path / "records.jsonl"
         bad_bw = '{"relay_id": "%s", "ba_id": "ba0", "end": 30, "bw": %s}'
         no_end = '{"relay_id": "%s", "ba_id": "ba0", "bw": 5}' % fp("x")
-        for line in ('{"relay_id": "x"}', "[1, 2]", '"x"', no_end,
+        mistyped = [
+            json.dumps({"relay_id": fp("x"), "ba_id": "ba0", "end": 30, "bw": 5,
+                        key: value})
+            for key, value in (
+                ("end", "100"), ("end", math.nan), ("end", True),
+                ("end", 10**400), ("bw", True),
+                ("start", "0"), ("start", -math.inf), ("start", False),
+                ("ba_id", 7), ("thread_id", 1.5), ("thread_id", True),
+                ("bytes", "8"), ("downloads", 2.0), ("ok", 1), ("ok", "true"))
+        ]
+        for line in ['{"relay_id": "x"}', "[1, 2]", '"x"', no_end,
                      bad_bw % (fp("x"), "Infinity"), bad_bw % (fp("x"), "NaN"),
-                     bad_bw % ("A" * 40 + "\\n", 5)):
+                     bad_bw % ("A" * 40 + "\\n", 5)] + mistyped:
             path.write_text(line + "\n")
             code, _out, err = run(
                 capsys, "detect", str(path), "--out", str(tmp_path / "det")

@@ -407,12 +407,8 @@ class TestPerHostSolve:
         state = FlowState(topology, load)
         state.add_flow(fp("A"), "ba0", 0.0)
         expected = state.allocations(1.0)
-        on_h = state.host_allocations("h", 1.0)
-        state.host_allocations("h", 1.0)[("m", fp("A"), "ba0")] = -1.0
-        state.host_allocations("h", 1.0).clear()
         state.allocations(1.0)[("u", fp("B"))] = -1.0
         state.allocations(1.0).clear()
-        assert state.host_allocations("h", 1.0) == on_h
         assert state.allocations(1.0) == expected
         assert (state.flow_bandwidth(fp("A"), "ba0", 1.0)
                 == expected[("m", fp("A"), "ba0")])
@@ -508,9 +504,9 @@ class TestSimConfigValidation:
 
 
 class TestFoldConsensus:
-    def _cfg(self):
+    def _cfg(self, duration=3600.0):
         relays, hosts, _load = honest_farm(n_middles=1)
-        return sim_config(Topology(relays=relays, hosts=hosts))
+        return sim_config(Topology(relays=relays, hosts=hosts), duration=duration)
 
     def _rec(self, end, bw, ba_id="ba0", ok=True):
         return MeasurementRecord(
@@ -524,7 +520,7 @@ class TestFoldConsensus:
             self._rec(1800.0, 10 * MB),
             self._rec(3600.0, 30 * MB),   # on the upper edge: included
         ]
-        snap = _fold_consensus(records, self._cfg(), epoch=1, prior=None)
+        snap, = _fold_consensus(records, self._cfg())
         assert snap.weights[fp("farm/middle0")] == pytest.approx(20 * MB)
 
     def test_failed_records_do_not_vote(self):
@@ -532,7 +528,7 @@ class TestFoldConsensus:
             self._rec(1800.0, 10 * MB),
             self._rec(1900.0, 0.0, ok=False),
         ]
-        snap = _fold_consensus(records, self._cfg(), epoch=1, prior=None)
+        snap, = _fold_consensus(records, self._cfg())
         assert snap.weights[fp("farm/middle0")] == pytest.approx(10 * MB)
 
     def test_foreign_scanner_records_do_not_vote(self):
@@ -540,17 +536,19 @@ class TestFoldConsensus:
             self._rec(1800.0, 10 * MB),
             self._rec(1900.0, 70 * MB, ba_id="other"),
         ]
-        snap = _fold_consensus(records, self._cfg(), epoch=1, prior=None)
+        snap, = _fold_consensus(records, self._cfg())
         assert snap.weights[fp("farm/middle0")] == pytest.approx(10 * MB)
 
     def test_empty_epoch_reemits_prior(self):
-        prior = ConsensusSnapshot(epoch=1, weights={fp("farm/middle0"): 20.0})
-        snap = _fold_consensus([], self._cfg(), epoch=2, prior=prior)
+        prior, snap = _fold_consensus([self._rec(1800.0, 20.0)],
+                                      self._cfg(duration=7200.0))
+        assert prior.weights == {fp("farm/middle0"): 20.0}
         assert snap.epoch == 2
         assert snap.weights == prior.weights
 
     def test_empty_epoch_without_prior_is_empty(self):
-        snap = _fold_consensus([], self._cfg(), epoch=1, prior=None)
+        snap, = _fold_consensus([], self._cfg())
+        assert snap.epoch == 1
         assert snap.weights == {}
 
 
