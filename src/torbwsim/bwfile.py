@@ -33,6 +33,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .core import (ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint,
                    read_records_jsonl)
@@ -45,6 +46,7 @@ MAX_SEQUENTIAL_GAP = 50.0
 DEFAULT_ASSUMED_DURATION = 39.0
 
 _TERMINATOR = "====="
+_ENTRY_ORDER = attrgetter("end_time", "node_id")
 _CANONICAL_TIME = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
 
@@ -98,44 +100,81 @@ def _format_time(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
-def _parse_entry(line: str):
-    node_id = bw = end = None
+def _parse_token(token: str):
+    """The memo value of one entry token: its (key, value) pair, with the
+    value of node_id, bw and time already checked and parsed (None when it
+    fails), or None for a token without "=", which is never memoized."""
+    key, sep, value = token.partition("=")
+    if not sep:
+        return None
+    if key == "node_id":
+        fingerprint = value[1:].upper()
+        value = (fingerprint if value.startswith("$") and is_fingerprint(fingerprint)
+                 else None)
+    elif key == "bw":
+        try:
+            value = int(value)
+        except ValueError:
+            value = None
+        else:
+            if value < 0:
+                value = None
+    elif key == "time":
+        value = _parse_time(value)
+    return key, value
+
+
+# A parsed entry is built through its slots, skipping __post_init__: its one
+# check, is_fingerprint, already ran on the node_id in _parse_token.
+_new_entry = object.__new__
+_set_node_id, _set_bw, _set_end_time, _set_extras = (
+    BandwidthEntry.__dict__[name].__set__
+    for name in ("node_id", "bw", "end_time", "extras"))
+
+
+def _parse_entry(line: str, memo: dict):
+    """The entry of one line, or None when the line is malformed. memo maps
+    each token seen so far to its _parse_token pair; the pair of an unknown
+    key is itself the item kept in extras."""
+    node_id = bw = end_time = None
     extras = []
     for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            return None
+        pair = memo.get(token)
+        if pair is None:
+            pair = _parse_token(token)
+            if pair is None:
+                return None
+            memo[token] = pair
+        key = pair[0]
         if key == "node_id":
-            node_id = value
+            node_id = pair[1]
         elif key == "bw":
-            bw = value
+            bw = pair[1]
         elif key == "time":
-            end = value
+            end_time = pair[1]
         else:
-            extras.append((key, value))
-    if node_id is None or bw is None or end is None or not node_id.startswith("$"):
+            extras.append(pair)
+    if node_id is None or bw is None or end_time is None:
         return None
-    try:
-        bw = int(bw)
-    except ValueError:
-        return None
-    end_time = _parse_time(end)
-    if end_time is None or bw < 0:
-        return None
-    try:  # the constructor is the one fingerprint check
-        return BandwidthEntry(node_id=node_id[1:].upper(), bw=bw,
-                              end_time=end_time, extras=tuple(extras))
-    except ParseError:
-        return None
+    entry = _new_entry(BandwidthEntry)
+    _set_node_id(entry, node_id)
+    _set_bw(entry, bw)
+    _set_end_time(entry, end_time)
+    _set_extras(entry, tuple(extras))
+    return entry
 
 
-def parse_bandwidth_file(data, ba_id: str = "unknown") -> BandwidthFile:
+def parse_bandwidth_file(data, ba_id: str = "unknown", *, memo=None) -> BandwidthFile:
     """Parse one bandwidth file from bytes or text.
 
     The first line must be a unix timestamp. Malformed entry lines are
     skipped and counted in skipped_lines; a file with no valid entry at all
-    is rejected.
+    is rejected. memo, a dict that load_corpus shares across the files of
+    one directory, keeps each entry token's parse (see _parse_entry); the
+    result does not depend on what it already holds.
     """
+    if memo is None:
+        memo = {}
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     lines = data.splitlines()
@@ -173,7 +212,7 @@ def parse_bandwidth_file(data, ba_id: str = "unknown") -> BandwidthFile:
             line = line.strip()
             if not line:
                 continue
-            entry = _parse_entry(line)
+            entry = _parse_entry(line, memo)
             if entry is None:
                 skipped += 1
                 log.warning("%s: skipping malformed entry line %r", ba_id, line[:60])
@@ -181,7 +220,7 @@ def parse_bandwidth_file(data, ba_id: str = "unknown") -> BandwidthFile:
                 entries.append(entry)
     if not entries:
         raise ParseError("empty bandwidth file: no valid relay entries")
-    entries.sort(key=lambda e: (e.end_time, e.node_id))
+    entries.sort(key=_ENTRY_ORDER)
     return BandwidthFile(
         header_timestamp=header_timestamp,
         entries=tuple(entries),
@@ -196,7 +235,7 @@ def serialize_bandwidth_file(bwf: BandwidthFile) -> bytes:
     out = [str(bwf.header_timestamp)]
     out.extend("%s=%s" % (k, v) for k, v in bwf.headers)
     out.append(_TERMINATOR)
-    for entry in sorted(bwf.entries, key=lambda e: (e.end_time, e.node_id)):
+    for entry in sorted(bwf.entries, key=_ENTRY_ORDER):
         out.append(
             "bw=%d node_id=$%s time=%s"
             % (entry.bw, entry.node_id, _format_time(entry.end_time))
@@ -222,7 +261,7 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     ]
     if not entries:
         raise InsufficientDataError("no successful records for scanner %s" % ba_id)
-    entries.sort(key=lambda e: (e.end_time, e.node_id))
+    entries.sort(key=_ENTRY_ORDER)
     return BandwidthFile(
         header_timestamp=base_time, entries=tuple(entries), ba_id=ba_id
     )
@@ -246,23 +285,27 @@ def to_records(files, relay_ids=None) -> list:
 def load_corpus(directory: str) -> list:
     """Parse every regular file of a directory in name order, stem as ba_id.
 
-    Unparsable files are skipped with a warning. Raises ConfigError when the
-    directory cannot be read or holds no parsable file.
+    Unreadable and unparsable files are skipped with a warning. Raises
+    ConfigError when the directory cannot be read or holds no parsable file.
+    The files share one parse memo, dropped on return: archives repeat an
+    entry's tokens from file to file, so each distinct token is parsed once.
     """
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
         raise ConfigError("cannot read bandwidth file directory: %s" % exc)
     files = []
+    memo = {}
     for name in names:
         path = os.path.join(directory, name)
         if not os.path.isfile(path):
             continue
-        with open(path, "rb") as fh:
-            data = fh.read()
         try:
-            files.append(parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0]))
-        except ParseError as exc:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            files.append(parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0],
+                                              memo=memo))
+        except (OSError, ParseError) as exc:
             log.warning("skipping %s: %s", path, exc)
     if not files:
         raise ConfigError("no parsable bandwidth files in %s" % directory)

@@ -233,9 +233,13 @@ def records_to_jsonl(records) -> str:
 def read_records_jsonl(path: str) -> list:
     """Parse records.jsonl, ignoring unknown keys; a bad line, including one
     that is not a JSON object or has a value _RECORD_KEYS does not allow,
-    raises ConfigError."""
+    raises ConfigError, as does a file that cannot be opened."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("cannot open records file %s: %s" % (path, exc))
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -604,19 +604,26 @@ def _fold_consensus(records, cfg: SimConfig) -> tuple:
     """One snapshot per consensus epoch: epoch e combines, over the prior
     snapshot, each scanner's mean per relay of its ok records ending in
     ((e-1)*interval, e*interval]; an epoch without votes re-emits the prior."""
+    interval = cfg.consensus_interval
+    filed = {}  # (epoch, ba_id) -> ok records, in record order
+    for rec in records:
+        if not rec.ok:
+            continue
+        end = rec.end_time
+        # the quotient may round across an edge; the window itself decides
+        epoch = math.ceil(end / interval)
+        while end <= (epoch - 1) * interval:
+            epoch -= 1
+        while end > epoch * interval:
+            epoch += 1
+        filed.setdefault((epoch, rec.ba_id), []).append(rec)
     snapshots = []
     prior = None
-    for epoch in range(1, int(cfg.duration // cfg.consensus_interval) + 1):
-        lo = (epoch - 1) * cfg.consensus_interval
-        hi = epoch * cfg.consensus_interval
+    for epoch in range(1, int(cfg.duration // interval) + 1):
         votes = []
         for scanner in cfg.scanners:
             sums, counts = {}, {}
-            for rec in records:
-                if rec.ba_id != scanner.ba_id or not rec.ok:
-                    continue
-                if not lo < rec.end_time <= hi:
-                    continue
+            for rec in filed.get((epoch, scanner.ba_id), ()):
                 sums[rec.relay_id] = sums.get(rec.relay_id, 0.0) + rec.measured_bw
                 counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
             if sums:

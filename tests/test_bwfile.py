@@ -1,5 +1,7 @@
 import logging
+import os
 import random
+import tempfile
 from datetime import datetime, timezone
 from itertools import accumulate
 
@@ -265,6 +267,9 @@ def entry_lines(draw):
     return " ".join(draw(st.permutations(tokens)))
 
 
+SHARED_MEMO = {}  # one _parse_entry memo across every test_parse_entry example
+
+
 class TestParseMatchesOracle:
     @settings(max_examples=1000, deadline=None)
     @given(value=time_strings())
@@ -294,7 +299,98 @@ class TestParseMatchesOracle:
     @example(line="bw=1 node_id=$%s node_id=$DEADBEEF time=5" % R1)
     @example(line="bw=1 node_id=$%s time=2022-4-5T1:2:3" % R1)
     def test_parse_entry(self, line):
-        assert bwfile._parse_entry(line) == dict_parse_entry(line)
+        # a memo that has seen earlier examples' tokens parses like an empty one
+        want = dict_parse_entry(line)
+        assert bwfile._parse_entry(line, {}) == want
+        assert bwfile._parse_entry(line, SHARED_MEMO) == want
+        assert bwfile._parse_entry(line, SHARED_MEMO) == want
+
+
+@st.composite
+def corpora(draw):
+    """Entry lines of 2-4 files, drawn partly from one shared pool, so whole
+    lines and their tokens recur from file to file."""
+    pool = draw(st.lists(entry_lines(), min_size=1, max_size=6))
+    line = st.one_of(st.sampled_from(pool), entry_lines())
+    return draw(st.lists(st.lists(line, max_size=6), min_size=2, max_size=4))
+
+
+class WarningCount(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
+def warnings_of(fn):
+    """(result or ParseError/ConfigError raised, warnings bwfile logged) of fn()."""
+    handler = WarningCount()
+    bwfile.log.addHandler(handler)
+    try:
+        result = fn()
+    except (ParseError, ConfigError) as exc:
+        result = exc
+    finally:
+        bwfile.log.removeHandler(handler)
+    return result, handler.count
+
+
+def corpus_text(lines):
+    return "\n".join([str(T0), "version=1.4.0", "=====", *lines, ""])
+
+
+class TestCorpusMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora())
+    @example(corpus=[["bw=1 node_id=$%s time=0" % R1,
+                      "bw=2 node_id=$%s time=1970-01-01T00:00:00" % R2],
+                     ["bw=3 node_id=$%s time=1970-01-01T00:00:00" % R1,
+                      "bw=4 node_id=$%s time=0" % R2]])
+    @example(corpus=[["bw=1 node_id=$%s time=5" % R1.lower()],
+                     ["bw=1 node_id=$%s time=5" % R1]])
+    @example(corpus=[["bw=1 node_id=$%s time=2022-13-01T00:00:00" % R1,
+                      "bw=1 node_id=$%s time=5" % R2],
+                     ["bw=2 node_id=$%s time=2022-13-01T00:00:00" % R2,
+                      "bw=2 node_id=$%s time=2022-13-01T00:00:00 time=6" % R1]])
+    @example(corpus=[["bw=1 node_id=$%s time=5 nick=a trailing" % R1,
+                      "bw=2 node_id=$%s time=6" % R2],
+                     ["nick=a bw=1 time=5 node_id=$%s" % R1,
+                      "trailing bw=1 node_id=$%s time=5 nick=a" % R1]])
+    def test_load_corpus_matches_fresh_parses(self, corpus):
+        texts = {"f%d" % i: corpus_text(lines) for i, lines in enumerate(corpus)}
+        want, want_warnings = [], 0
+        for name, text in texts.items():
+            bwf, warned = warnings_of(
+                lambda: parse_bandwidth_file(text.encode(), ba_id=name))
+            want_warnings += warned
+            if isinstance(bwf, ParseError):
+                want_warnings += 1  # load_corpus's "skipping" line
+            else:
+                want.append(bwf)
+        with tempfile.TemporaryDirectory() as directory:
+            for name, text in texts.items():
+                with open(os.path.join(directory, name + ".bw"), "w") as fh:
+                    fh.write(text)
+            got, got_warnings = warnings_of(lambda: bwfile.load_corpus(directory))
+        if want:
+            assert got == want
+            for got_file, want_file in zip(got, want):
+                assert [e.extras for e in got_file.entries] == \
+                    [e.extras for e in want_file.entries]
+                assert got_file.skipped_lines == want_file.skipped_lines
+        else:
+            assert isinstance(got, ConfigError)
+        assert got_warnings == want_warnings
+
+    def test_repeated_tokens_share_their_pair(self, tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / (name + ".bw")).write_text(corpus_text(
+                ["bw=1 node_id=$%s time=5 nick=relay" % R1]))
+        first, second = bwfile.load_corpus(str(tmp_path))
+        assert first.entries == second.entries
+        assert first.entries[0].extras[0] is second.entries[0].extras[0]
 
 
 class TestSerialize:

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 import pytest
 
 from conftest import fp
-from torbwsim import estimator, netsim
+from torbwsim import bwfile, core, estimator, netsim
 from torbwsim.bwfile import build_timeline
 from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
@@ -172,6 +172,16 @@ def write_bwfile(directory, name, end_offsets, relay_labels=None,
     path = directory / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def deny_open(monkeypatch, module, paths):
+    """Make open() in module refuse the given paths, as for a file the user
+    may not read; the suite may run as root, whom chmod does not lock out."""
+    def guarded(path, *args, **kwargs):
+        if str(path) in paths:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+    monkeypatch.setattr(module, "open", guarded, raising=False)
 
 
 class TestSimulate:
@@ -552,6 +562,23 @@ class TestAnalyze:
         assert code == EXIT_CONFIG
         assert "no parsable bandwidth files" in err
 
+    def test_unreadable_files_skipped(self, tmp_path, capsys, caplog, monkeypatch):
+        bwdir = self._single_thread_corpus(tmp_path)
+        locked = write_bwfile(bwdir, "scanner-b", [0, 40])
+        deny_open(monkeypatch, bwfile, {str(locked)})
+        argv = ("analyze", "durations", str(bwdir), "--out", str(tmp_path / "out"),
+                "--iterations", "5")
+        code, stdout, _err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(stdout)["median"] == 37.0
+        assert any("skipping %s" % locked in msg and "Permission denied" in msg
+                   for msg in caplog.messages)
+
+        deny_open(monkeypatch, bwfile, {str(locked), str(bwdir / "scanner-a")})
+        code, _out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert "no parsable bandwidth files" in err
+
     def _coincidence_corpus(self, tmp_path):
         """With duration 10: one solo, one pair, one chain of three."""
         bwdir = tmp_path / "bw"
@@ -877,6 +904,19 @@ class TestDetect:
         )
         assert code == EXIT_CONFIG
         assert "does not exist" in err
+
+    def test_detect_unopenable_records(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        path.write_text(records_to_jsonl([MeasurementRecord(
+            relay_id=fp("x"), ba_id="ba0", thread_id=0, start_time=None,
+            end_time=30.0, measured_bw=5.0)]))
+        deny_open(monkeypatch, core, {str(path)})
+        code, _out, err = run(
+            capsys, "detect", str(path), "--out", str(tmp_path / "det")
+        )
+        assert code == EXIT_CONFIG
+        assert "cannot open records file %s" % path in err
+        assert "Permission denied" in err
 
     def test_detect_bad_jsonl(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"

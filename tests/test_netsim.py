@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -26,6 +26,7 @@ from torbwsim.core import (
     RelaySpec,
     SimulationError,
     Topology,
+    aggregate_consensus,
 )
 from torbwsim import netsim
 from torbwsim.netsim import (
@@ -503,10 +504,61 @@ class TestSimConfigValidation:
 
 
 
+def scan_fold_consensus(records, cfg):
+    """Oracle: the fold as a scan of every record for each epoch and scanner."""
+    snapshots = []
+    prior = None
+    for epoch in range(1, int(cfg.duration // cfg.consensus_interval) + 1):
+        lo = (epoch - 1) * cfg.consensus_interval
+        hi = epoch * cfg.consensus_interval
+        votes = []
+        for scanner in cfg.scanners:
+            sums, counts = {}, {}
+            for rec in records:
+                if rec.ba_id != scanner.ba_id or not rec.ok:
+                    continue
+                if not lo < rec.end_time <= hi:
+                    continue
+                sums[rec.relay_id] = sums.get(rec.relay_id, 0.0) + rec.measured_bw
+                counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
+            if sums:
+                votes.append((scanner.ba_id, {r: sums[r] / counts[r] for r in sums}))
+        if votes:
+            prior = aggregate_consensus(votes, prior=prior, epoch=epoch)
+        else:
+            weights = dict(prior.weights) if prior is not None else {}
+            prior = ConsensusSnapshot(epoch=epoch, weights=weights)
+        snapshots.append(prior)
+    return tuple(snapshots)
+
+
+@st.composite
+def fold_cases(draw):
+    """A consensus interval that is not an integer, or is, and records of two
+    scanners and a foreign one ending on, next to and between its edges."""
+    interval = draw(st.sampled_from((0.1, 0.3, 1 / 3, 7.0)))
+
+    def nudged(k, ulps):
+        end = k * interval
+        for _ in range(abs(ulps)):
+            end = math.nextafter(end, math.copysign(math.inf, ulps))
+        return end
+
+    end = st.one_of(st.builds(nudged, st.integers(0, 14), st.integers(-1, 1)),
+                    st.floats(-interval, 14 * interval))
+    rows = st.lists(st.tuples(end, st.sampled_from("ab"),
+                              st.sampled_from(("ba0", "ba1", "other")),
+                              st.booleans(),
+                              st.one_of(st.floats(1.0, 100.0), st.just(1e16))),
+                    max_size=40)
+    return interval, draw(rows)
+
+
 class TestFoldConsensus:
-    def _cfg(self, duration=3600.0):
+    def _cfg(self, duration=3600.0, **kwargs):
         relays, hosts, _load = honest_farm(n_middles=1)
-        return sim_config(Topology(relays=relays, hosts=hosts), duration=duration)
+        return sim_config(Topology(relays=relays, hosts=hosts), duration=duration,
+                          **kwargs)
 
     def _rec(self, end, bw, ba_id="ba0", ok=True):
         return MeasurementRecord(
@@ -550,6 +602,27 @@ class TestFoldConsensus:
         snap, = _fold_consensus([], self._cfg())
         assert snap.epoch == 1
         assert snap.weights == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=fold_cases())
+    # 0.3 s lies in epoch 3, (0.2, 0.30000000000000004], and so does
+    # 0.30000000000000004, whose quotient by 0.1 rounds up past 4; summed in
+    # any order but the records', 1e16 + 1 + 1 would not round to 1e16
+    @example(case=(0.1, [(0.3, "a", "ba0", True, 1e16),
+                         (0.30000000000000004, "a", "ba0", True, 1.0),
+                         (0.3, "b", "ba1", True, 2.0),
+                         (0.25, "a", "ba0", True, 1.0),
+                         (0.7, "a", "ba0", True, 9.0)]))
+    def test_non_integer_interval_matches_per_epoch_scan(self, case):
+        interval, rows = case
+        cfg = self._cfg(duration=13 * interval, consensus_interval=interval,
+                        n_scanners=2)
+        records = [
+            MeasurementRecord(relay_id=fp(relay), ba_id=ba_id, thread_id=0,
+                              start_time=None, end_time=end, measured_bw=bw, ok=ok)
+            for end, relay, ba_id, ok, bw in rows
+        ]
+        assert _fold_consensus(records, cfg) == scan_fold_consensus(records, cfg)
 
 
 class TestRunSimulation:
