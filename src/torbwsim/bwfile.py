@@ -14,6 +14,14 @@ keys in the order above, one entry per line, entries sorted by end time and
 then node id, so serialize(parse(x)) is a stable normal form and a byte-exact
 identity on files this package wrote itself.
 
+Archives repeat an entry's tokens from file to file until the relay is
+measured again, so load_corpus parses a directory with one memo: each
+distinct token maps to its (key, value) pair, a node_id value to its
+canonical fingerprint, a time to its unix seconds and a bw to its integer
+(None where the check fails), and the pair of an unknown key is the very
+tuple kept in extras. The memo lives for one load_corpus call; the files it
+returns equal file-by-file parses, skipped lines and warnings included.
+
 Bandwidth files record only the END of each measurement. The inference
 helpers reconstruct what the scanner was doing: measurements on one thread
 must be at least MIN_MEASUREMENT_GAP = 25 s apart (the scanner's five timed

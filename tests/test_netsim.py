@@ -606,8 +606,8 @@ class TestFoldConsensus:
     @settings(max_examples=200, deadline=None)
     @given(case=fold_cases())
     # 0.3 s lies in epoch 3, (0.2, 0.30000000000000004], and so does
-    # 0.30000000000000004, whose quotient by 0.1 rounds up past 4; summed in
-    # any order but the records', 1e16 + 1 + 1 would not round to 1e16
+    # 0.30000000000000004, whose quotient by 0.1 has ceiling 4; relay a's
+    # epoch-3 sum is 1e16 in record order (1e16 + 1 + 1) and not in reverse
     @example(case=(0.1, [(0.3, "a", "ba0", True, 1e16),
                          (0.30000000000000004, "a", "ba0", True, 1.0),
                          (0.3, "b", "ba1", True, 2.0),
