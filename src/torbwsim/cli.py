@@ -15,6 +15,7 @@ reruns with identical inputs produce identical bytes.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -169,10 +170,10 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     if args.subcommand == "durations":
         files = bwfile.load_corpus(args.input)
-        out = _OutputDir(args.out, args.argv, seed=args.seed)
         est = bwfile.estimate_duration(
             files, iterations=args.iterations, rng_seed=args.seed
         )
+        out = _OutputDir(args.out, args.argv, seed=args.seed)
         out.write("durations.json", json.dumps({
             "median": est.median,
             "sample_count": est.sample_count,
@@ -187,7 +188,6 @@ def cmd_analyze(args) -> int:
 
     relay_set = coincidence.load_relay_set(args.relays)
     records = bwfile.load_records(args.input, relay_set)
-    out = _OutputDir(args.out, args.argv)
     timeline = bwfile.build_timeline(records, args.duration)
     if args.subcommand == "coincidence":
         window = None
@@ -204,6 +204,7 @@ def cmd_analyze(args) -> int:
         rows = ["k,count,probability"]
         for k, count, prob in coincidence.distribution_rows(dist):
             rows.append("%d,%d,%.9f" % (k, count, prob))
+        out = _OutputDir(args.out, args.argv)
         out.write("distribution.csv", "\n".join(rows) + "\n")
         print(json.dumps({
             "total_measurements": dist.total_measurements,
@@ -216,6 +217,7 @@ def cmd_analyze(args) -> int:
         for w, p2 in sweep.items():  # a repeated length once, first place
             label = "%d" % w if w.is_integer() else repr(w)
             rows.append("%s,%.9f" % (label, p2))
+        out = _OutputDir(args.out, args.argv)
         out.write("window_sweep.csv", "\n".join(rows) + "\n")
         print(json.dumps({"windows_reported": len(sweep)}))
 
@@ -314,7 +316,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, not at import.
+
+    parse_args keeps no state between calls, so repeated main() calls in
+    one process (tests, the benchmark body) share it.
+    """
     parser = argparse.ArgumentParser(
         prog="torbwsim",
         description="Bandwidth-scanner inflation attack simulation and forensics.",
@@ -338,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        else "records.jsonl or a bandwidth-file directory")
         p.add_argument("--out", required=True)
         if name == "durations":
-            p.add_argument("--iterations", type=int, default=120)
+            p.add_argument("--iterations", type=_positive_int, default=120)
             p.add_argument("--seed", type=int, default=0)
         else:
             p.add_argument("--duration", type=_duration,

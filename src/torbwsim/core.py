@@ -233,14 +233,22 @@ def records_to_jsonl(records) -> str:
 def read_records_jsonl(path: str) -> list:
     """Parse records.jsonl, ignoring unknown keys; a bad line, including one
     that is not a JSON object or has a value _RECORD_KEYS does not allow,
-    raises ConfigError, as does a file that cannot be opened."""
+    raises ConfigError, as does a file that cannot be opened or a line that
+    is not UTF-8."""
     records = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # undecodable bytes become lone surrogates, so the line that holds
+        # them can be named below
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError("cannot open records file %s: %s" % (path, exc))
     with fh:
         for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigError("%s:%d: not UTF-8 text: byte 0x%02x" % (
+                    path, lineno, ord(line[exc.start]) - 0xDC00))
             line = line.strip()
             if not line:
                 continue

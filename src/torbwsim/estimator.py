@@ -75,8 +75,8 @@ class ResourceQuery:
         _check_domain(self.x)
         if not 1 <= self.p <= 100:
             raise DomainError("p must be in [1, 100], got %r" % (self.p,))
-        if self.b <= 0 or self.d <= 0:
-            raise DomainError("bandwidths b and d must be > 0")
+        if not (0 < self.b < math.inf and 0 < self.d < math.inf):
+            raise DomainError("bandwidths b and d must be finite and > 0")
 
 
 def _check_domain(x):
@@ -94,22 +94,26 @@ def inflation_curve(x: int, model: InflationModel = DEFAULT_MODEL) -> float:
     return model.evaluate(x)
 
 
+def _server_count(b, p, d, inflation) -> int:
+    return math.ceil((2.0 * b * (p / 100.0)) / (d * inflation))
+
+
 def servers_required(q: ResourceQuery, model: InflationModel = DEFAULT_MODEL) -> int:
     """Dedicated servers needed to reach the target traffic share."""
-    return math.ceil(
-        (2.0 * q.b * (q.p / 100.0)) / (q.d * inflation_curve(q.x, model))
-    )
+    return _server_count(q.b, q.p, q.d, inflation_curve(q.x, model))
 
 
 def optimize_cluster(b: float, p: float, d: float) -> dict:
     """Pick the cluster size minimizing relays-per-server plus server count.
 
     Exhaustive search over the 120-point domain; ties resolve to the
-    smallest cluster size.
+    smallest cluster size. b, p and d are checked once, as a ResourceQuery
+    at the smallest cluster size would check them.
     """
+    ResourceQuery(x=X_MIN, b=b, p=p, d=d)
     best = None
     for x in range(X_MIN, X_MAX + 1):
-        s = servers_required(ResourceQuery(x=x, b=b, p=p, d=d))
+        s = _server_count(b, p, d, DEFAULT_MODEL.evaluate(x))
         objective = x + s
         if best is None or objective < best["objective"]:
             best = {"x": x, "servers": s, "objective": objective,

@@ -15,6 +15,7 @@ from torbwsim import bwfile, core, estimator, netsim
 from torbwsim.bwfile import build_timeline
 from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
+    DEFAULT_SWEEP_WINDOWS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
@@ -529,6 +530,16 @@ class TestAnalyze:
             main(argv)
         assert exc.value.code == 2
 
+    def test_durations_zero_iterations_rejected(self, tmp_path, capsys):
+        bwdir = self._single_thread_corpus(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "durations", str(bwdir), "--out", str(out),
+                  "--iterations", "0"])
+        assert exc.value.code == 2
+        assert "--iterations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_durations_insufficient_data(self, tmp_path, capsys):
         bwdir = tmp_path / "bw"
         bwdir.mkdir()
@@ -579,7 +590,8 @@ class TestAnalyze:
         assert code == EXIT_CONFIG
         assert "no parsable bandwidth files" in err
 
-    def _coincidence_corpus(self, tmp_path):
+    @staticmethod
+    def _coincidence_corpus(tmp_path):
         """With duration 10: one solo, one pair, one chain of three."""
         bwdir = tmp_path / "bw"
         bwdir.mkdir()
@@ -942,6 +954,29 @@ class TestDetect:
             assert code == EXIT_CONFIG, line
             assert "records.jsonl:1" in err
 
+    def test_detect_utf16_records_name_line_1(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"relay_id": "x"}\n'.encode("utf-16-le"))
+        code, _out, err = run(
+            capsys, "detect", str(path), "--out", str(tmp_path / "det")
+        )
+        assert code == EXIT_CONFIG
+        assert "%s:1: not UTF-8 text: byte 0xff" % path in err
+        assert not (tmp_path / "det").exists()
+
+    def test_records_bad_byte_on_line_3(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        good = records_to_jsonl([MeasurementRecord(
+            relay_id=fp("x%d" % i), ba_id="ba0", thread_id=0, start_time=None,
+            end_time=30.0 + i, measured_bw=5.0) for i in range(2)])
+        path.write_bytes(good.encode() + b'{"relay_id": "caf\xe9"}\n')
+        with pytest.raises(core.ConfigError,
+                           match=re.escape("%s:3: not UTF-8 text: byte 0xe9" % path)):
+            read_records_jsonl(str(path))
+        # the good lines alone still read as before
+        path.write_bytes(good.encode())
+        assert len(read_records_jsonl(str(path))) == 2
+
     def test_detect_non_object_lines(self, tmp_path, capsys):
         bwdir = tmp_path / "bw"
         bwdir.mkdir()
@@ -1059,6 +1094,48 @@ def test_unusable_window_exits_2(command, window, tmp_path, capsys):
         code = exc.code
     assert code == EXIT_CONFIG
     assert "--window" in capsys.readouterr().err
+
+
+class TestRepeatedMain:
+    # main() builds its parser once per process; no call may see another's
+    # arguments
+
+    def test_window_sweep_without_window_after_one_with(self, tmp_path, capsys):
+        bwdir, relays = TestAnalyze._coincidence_corpus(tmp_path)
+        common = ["analyze", "window-sweep", str(bwdir), "--relays",
+                  str(relays), "--duration", "10"]
+        code, stdout, _err = run(capsys, *common, "--window", "30",
+                                 "--out", str(tmp_path / "one"))
+        assert (code, json.loads(stdout)) == (EXIT_OK, {"windows_reported": 1})
+        out = tmp_path / "default"
+        code, stdout, _err = run(capsys, *common, "--out", str(out))
+        assert (code, json.loads(stdout)) == (EXIT_OK, {"windows_reported": 4})
+        rows = (out / "window_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "%d" % w for w in DEFAULT_SWEEP_WINDOWS]
+
+    def test_simulate_seed_does_not_carry_over(self, tmp_path, capsys):
+        seeded = tmp_path / "seeded"
+        assert run(capsys, "simulate", "--preset", "all-honest", "--seed", "5",
+                   "--out", str(seeded))[0] == EXIT_OK
+        assert read_json(seeded / "manifest.json")["seed"] == 5
+        out = tmp_path / "fresh"
+        assert run(capsys, "simulate", "--preset", "all-honest",
+                   "--out", str(out))[0] == EXIT_OK
+        pinned = TestSimulate.PRESET_SHA256["all-honest"]
+        assert {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in pinned
+        } == pinned
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "servers", "--x", "109", "--b", "678 Gbit"])
+        assert exc.value.code == 2
+        code, stdout, _err = run(capsys, "estimate", "servers", "--x", "109",
+                                 "--b", "678 Gbit", "--p", "50", "--d", "100 MB")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["servers"] == 10
 
 
 class TestForensicsOutputsPinned:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,9 @@ class TestResourceQuery:
         {"p": 101},
         {"b": 0.0},
         {"d": -1.0},
+        {"p": math.nan},
+        {"b": math.nan},
+        {"d": math.inf},
     ])
     def test_invalid(self, kwargs):
         base = dict(x=10, b=1e9, p=50, d=1e8)
@@ -122,7 +126,50 @@ class TestServersRequired:
         assert servers_required(q50) >= servers_required(q10)
 
 
+def per_x_optimize(b, p, d):
+    """The search as one ResourceQuery per cluster size: the oracle for
+    optimize_cluster, which checks b, p and d once."""
+    best = None
+    for x in range(1, 121):
+        s = servers_required(ResourceQuery(x=x, b=b, p=p, d=d))
+        objective = x + s
+        if best is None or objective < best["objective"]:
+            best = {"x": x, "servers": s, "objective": objective,
+                    "total_relays": x * s}
+    return best
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestOptimizeCluster:
+    @given(
+        b=st.one_of(st.floats(1e6, 1e13), st.floats()),
+        p=st.one_of(st.floats(0.5, 100.5), st.floats()),
+        d=st.one_of(st.floats(1e5, 1e10), st.floats()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_x_queries(self, b, p, d):
+        assert outcome(optimize_cluster, b, p, d) == outcome(per_x_optimize, b, p, d)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"p": math.nan}, {"p": 0.5}, {"p": 101},
+        {"b": math.nan}, {"b": 0.0}, {"b": math.inf},
+        {"d": math.nan}, {"d": -1.0}, {"d": math.inf},
+    ])
+    def test_invalid_inputs_raise_query_error(self, kwargs):
+        base = dict(b=678 * GBIT, p=50, d=100e6)
+        base.update(kwargs)
+        with pytest.raises(DomainError) as expected:
+            ResourceQuery(x=1, **base)
+        with pytest.raises(DomainError, match="^%s$" % re.escape(
+                str(expected.value))):
+            optimize_cluster(**base)
+
     def test_matches_exhaustive_oracle(self):
         b, p, d = 678 * GBIT, 50, 100e6
         best_x, best_obj = None, None
