@@ -7,13 +7,18 @@ Subcommands:
     detect     countermeasure scoring and probe planning
 
 Exit codes are a stable contract: 0 success, 2 usage or configuration
-problem, 3 simulation failure, 4 insufficient data. Every command that
+problem, 3 simulation failure, 4 insufficient data. A command computes its
+outputs and returns them; main() then writes them all, so a command that
+fails writes nothing, not even its output directory. Every command that
 writes an output directory drops a manifest.json recording the command
-line, config digest, seed, and wall-clock bounds; with wall times excluded,
-reruns with identical inputs produce identical bytes.
+line, config digest, seed, and wall-clock bounds: `started` is taken before
+the command runs and `finished` after its last file is written, so the two
+bound the whole command. With wall times excluded, reruns with identical
+inputs produce identical bytes.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -24,6 +29,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
+from typing import NamedTuple, Optional
 
 from . import __version__, bwfile, coincidence, defense, estimator, netsim, units
 from .core import (
@@ -72,56 +78,66 @@ def _write_atomic(path: str, data) -> None:
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+class Outputs(NamedTuple):
+    """What a command produced; main() hands it to _emit once it returns.
+
+    files maps a name under --out to bytes, text or a JSON document (a dict,
+    written indented). A command without files has no output directory and
+    prints its stdout document indented, as its whole result; the others
+    print it on one line.
+    """
+
+    stdout: dict
+    files: Optional[dict] = None
+    seed: Optional[int] = None
+    config_digest: Optional[str] = None
 
 
-class _OutputDir:
-    """Collects output files and finishes with a manifest."""
-
-    def __init__(self, out: str, argv, config_digest=None, seed=None):
-        self.out = out
-        self.argv = list(argv)
-        self.config_digest = config_digest
-        self.seed = seed
-        self.names = []
-        self.started = datetime.now(timezone.utc).timestamp()
-        os.makedirs(out, exist_ok=True)
-
-    def write(self, name: str, data) -> str:
-        path = os.path.join(self.out, name)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def _emit(outputs: Outputs, args, argv, started: datetime) -> None:
+    """Write every file, then manifest.json, then the stdout line."""
+    if outputs.files is None:
+        print(json.dumps(outputs.stdout, indent=2))
+        return
+    for name, data in outputs.files.items():
+        path = os.path.join(args.out, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if isinstance(data, dict):
+            data = json.dumps(data, indent=2) + "\n"
         _write_atomic(path, data)
-        self.names.append(name)
-        return path
+    manifest = {
+        "command": " ".join(["torbwsim"] + argv),
+        "config_digest": outputs.config_digest,
+        "seed": outputs.seed,
+        "tool_version": __version__,
+        "started": started.isoformat(),
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "outputs": sorted(outputs.files),
+    }
+    _write_atomic(os.path.join(args.out, "manifest.json"),
+                  json.dumps(manifest, indent=2) + "\n")
+    print(json.dumps(outputs.stdout))
 
-    def finish(self) -> None:
-        manifest = {
-            "command": " ".join(["torbwsim"] + self.argv),
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "tool_version": __version__,
-            "started": _iso(self.started),
-            "finished": _iso(datetime.now(timezone.utc).timestamp()),
-            "outputs": sorted(self.names),
-        }
-        _write_atomic(
-            os.path.join(self.out, "manifest.json"),
-            json.dumps(manifest, indent=2) + "\n",
-        )
+
+def _lines(rows) -> str:
+    return "".join(row + "\n" for row in rows)
 
 
 # -- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Outputs:
     raw = _load_config_bytes(args)
     try:
         doc = json.loads(raw)
@@ -130,61 +146,47 @@ def cmd_simulate(args) -> int:
     cfg = build_sim_config(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    digest = hashlib.sha256(raw).hexdigest()
 
     result = netsim.run_simulation(cfg)
 
-    out = _OutputDir(args.out, args.argv, config_digest=digest, seed=cfg.seed)
-    out.write("records.jsonl", records_to_jsonl(result.records))
-
-    consensus_rows = ["epoch,relay_id,weight"]
-    for snap in result.consensus:
-        for relay_id in sorted(snap.weights):
-            consensus_rows.append(
-                "%d,%s,%.6f" % (snap.epoch, relay_id, snap.weights[relay_id])
-            )
-    out.write("consensus.csv", "\n".join(consensus_rows) + "\n")
-
     summary = netsim.summarize(cfg, result)
-    out.write("summary.json", json.dumps(summary, indent=2) + "\n")
-
+    files = {
+        "records.jsonl": records_to_jsonl(result.records),
+        "consensus.csv": _lines(["epoch,relay_id,weight"] + [
+            "%d,%s,%.6f" % (snap.epoch, relay_id, snap.weights[relay_id])
+            for snap in result.consensus for relay_id in sorted(snap.weights)
+        ]),
+        "summary.json": summary,
+    }
     for scanner_cfg in cfg.scanners:
         if any(r.ok and r.ba_id == scanner_cfg.ba_id for r in result.records):
             bwf = bwfile.from_records(result.records, scanner_cfg.ba_id)
-            out.write(
-                os.path.join("bwfiles", scanner_cfg.ba_id + ".bw"),
-                bwfile.serialize_bandwidth_file(bwf),
-            )
-    out.finish()
-    print(json.dumps({
-        "baseline_bw": summary["baseline_bw"],
-        "inflation": summary["inflation"],
-        "out": args.out,
-    }))
-    return EXIT_OK
+            files[os.path.join("bwfiles", scanner_cfg.ba_id + ".bw")] = (
+                bwfile.serialize_bandwidth_file(bwf))
+    return Outputs(
+        {"baseline_bw": summary["baseline_bw"],
+         "inflation": summary["inflation"],
+         "out": args.out},
+        files, seed=cfg.seed, config_digest=hashlib.sha256(raw).hexdigest())
 
 
 # -- analyze ------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Outputs:
     if args.subcommand == "durations":
-        files = bwfile.load_corpus(args.input)
+        corpus = bwfile.load_corpus(args.input)
         est = bwfile.estimate_duration(
-            files, iterations=args.iterations, rng_seed=args.seed
+            corpus, iterations=args.iterations, rng_seed=args.seed
         )
-        out = _OutputDir(args.out, args.argv, seed=args.seed)
-        out.write("durations.json", json.dumps({
+        return Outputs({"median": est.median}, {"durations.json": {
             "median": est.median,
             "sample_count": est.sample_count,
             "iterations": est.iterations,
             "thread_count_histogram": {
                 str(k): v for k, v in sorted(est.thread_count_histogram.items())
             },
-        }, indent=2) + "\n")
-        print(json.dumps({"median": est.median}))
-        out.finish()
-        return EXIT_OK
+        }}, seed=args.seed)
 
     relay_set = coincidence.load_relay_set(args.relays)
     records = bwfile.load_records(args.input, relay_set)
@@ -201,92 +203,62 @@ def cmd_analyze(args) -> int:
                     "--window must be START,END in unix seconds, START <= END")
             window = (lo, hi)
         dist = coincidence.count_events(timeline, relay_set, window=window)
-        rows = ["k,count,probability"]
-        for k, count, prob in coincidence.distribution_rows(dist):
-            rows.append("%d,%d,%.9f" % (k, count, prob))
-        out = _OutputDir(args.out, args.argv)
-        out.write("distribution.csv", "\n".join(rows) + "\n")
-        print(json.dumps({
+        return Outputs({
             "total_measurements": dist.total_measurements,
             "expected_inflation": coincidence.expected_inflation(dist),
-        }))
-    else:  # window-sweep
-        windows = [w for chunk in args.window or [] for w in chunk] or DEFAULT_SWEEP_WINDOWS
-        sweep = coincidence.coincidence_vs_window(timeline, relay_set, windows)
-        rows = ["window_seconds,p2"]
-        for w, p2 in sweep.items():  # a repeated length once, first place
-            label = "%d" % w if w.is_integer() else repr(w)
-            rows.append("%s,%.9f" % (label, p2))
-        out = _OutputDir(args.out, args.argv)
-        out.write("window_sweep.csv", "\n".join(rows) + "\n")
-        print(json.dumps({"windows_reported": len(sweep)}))
+        }, {"distribution.csv": _lines(["k,count,probability"] + [
+            "%d,%d,%.9f" % row for row in coincidence.distribution_rows(dist)
+        ])})
 
-    out.finish()
-    return EXIT_OK
+    # window-sweep
+    windows = [w for chunk in args.window or [] for w in chunk] or DEFAULT_SWEEP_WINDOWS
+    sweep = coincidence.coincidence_vs_window(timeline, relay_set, windows)
+    rows = ["%s,%.9f" % ("%d" % w if w.is_integer() else repr(w), p2)
+            for w, p2 in sweep.items()]  # a repeated length once, first place
+    return Outputs({"windows_reported": len(sweep)},
+                   {"window_sweep.csv": _lines(["window_seconds,p2"] + rows)})
 
 
 # -- estimate -----------------------------------------------------------------
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> Outputs:
     if args.subcommand == "inflation":
-        value = estimator.inflation_curve(args.x)
-        result = {"x": args.x, "inflation": value}
-    elif args.subcommand == "servers":
-        query = estimator.ResourceQuery(x=args.x, b=args.b, p=args.p, d=args.d)
-        servers = estimator.servers_required(query)
-        result = {
-            "x": args.x,
-            "servers": servers,
-            "total_relays": servers * args.x,
-            "b_bytes_per_second": args.b,
-            "p_percent": args.p,
-            "d_bytes_per_second": args.d,
-        }
-    elif args.subcommand == "optimize":
-        best = estimator.optimize_cluster(b=args.b, p=args.p, d=args.d)
-        result = dict(best)
-        result.update({
-            "b_bytes_per_second": args.b,
-            "p_percent": args.p,
-            "d_bytes_per_second": args.d,
-        })
-    else:  # refit
+        return Outputs({"x": args.x, "inflation": estimator.inflation_curve(args.x)})
+    if args.subcommand == "refit":
         fit = estimator.refit_curve(estimator.load_samples(args.samples))
-        result = {
+        return Outputs({
             "coefficients": fit.model.coefficients(),
             "mse": fit.mse,
             "evaluations": fit.evaluations,
-        }
-    print(json.dumps(result, indent=2))
-    return EXIT_OK
+        })
+    if args.subcommand == "servers":
+        query = estimator.ResourceQuery(x=args.x, b=args.b, p=args.p, d=args.d)
+        servers = estimator.servers_required(query)
+        result = {"x": args.x, "servers": servers, "total_relays": servers * args.x}
+    else:  # optimize
+        result = dict(estimator.optimize_cluster(b=args.b, p=args.p, d=args.d))
+    result.update(b_bytes_per_second=args.b, p_percent=args.p,
+                  d_bytes_per_second=args.d)
+    return Outputs(result)
 
 
 # -- detect -------------------------------------------------------------------
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> Outputs:
     records = bwfile.load_records(args.input)
     report = defense.score_suspects(
         records, assumed_duration=args.duration, threshold=args.threshold
     )
     plans = defense.plan_probes(report, args.probe_budget)
-
-    out = _OutputDir(args.out, args.argv)
-    out.write(
-        "suspicion.json",
-        json.dumps(defense.report_to_dict(report), indent=2) + "\n",
-    )
-    out.write(
-        "probes.csv",
-        "\n".join(",".join(row) for row in defense.probe_rows(plans)) + "\n",
-    )
-    out.finish()
-    print(json.dumps({
+    return Outputs({
         "suspected_groups": [list(g) for g in report.groups],
         "probes_planned": len(plans),
-    }))
-    return EXIT_OK
+    }, {
+        "suspicion.json": defense.report_to_dict(report),
+        "probes.csv": _lines(",".join(row) for row in defense.probe_rows(plans)),
+    })
 
 
 # -- parser -------------------------------------------------------------------
@@ -316,12 +288,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_duration(parser) -> None:
+    parser.add_argument("--duration", type=_duration,
+                        default=bwfile.DEFAULT_ASSUMED_DURATION,
+                        help="assumed duration for records without start times")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use, not at import.
 
     parse_args keeps no state between calls, so repeated main() calls in
-    one process (tests, the benchmark body) share it.
+    one process (tests, the benchmark body) share it. Flags that several
+    subcommands share live in parent parsers, each declared once.
     """
     parser = argparse.ArgumentParser(
         prog="torbwsim",
@@ -339,59 +318,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="bandwidth-file corpus analytics")
+    ana.set_defaults(func=cmd_analyze)
     anasub = ana.add_subparsers(dest="subcommand", required=True)
-    for name in ("durations", "coincidence", "window-sweep"):
-        p = anasub.add_parser(name)
-        p.add_argument("input", help="directory of bandwidth files" if name == "durations"
-                       else "records.jsonl or a bandwidth-file directory")
-        p.add_argument("--out", required=True)
-        if name == "durations":
-            p.add_argument("--iterations", type=_positive_int, default=120)
-            p.add_argument("--seed", type=int, default=0)
-        else:
-            p.add_argument("--duration", type=_duration,
-                           default=bwfile.DEFAULT_ASSUMED_DURATION,
-                           help="assumed duration for records without start times")
-            p.add_argument("--relays", required=True,
-                           help="file listing relay fingerprints, one per line")
-        if name == "coincidence":
-            p.add_argument("--window", default=None,
-                           help="START,END unix-second bounds on end times")
-        if name == "window-sweep":
-            p.add_argument("--window", type=_durations, action="append",
-                           default=None,
-                           help="window length in seconds, repeatable")
-        p.set_defaults(func=cmd_analyze)
+    p = anasub.add_parser("durations")
+    p.add_argument("input", help="directory of bandwidth files")
+    p.add_argument("--out", required=True)
+    p.add_argument("--iterations", type=_positive_int, default=120)
+    p.add_argument("--seed", type=int, default=0)
+    timeline = argparse.ArgumentParser(add_help=False)
+    timeline.add_argument("input", help="records.jsonl or a bandwidth-file directory")
+    timeline.add_argument("--out", required=True)
+    _add_duration(timeline)
+    timeline.add_argument("--relays", required=True,
+                          help="file listing relay fingerprints, one per line")
+    anasub.add_parser("coincidence", parents=[timeline]).add_argument(
+        "--window", default=None, help="START,END unix-second bounds on end times")
+    anasub.add_parser("window-sweep", parents=[timeline]).add_argument(
+        "--window", type=_durations, action="append", default=None,
+        help="window length in seconds, repeatable")
 
     est = sub.add_parser("estimate", help="closed-form resource estimates")
+    est.set_defaults(func=cmd_estimate)
     estsub = est.add_subparsers(dest="subcommand", required=True)
-    p = estsub.add_parser("inflation")
-    p.add_argument("--x", type=int, required=True, help="relays per server")
-    p.set_defaults(func=cmd_estimate)
-    p = estsub.add_parser("servers")
-    p.add_argument("--x", type=int, required=True, help="relays per server")
-    p.add_argument("--b", type=units.parse_rate, required=True,
-                   help="network traffic volume, unit suffix required (e.g. 678Gbit)")
-    p.add_argument("--p", type=float, required=True, help="target traffic share, percent")
-    p.add_argument("--d", type=units.parse_rate, required=True,
-                   help="per-server bandwidth, unit suffix required (e.g. 100MB)")
-    p.set_defaults(func=cmd_estimate)
-    p = estsub.add_parser("optimize")
-    p.add_argument("--b", type=units.parse_rate, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--d", type=units.parse_rate, required=True)
-    p.set_defaults(func=cmd_estimate)
-    p = estsub.add_parser("refit")
-    p.add_argument("--samples", required=True, help="CSV of x,y fit samples")
-    p.set_defaults(func=cmd_estimate)
+    cluster_size = argparse.ArgumentParser(add_help=False)
+    cluster_size.add_argument("--x", type=int, required=True, help="relays per server")
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--b", type=units.parse_rate, required=True,
+                         help="network traffic volume, unit suffix required (e.g. 678Gbit)")
+    network.add_argument("--p", type=float, required=True,
+                         help="target traffic share, percent")
+    network.add_argument("--d", type=units.parse_rate, required=True,
+                         help="per-server bandwidth, unit suffix required (e.g. 100MB)")
+    estsub.add_parser("inflation", parents=[cluster_size])
+    estsub.add_parser("servers", parents=[cluster_size, network])
+    estsub.add_parser("optimize", parents=[network])
+    estsub.add_parser("refit").add_argument(
+        "--samples", required=True, help="CSV of x,y fit samples")
 
     det = sub.add_parser("detect", help="score co-measurement suspects")
     det.add_argument("input", help="records.jsonl or a bandwidth-file directory")
     det.add_argument("--threshold", type=float, default=defense.DEFAULT_THRESHOLD)
     det.add_argument("--probe-budget", type=_positive_int, default=10)
-    det.add_argument("--duration", type=_duration,
-                     default=bwfile.DEFAULT_ASSUMED_DURATION,
-                     help="assumed duration for records without start times")
+    _add_duration(det)
     det.add_argument("--out", required=True)
     det.set_defaults(func=cmd_detect)
 
@@ -402,13 +370,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    args.argv = list(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    started = datetime.now(timezone.utc)
     try:
-        return args.func(args)
+        _emit(args.func(args), args, list(argv), started)
     except InsufficientDataError as exc:
         print("error: insufficient data: %s" % exc, file=sys.stderr)
         return EXIT_DATA
@@ -418,6 +386,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -60,8 +60,9 @@ class RelaySpec:
                 "relay_id must be a 40-char uppercase hex fingerprint, got %r"
                 % (self.relay_id,)
             )
-        if self.advertised_bw <= 0:
-            raise ConfigError("relay %s: advertised_bw must be > 0" % self.relay_id)
+        if not 0 < self.advertised_bw < math.inf:
+            raise ConfigError("relay %s: advertised_bw must be finite and > 0, got %r"
+                              % (self.relay_id, self.advertised_bw))
         if self.role not in ROLES:
             raise ConfigError("relay %s: unknown role %r" % (self.relay_id, self.role))
         if self.policy not in POLICIES:
@@ -78,8 +79,9 @@ class HostSpec:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ConfigError("host %s: capacity must be > 0" % self.host_id)
+        if not 0 < self.capacity < math.inf:
+            raise ConfigError("host %s: capacity must be finite and > 0, got %r"
+                              % (self.host_id, self.capacity))
         if not 0 < self.efficiency <= 1:
             raise ConfigError(
                 "host %s: efficiency must be in (0, 1], got %r"

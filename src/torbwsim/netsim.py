@@ -105,8 +105,9 @@ class SimConfig:
         for relay_id, load in self.user_load.items():
             if relay_id not in self.topology.relays:
                 raise ConfigError("user_load for unknown relay %r" % (relay_id,))
-            if load < 0:
-                raise ConfigError("user_load for %s must be >= 0" % relay_id)
+            if not 0 <= load < math.inf:
+                raise ConfigError("user_load for %s must be finite and >= 0, got %r"
+                                  % (relay_id, load))
         for relay_id, when in self.activation_times.items():
             if relay_id not in self.topology.relays:
                 raise ConfigError("activation time for unknown relay %r" % (relay_id,))

@@ -5,6 +5,7 @@ JSON configs) carries an explicit unit suffix; bare numbers are rejected so
 that decimal-vs-binary and bit-vs-byte mixups fail loudly at the boundary.
 """
 
+import math
 import re
 
 # decimal prefixes, networking convention; bit suffixes divide by 8
@@ -34,7 +35,8 @@ def parse_rate(text: str) -> float:
     """Parse a bandwidth string like '100MB' or '678Gbit' into bytes/second.
 
     Accepts an optional '/s' or 'ps' trailer; the per-second part is implied
-    either way. Raises UnitError for bare numbers or unknown suffixes.
+    either way. Raises UnitError for bare numbers, unknown suffixes and
+    values that are not finite and positive once converted.
     """
     if isinstance(text, (int, float)):
         raise UnitError(
@@ -51,4 +53,6 @@ def parse_rate(text: str) -> float:
     rate = float(value) * BYTES_PER_SECOND[suffix]
     if rate <= 0:
         raise UnitError("bandwidth must be positive, got %r" % (text,))
+    if rate == math.inf:
+        raise UnitError("bandwidth must be finite, got %r" % (text,))
     return rate

@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 import pytest
 
 from conftest import fp
-from torbwsim import bwfile, core, estimator, netsim
+from torbwsim import bwfile, core, defense, estimator, netsim
 from torbwsim.bwfile import build_timeline
 from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
@@ -488,6 +488,18 @@ class TestSimulate:
         )
         assert code == EXIT_SIMULATION
         assert "simulation failed" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_capacity_rejected(self, tmp_path, capsys):
+        doc = minimal_config()
+        doc["hosts"][0]["capacity"] = "9" * 400 + " MB"  # float() gives inf
+        cfg = write_config(tmp_path, doc)
+        code, _out, err = run(
+            capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run")
+        )
+        assert code == EXIT_CONFIG
+        assert "config.hosts[0].capacity: bandwidth must be finite" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestAnalyze:
@@ -767,6 +779,13 @@ class TestEstimate:
                   "--b", "678000000000", "--p", "50", "--d", "100 MB"])
         assert exc.value.code == 2
 
+    def test_servers_rejects_non_finite_rate(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "servers", "--x", "109",
+                  "--b", "9" * 400 + " MB", "--p", "50", "--d", "100 MB"])
+        assert exc.value.code == 2
+        assert "argument --b: invalid parse_rate value" in capsys.readouterr().err
+
     def test_optimize(self, capsys):
         code, stdout, _err = run(
             capsys, "estimate", "optimize",
@@ -908,6 +927,7 @@ class TestDetect:
         assert code == EXIT_DATA
         assert "at least 2 relays" in err
         assert "3 records" in err
+        assert not (tmp_path / "det").exists()
 
     def test_detect_missing_input(self, tmp_path, capsys):
         code, _out, err = run(
@@ -1224,3 +1244,50 @@ class TestOutputPlumbing:
         _write_atomic(str(target), "one")
         _write_atomic(str(target), b"two")
         assert target.read_bytes() == b"two"
+
+    def test_write_atomic_failure_removes_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "file.txt"
+        target.write_text("old")
+
+        def no_space(_fd):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            _write_atomic(str(target), "new")
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+    @staticmethod
+    def _call_times(monkeypatch, module, name):
+        """Wrap module.name to record when each call begins and ends."""
+        times = []
+        original = getattr(module, name)
+
+        def timed(*args, **kwargs):
+            times.append(datetime.now(timezone.utc))
+            result = original(*args, **kwargs)
+            times.append(datetime.now(timezone.utc))
+            return result
+        monkeypatch.setattr(module, name, timed)
+        return times
+
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_manifest_bounds_the_command(self, command, tmp_path, capsys,
+                                         monkeypatch):
+        # started is taken before the command's work, finished after it
+        out = tmp_path / "out"
+        if command == "simulate":
+            times = self._call_times(monkeypatch, netsim, "run_simulation")
+            argv = ["simulate", "--preset", "all-honest"]
+        else:
+            times = self._call_times(monkeypatch, defense, "score_suspects")
+            bwdir = tmp_path / "bw"
+            bwdir.mkdir()
+            write_archive(bwdir)
+            argv = ["detect", str(bwdir)]
+        code, _out, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_OK, err
+        assert len(times) == 2
+        manifest = read_json(out / "manifest.json")
+        assert datetime.fromisoformat(manifest["started"]) <= times[0]
+        assert times[1] <= datetime.fromisoformat(manifest["finished"])

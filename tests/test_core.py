@@ -39,6 +39,8 @@ class TestRelaySpec:
         {"advertised_bw": -1.0},
         {"role": "bridge"},
         {"policy": "greedy"},
+        {"advertised_bw": math.inf},
+        {"advertised_bw": math.nan},
     ])
     def test_invalid(self, kwargs):
         base = {"relay_id": fp("r"), "host_id": "h", "advertised_bw": MB}
@@ -58,6 +60,8 @@ class TestHostSpec:
         {"efficiency": 1.5},
         {"kind": "mainframe"},
         {"kind": "web_server"},
+        {"capacity": math.nan},
+        {"capacity": math.inf},
     ])
     def test_invalid(self, kwargs):
         base = {"host_id": "h", "capacity": MB}

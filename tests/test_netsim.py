@@ -498,6 +498,12 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError, match=">= 0"):
             sim_config(self._topology(), user_load={relay_id: -1.0})
 
+    @pytest.mark.parametrize("load", [math.nan, math.inf])
+    def test_non_finite_user_load_rejected(self, load):
+        relay_id = fp("farm/middle0")
+        with pytest.raises(ConfigError, match="finite"):
+            sim_config(self._topology(), user_load={relay_id: load})
+
     def test_activation_for_unknown_relay_rejected(self):
         with pytest.raises(ConfigError, match="activation"):
             sim_config(self._topology(), activation_times={"F" * 40: 10.0})
