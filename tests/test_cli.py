@@ -108,6 +108,8 @@ SCHEMA_CASES = {
         (("hosts",), {"host_id": "h0"}, "config.hosts: expected list, got dict"),
         (("hosts", 0, "efficiency"), "1",
          "config.hosts[0].efficiency: expected int or float, got str"),
+        (("hosts", 0, "capacity"), "9" * 400 + " MB",  # float() gives inf
+         "config.hosts[0].capacity: bandwidth must be finite"),
     ],
     "clusters": [
         (("clusters", "clustres"), [], "config.clusters: unknown key 'clustres'"),
@@ -488,17 +490,6 @@ class TestSimulate:
         )
         assert code == EXIT_SIMULATION
         assert "simulation failed" in err
-        assert not (tmp_path / "run").exists()
-
-    def test_non_finite_capacity_rejected(self, tmp_path, capsys):
-        doc = minimal_config()
-        doc["hosts"][0]["capacity"] = "9" * 400 + " MB"  # float() gives inf
-        cfg = write_config(tmp_path, doc)
-        code, _out, err = run(
-            capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run")
-        )
-        assert code == EXIT_CONFIG
-        assert "config.hosts[0].capacity: bandwidth must be finite" in err
         assert not (tmp_path / "run").exists()
 
 

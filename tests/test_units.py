@@ -29,18 +29,13 @@ def test_parse_rate_values(text, expected):
     "MB",
     "",
     "25 MB extra",
+    # float() of the number, or of it scaled to bytes, is inf
+    pytest.param("9" * 400 + " MB", id="400-digit MB"),
+    pytest.param("9" * 308 + " Gbit", id="308-digit Gbit"),
 ])
 def test_parse_rate_rejects(bad):
     with pytest.raises(units.UnitError):
         units.parse_rate(bad)
-
-
-@pytest.mark.parametrize("text", ["9" * 400 + " MB", "9" * 308 + " Gbit"],
-                         ids=["400-digit-MB", "308-digit-Gbit"])
-def test_parse_rate_rejects_non_finite(text):
-    # float() of a number this long, or of it scaled to bytes, is inf
-    with pytest.raises(units.UnitError, match="finite"):
-        units.parse_rate(text)
 
 
 def test_parse_rate_rejects_non_string():
