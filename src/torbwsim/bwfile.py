@@ -22,6 +22,12 @@ canonical fingerprint, a time to its unix seconds and a bw to its integer
 tuple kept in extras. The memo lives for one load_corpus call; the files it
 returns equal file-by-file parses, skipped lines and warnings included.
 
+A relay-scoped load (load_corpus or load_records given relay_ids) parses
+only the entry lines that can name a listed relay: a line whose one
+"node_id=" token names another relay is passed over unparsed, so its file
+keeps only the listed relays' entries and a malformed line among those
+passed over is neither counted nor reported.
+
 Bandwidth files record only the END of each measurement. The inference
 helpers reconstruct what the scanner was doing: measurements on one thread
 must be at least MIN_MEASUREMENT_GAP = 25 s apart (the scanner's five timed
@@ -57,6 +63,7 @@ _TERMINATOR = "====="
 _ENTRY_ORDER = attrgetter("end_time", "node_id")
 _CANONICAL_TIME = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
+_TOKEN_TAIL = re.compile(r"\S*")  # to the next whitespace, as str.split cuts
 
 
 class ParseError(ValueError):
@@ -172,7 +179,23 @@ def _parse_entry(line: str, memo: dict):
     return entry
 
 
-def parse_bandwidth_file(data, ba_id: str = "unknown", *, memo=None) -> BandwidthFile:
+def _names_other_relay(line: str, relay_ids) -> bool:
+    """True only when the line's one "node_id=" starts a token whose value,
+    "$" dropped and uppercased as _parse_token does, is not in relay_ids: no
+    entry of a listed relay can come from such a line. A repeated or
+    embedded "node_id=", or one without "$", returns False."""
+    # str.find, not a regex search: a look-behind for the token start is
+    # tried at every position and took twice as long as the whole check
+    at = line.find("node_id=")
+    if (at < 0 or line.find("node_id=", at + 8) >= 0
+            or (at and not line[at - 1].isspace())
+            or not line.startswith("$", at + 8)):
+        return False
+    return _TOKEN_TAIL.match(line, at + 9).group().upper() not in relay_ids
+
+
+def parse_bandwidth_file(data, ba_id: str = "unknown", *, memo=None,
+                         relay_ids=None) -> BandwidthFile:
     """Parse one bandwidth file from bytes or text.
 
     The first line must be a unix timestamp. Malformed entry lines are
@@ -180,6 +203,13 @@ def parse_bandwidth_file(data, ba_id: str = "unknown", *, memo=None) -> Bandwidt
     is rejected. memo, a dict that load_corpus shares across the files of
     one directory, keeps each entry token's parse (see _parse_entry); the
     result does not depend on what it already holds.
+
+    relay_ids, if given, scopes the parse to those relays: the file holds
+    only their entries, an entry line that names another relay (see
+    _names_other_relay) is not parsed, and skipped_lines and the warnings
+    cover only the lines parsed. Until a valid entry is found, such lines
+    are still parsed, silently, so a file is rejected in exactly the cases
+    an unscoped parse rejects it.
     """
     if memo is None:
         memo = {}
@@ -215,18 +245,25 @@ def parse_bandwidth_file(data, ba_id: str = "unknown", *, memo=None) -> Bandwidt
             log.warning("%s: unparsable header line %r", ba_id, line[:60])
 
     entries = []
+    other_valid = False  # a passed-over line holds a valid entry
     if saw_terminator:
         for line in lines[idx:]:
             line = line.strip()
             if not line:
                 continue
+            if relay_ids is not None and _names_other_relay(line, relay_ids):
+                if not (entries or other_valid):
+                    other_valid = _parse_entry(line, memo) is not None
+                continue
             entry = _parse_entry(line, memo)
             if entry is None:
                 skipped += 1
                 log.warning("%s: skipping malformed entry line %r", ba_id, line[:60])
-            else:
+            elif relay_ids is None or entry.node_id in relay_ids:
                 entries.append(entry)
-    if not entries:
+            else:  # a line that names several relays
+                other_valid = True
+    if not (entries or other_valid):
         raise ParseError("empty bandwidth file: no valid relay entries")
     entries.sort(key=_ENTRY_ORDER)
     return BandwidthFile(
@@ -290,13 +327,20 @@ def to_records(files, relay_ids=None) -> list:
     ]
 
 
-def load_corpus(directory: str) -> list:
+def load_corpus(directory: str, relay_ids=None) -> list:
     """Parse every regular file of a directory in name order, stem as ba_id.
 
     Unreadable and unparsable files are skipped with a warning. Raises
     ConfigError when the directory cannot be read or holds no parsable file.
     The files share one parse memo, dropped on return: archives repeat an
     entry's tokens from file to file, so each distinct token is parsed once.
+
+    relay_ids, if given, scopes the load to those relays: only the entry
+    lines that can name a listed relay are parsed, so a malformed line that
+    names another relay is never reported. Which files are skipped, and
+    when ConfigError is raised, stay the same. The files returned hold only
+    the listed relays' entries: they are meant for to_records, not for
+    infer_threads or estimate_duration, which need every entry of a file.
     """
     try:
         names = sorted(os.listdir(directory))
@@ -312,7 +356,7 @@ def load_corpus(directory: str) -> list:
             with open(path, "rb") as fh:
                 data = fh.read()
             files.append(parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0],
-                                              memo=memo))
+                                              memo=memo, relay_ids=relay_ids))
         except (OSError, ParseError) as exc:
             log.warning("skipping %s: %s", path, exc)
     if not files:
@@ -324,8 +368,10 @@ def load_records(path: str, relay_ids=None) -> list:
     """Records of a records.jsonl file or of a bandwidth-file directory.
 
     relay_ids, if given, keeps only the records of those relays. A
-    directory's other entries never become records; a records.jsonl file is
-    still checked line by line in full.
+    directory is loaded relay-scoped (see load_corpus): only the lines that
+    can name a listed relay are parsed, and only those report a malformed
+    line. A records.jsonl file is still checked line by line in full, and
+    a bad line there stays fatal.
     """
     if os.path.isfile(path):
         records = read_records_jsonl(path)
@@ -333,7 +379,7 @@ def load_records(path: str, relay_ids=None) -> list:
             return records
         return [rec for rec in records if rec.relay_id in relay_ids]
     if os.path.isdir(path):
-        return to_records(load_corpus(path), relay_ids)
+        return to_records(load_corpus(path, relay_ids))
     raise ConfigError("input path %s does not exist" % path)
 
 

@@ -105,17 +105,25 @@ class Outputs(NamedTuple):
     config_digest: Optional[str] = None
 
 
+def _write_output(path: str, data) -> None:
+    """Write one file under --out, creating its directory; an OSError
+    becomes a ConfigError naming the path."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write_atomic(path, data)
+    except OSError as exc:
+        raise ConfigError("cannot write output %s: %s" % (path, exc.strerror or exc))
+
+
 def _emit(outputs: Outputs, args, argv, started: datetime) -> None:
     """Write every file, then manifest.json, then the stdout line."""
     if outputs.files is None:
         print(json.dumps(outputs.stdout, indent=2))
         return
     for name, data in outputs.files.items():
-        path = os.path.join(args.out, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         if isinstance(data, dict):
             data = json.dumps(data, indent=2) + "\n"
-        _write_atomic(path, data)
+        _write_output(os.path.join(args.out, name), data)
     manifest = {
         "command": " ".join(["torbwsim"] + argv),
         "config_digest": outputs.config_digest,
@@ -125,7 +133,7 @@ def _emit(outputs: Outputs, args, argv, started: datetime) -> None:
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs.files),
     }
-    _write_atomic(os.path.join(args.out, "manifest.json"),
+    _write_output(os.path.join(args.out, "manifest.json"),
                   json.dumps(manifest, indent=2) + "\n")
     print(json.dumps(outputs.stdout))
 
@@ -288,6 +296,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rate(text: str) -> float:
+    # argparse shows an ArgumentTypeError's text, but replaces a ValueError's
+    try:
+        return units.parse_rate(text)
+    except units.UnitError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _add_duration(parser) -> None:
     parser.add_argument("--duration", type=_duration,
                         default=bwfile.DEFAULT_ASSUMED_DURATION,
@@ -343,11 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster_size = argparse.ArgumentParser(add_help=False)
     cluster_size.add_argument("--x", type=int, required=True, help="relays per server")
     network = argparse.ArgumentParser(add_help=False)
-    network.add_argument("--b", type=units.parse_rate, required=True,
+    network.add_argument("--b", type=_rate, required=True,
                          help="network traffic volume, unit suffix required (e.g. 678Gbit)")
     network.add_argument("--p", type=float, required=True,
                          help="target traffic share, percent")
-    network.add_argument("--d", type=units.parse_rate, required=True,
+    network.add_argument("--d", type=_rate, required=True,
                          help="per-server bandwidth, unit suffix required (e.g. 100MB)")
     estsub.add_parser("inflation", parents=[cluster_size])
     estsub.add_parser("servers", parents=[cluster_size, network])

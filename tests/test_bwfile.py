@@ -389,6 +389,84 @@ class TestCorpusMemo:
         assert first.entries[0].extras[0] is second.entries[0].extras[0]
 
 
+def write_corpus(directory, corpus):
+    for i, lines in enumerate(corpus):
+        with open(os.path.join(directory, "f%d.bw" % i), "w") as fh:
+            fh.write(corpus_text(lines))
+
+
+class TestRelayScopedLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora(), relays=st.sets(st.sampled_from((R1, R2, R3))))
+    # a repeated node_id token: the last one names the entry's relay
+    @example(corpus=[["bw=1 node_id=$%s node_id=$%s time=5" % (R1, R2)],
+                     ["bw=2 node_id=$%s node_id=$%s time=6" % (R2, R1)]],
+             relays={R1})
+    # node_id= inside another token's value, alone or beside the real token
+    @example(corpus=[["bw=1 x=node_id=$%s time=5" % R1,
+                      "bw=1 node_id=$%s time=5" % R1],
+                     ["bw=2 node_id=$%s time=6 x=node_id=$%s" % (R2, R1)]],
+             relays={R1})
+    # tokens separated by whitespace other than " ", as str.split cuts them
+    @example(corpus=[["bw=1\tnode_id=$%s\ttime=5" % R1],
+                     ["bw=2\u3000node_id=$%s\u3000time=6" % R1]], relays={R1})
+    @example(corpus=[["bw=1 node_id=$%s time=5" % R1.lower()],
+                     ["bw=1 node_id=$%s time=5" % R2]], relays={R1})
+    @example(corpus=[["bw=1 node_id=%s time=5" % R1, "bw=2 node_id=$%s time=6" % R1],
+                     ["bw=1 node_id=%s time=5" % R2]], relays={R1})
+    # every valid entry names another relay, after a malformed line that does
+    @example(corpus=[["bw=x node_id=$%s time=5" % R2, "bw=1 node_id=$%s time=5" % R2,
+                      "bw=2 node_id=$%s time=6" % R1],
+                     ["bw=3 node_id=$%s time=7" % R3]], relays={R1})
+    # no valid entry in one file, then in any
+    @example(corpus=[["bw=x node_id=$%s time=5" % R2, "junk"],
+                     ["bw=1 node_id=$%s time=5" % R1]], relays={R1})
+    @example(corpus=[["bw=x node_id=$%s time=5" % R2],
+                     ["bw=1 node_id=$%s" % R1]], relays={R1})
+    def test_matches_full_load(self, corpus, relays):
+        with tempfile.TemporaryDirectory() as directory:
+            write_corpus(directory, corpus)
+            full, full_warnings = warnings_of(lambda: bwfile.load_corpus(directory))
+            scoped, scoped_warnings = warnings_of(
+                lambda: bwfile.load_corpus(directory, relays))
+        if isinstance(full, ConfigError):
+            assert isinstance(scoped, ConfigError)
+        else:
+            assert [f.ba_id for f in scoped] == [f.ba_id for f in full]
+            assert all(e.node_id in relays for f in scoped for e in f.entries)
+            want = bwfile.to_records(full, relays)
+            assert bwfile.to_records(scoped, relays) == want
+            assert bwfile.to_records(scoped) == want
+        assert scoped_warnings <= full_warnings
+
+    def test_warns_only_for_lines_that_may_name_a_listed_relay(
+            self, tmp_path, monkeypatch, caplog):
+        parsed = []
+        parse_entry = bwfile._parse_entry
+
+        def spy(line, memo):
+            parsed.append(line)
+            return parse_entry(line, memo)
+        monkeypatch.setattr(bwfile, "_parse_entry", spy)
+        # node_id= inside a value, or without "$", may hide any relay
+        listed_bad = ["bw=12x node_id=$%s time=6" % R1,
+                      "bw=1 x=node_id=$%s time=6" % R2, "bw=1 node_id=%s time=6" % R2]
+        other_bad = ["bw=12x node_id=$%s time=6" % R2, "bw=12x\tnode_id=$%s time=6" % R2]
+        (tmp_path / "a.bw").write_text(corpus_text(
+            ["bw=1 node_id=$%s time=5" % R1, *listed_bad, *other_bad]))
+        # passed-over lines are parsed, silently, until one is a valid entry
+        hunted = ["bw=x node_id=$%s time=5" % R2, "bw=1 node_id=$%s time=5" % R2]
+        (tmp_path / "b.bw").write_text(corpus_text(
+            hunted + ["bw=y node_id=$%s time=7" % R2]))
+        with caplog.at_level(logging.WARNING):
+            a, b = bwfile.load_corpus(str(tmp_path), {R1})
+        assert [r.getMessage() for r in caplog.records] == [
+            "a: skipping malformed entry line %r" % line[:60] for line in listed_bad]
+        assert parsed == ["bw=1 node_id=$%s time=5" % R1, *listed_bad, *hunted]
+        assert (len(a.entries), a.skipped_lines) == (1, 3)
+        assert (b.entries, b.skipped_lines) == ((), 0)
+
+
 class TestSerialize:
     def test_canonical_form(self):
         bwf = BandwidthFile(

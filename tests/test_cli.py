@@ -775,7 +775,15 @@ class TestEstimate:
             main(["estimate", "servers", "--x", "109",
                   "--b", "9" * 400 + " MB", "--p", "50", "--d", "100 MB"])
         assert exc.value.code == 2
-        assert "argument --b: invalid parse_rate value" in capsys.readouterr().err
+        assert "argument --b: bandwidth must be finite, got '999" in capsys.readouterr().err
+
+    def test_rate_without_unit_names_the_suffix(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "optimize", "--b", "678", "--p", "50", "--d", "100 MB"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --b: cannot parse bandwidth '678'" in err
+        assert "B, KB, MB, GB, Kbit, Mbit, Gbit" in err
 
     def test_optimize(self, capsys):
         code, stdout, _err = run(
@@ -1247,6 +1255,17 @@ class TestOutputPlumbing:
             _write_atomic(str(target), "new")
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("x")
+        out = blocker / "x"
+        code, stdout, err = run(capsys, "simulate", "--preset", "all-honest",
+                                "--out", str(out))
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == "error: cannot write output %s: Not a directory\n" % (
+            out / "records.jsonl")
+        assert blocker.read_text() == "x"
 
     @staticmethod
     def _call_times(monkeypatch, module, name):
