@@ -42,9 +42,8 @@ import math
 import os
 import random
 import re
-import statistics
 from bisect import insort
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -450,30 +449,46 @@ class DurationEstimate:
     iterations: int
 
 
+def _counted_median(counts: Counter):
+    """statistics.median of the samples counts tallies (value -> count)."""
+    n = counts.total()
+    ranks = ((n - 1) // 2, n // 2)  # the middle sample, or the middle two
+    middle = []
+    seen = 0
+    for value in sorted(counts):
+        seen += counts[value]
+        while len(middle) < 2 and ranks[len(middle)] < seen:
+            middle.append(value)
+    return middle[1] if n % 2 else (middle[0] + middle[1]) / 2
+
+
 def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstimate:
     """Median measurement duration over repeated random thread assignments.
 
     Each iteration re-runs infer_threads on every file with a derived
     sub-seed; duration samples pool across everything. The histogram counts
-    inferred thread numbers per (iteration, file) pair.
+    inferred thread numbers per (iteration, file) pair. Samples are tallied
+    per duration value, not kept, so memory does not grow with iterations;
+    median and sample_count equal statistics.median and len of the pooled
+    samples.
     """
     if not files:
         raise ValueError("need at least one bandwidth file")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    samples = []
+    counts = Counter()  # duration -> samples
     histogram = {}
     for it in range(iterations):
         for fi, bwf in enumerate(files):
             ta = infer_threads(bwf, rng_seed="%s/it%d/file%d" % (rng_seed, it, fi))
-            samples.extend(ta.durations)
+            counts.update(ta.durations)
             histogram[ta.num_threads] = histogram.get(ta.num_threads, 0) + 1
-    if not samples:
+    if not counts:
         raise InsufficientDataError("insufficient sequential measurements")
     return DurationEstimate(
-        median=float(statistics.median(samples)),
+        median=float(_counted_median(counts)),
         thread_count_histogram=histogram,
-        sample_count=len(samples),
+        sample_count=counts.total(),
         iterations=iterations,
     )
 

@@ -75,12 +75,20 @@ def _load_config_bytes(args) -> bytes:
 
 
 def _write_atomic(path: str, data) -> None:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Write bytes, text or a JSON document (a dict) to a temp file beside
+    path, fsync it and rename it over path; on any failure the temp file is
+    removed and path is left as it was. Text is written as UTF-8, its line
+    ends untranslated. A document is streamed in, indented and with a final
+    newline, so it is never held whole as text or bytes."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with (open(tmp, "wb") if isinstance(data, bytes)
+              else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+            if isinstance(data, dict):
+                json.dump(data, fh, indent=2)
+                fh.write("\n")
+            else:
+                fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -121,8 +129,6 @@ def _emit(outputs: Outputs, args, argv, started: datetime) -> None:
         print(json.dumps(outputs.stdout, indent=2))
         return
     for name, data in outputs.files.items():
-        if isinstance(data, dict):
-            data = json.dumps(data, indent=2) + "\n"
         _write_output(os.path.join(args.out, name), data)
     manifest = {
         "command": " ".join(["torbwsim"] + argv),
@@ -133,8 +139,7 @@ def _emit(outputs: Outputs, args, argv, started: datetime) -> None:
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs.files),
     }
-    _write_output(os.path.join(args.out, "manifest.json"),
-                  json.dumps(manifest, indent=2) + "\n")
+    _write_output(os.path.join(args.out, "manifest.json"), manifest)
     print(json.dumps(outputs.stdout))
 
 

@@ -73,7 +73,8 @@ def score_suspects(records,
     separately, excluded from grouping. Successful records of fewer than
     two relays raise InsufficientDataError, which names each relay's count;
     an assumed_duration that is not finite and > 0 raises ValueError, as
-    build_timeline does.
+    build_timeline does, and so do a threshold or min_overlap_fraction
+    outside [0, 1].
 
     Archives repeat an entry in every file until the relay is measured
     again, so records first collapse onto their distinct intervals
@@ -83,17 +84,22 @@ def score_suspects(records,
     overlap per partner relay. Then one relay at a time gathers its
     bandwidths, all of them and per partner the co-measured and the
     touching ones, and turns them into its directional drops, so only that
-    relay's lists are alive at once. Every mean counts each record, repeats
-    included, and is math.fsum(xs) / len(xs), which is what
-    statistics.fmean computes; fsum rounds the exact sum once, so the order
-    of its inputs cannot change a mean. The records apart from r2 are all
-    of r1's less those touching r2, so their sum is taken as the fsum of
-    all of r1's bandwidths and the negated touching ones, which equals the
-    fsum of the records apart, for the finite bandwidths MeasurementRecord
-    admits.
+    relay's lists are alive at once. Each interval's partner map is freed
+    once its relay has read it, and a pair's two directions are averaged
+    as soon as both relays are scored: only the drops still waiting for
+    their partner are kept, filed under that partner. Every mean counts
+    each record, repeats included, and is math.fsum(xs) / len(xs), which
+    is what statistics.fmean computes; fsum rounds the exact sum once, so
+    the order of its inputs cannot change a mean. The records apart from r2
+    are all of r1's less those touching r2, so their sum is taken as the
+    fsum of all of r1's bandwidths and the negated touching ones, which
+    equals the fsum of the records apart, for the finite bandwidths
+    MeasurementRecord admits.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
+    if not 0 <= min_overlap_fraction <= 1:
+        raise ValueError("min_overlap_fraction must lie in [0, 1]")
     if not 0 < assumed_duration < math.inf:
         raise ValueError("duration must be finite and > 0")
     bws_of = {}  # (start, end, relay) -> bandwidths of its records
@@ -128,7 +134,10 @@ def score_suspects(records,
     for i, (_start, _end, relay) in enumerate(items):
         indices_of.setdefault(relay, []).append(i)
 
-    drops = {}  # (relay, partner) with co samples -> drop, None without baseline
+    pair_drops = {}
+    undecided = set()  # pairs with co samples but a missing baseline
+    waiting = {}  # relay not yet scored -> {scored partner: its drop against it}
+    scored = set()
     for relay, indices in indices_of.items():
         all_bws = []
         co_bws = {}    # partner -> bandwidths of deeply co-measured records
@@ -143,30 +152,29 @@ def score_suspects(records,
                 near_bws.setdefault(partner, []).extend(negated)
                 if duration <= 0 or overlap / duration >= min_overlap_fraction:
                     co_bws.setdefault(partner, []).extend(values)
+            deepest[i] = None  # only this relay reads it
+        filed = waiting.pop(relay, {})
         for partner, co in co_bws.items():
             near = near_bws[partner]
             n_solo = len(all_bws) - len(near)
-            drop = None
+            drop = None  # without a baseline
             if n_solo:
                 solo_mean = math.fsum(all_bws + near) / n_solo
                 if solo_mean > 0:
                     co_mean = math.fsum(co) / len(co)
                     drop = min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
-            drops[relay, partner] = drop
-
-    pair_drops = {}
-    undecided = set()  # pairs with co samples but a missing baseline
-    for r1, r2 in drops:
-        if r1 > r2:
-            if (r2, r1) in drops:
-                continue  # visited from (r2, r1)
-            r1, r2 = r2, r1
-        d12 = drops.get((r1, r2))
-        d21 = drops.get((r2, r1))
-        if d12 is None or d21 is None:
-            undecided.add((r1, r2))
-            continue
-        pair_drops[(r1, r2)] = (d12 + d21) / 2.0
+            if partner not in scored:
+                waiting.setdefault(partner, {})[relay] = drop
+                continue
+            other = filed.pop(partner, None)
+            pair = (relay, partner) if relay < partner else (partner, relay)
+            if drop is None or other is None:
+                undecided.add(pair)
+            else:
+                pair_drops[pair] = (drop + other) / 2.0
+        # partners with co samples against this relay, but not it against them
+        undecided.update((p, relay) if p < relay else (relay, p) for p in filed)
+        scored.add(relay)
 
     has_pair = {r for pair in pair_drops for r in pair}
     insufficient = tuple(

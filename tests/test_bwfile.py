@@ -1,6 +1,7 @@
 import logging
 import os
 import random
+import statistics
 import tempfile
 from datetime import datetime, timezone
 from itertools import accumulate
@@ -637,10 +638,15 @@ def scan_infer_threads(bwf, rng_seed=0):
                                    durations=tuple(durations))
 
 
+def gap_lists():
+    """End-time gaps that often sit on the thread and duration cut-offs."""
+    return st.lists(st.one_of(st.sampled_from((0, 1, 24, 25, 26, 49, 50, 51)),
+                              st.integers(0, 120)), max_size=80)
+
+
 class TestInferThreadsMatchesScan:
     @settings(max_examples=300, deadline=None)
-    @given(gaps=st.lists(st.one_of(st.sampled_from((0, 1, 24, 25, 26, 49, 50, 51)),
-                                   st.integers(0, 120)), max_size=80),
+    @given(gaps=gap_lists(),
            rng_seed=st.one_of(st.integers(0, 5), st.just("s/it3/file1")))
     def test_same_assignment(self, gaps, rng_seed):
         bwf = entry_file(list(accumulate(gaps)))
@@ -674,6 +680,58 @@ class TestEstimateDuration:
             estimate_duration([])
         with pytest.raises(ValueError, match="iterations"):
             estimate_duration([entry_file([0, 40])], iterations=0)
+
+
+def pooled_estimate_duration(files, iterations, rng_seed=0):
+    """Oracle: estimate_duration as the median and length of one list that
+    pools every duration sample."""
+    samples = []
+    histogram = {}
+    for it in range(iterations):
+        for fi, bwf in enumerate(files):
+            ta = infer_threads(bwf, rng_seed="%s/it%d/file%d" % (rng_seed, it, fi))
+            samples.extend(ta.durations)
+            histogram[ta.num_threads] = histogram.get(ta.num_threads, 0) + 1
+    if not samples:
+        raise InsufficientDataError("insufficient sequential measurements")
+    return bwfile.DurationEstimate(median=float(statistics.median(samples)),
+                                   thread_count_histogram=histogram,
+                                   sample_count=len(samples), iterations=iterations)
+
+
+def float_file(end_times):
+    """A file of directly built entries whose end times are floats."""
+    return BandwidthFile(header_timestamp=T0, entries=tuple(
+        BandwidthEntry(node_id=R1, bw=1, end_time=T0 + t) for t in end_times))
+
+
+def _estimate_or_error(estimate, files, iterations, rng_seed):
+    try:
+        return estimate(files, iterations, rng_seed)
+    except InsufficientDataError as exc:
+        return "insufficient data: %s" % exc
+
+
+class TestEstimateDurationMatchesPooled:
+    @settings(max_examples=200, deadline=None)
+    @given(files=st.lists(gap_lists().map(lambda gaps: entry_file(list(accumulate(gaps)))),
+                          min_size=1, max_size=4),
+           iterations=st.integers(1, 6),
+           rng_seed=st.one_of(st.integers(0, 5), st.just("s")))
+    @example(files=[entry_file([0, 30, 60, 90])], iterations=1, rng_seed=0)  # 3 samples
+    @example(files=[entry_file([0, 30]), entry_file([0, 40])],
+             iterations=1, rng_seed=0)  # 2 samples, different middle values
+    @example(files=[entry_file([0, 30, 60]), entry_file([0, 40])],
+             iterations=2, rng_seed=0)  # 6 samples, equal middle values
+    @example(files=[float_file([0.0, 25.5, 51.25, 76.5]), float_file([0.1, 26.35])],
+             iterations=2, rng_seed=1)  # float durations, 8 samples
+    @example(files=[float_file([0.0, 25.5, 51.25])], iterations=3, rng_seed=2)
+    @example(files=[entry_file([0, 5, 10], node_ids=[R1, R2, R3]), entry_file([])],
+             iterations=2, rng_seed=0)  # no sample at all
+    def test_same_estimate(self, files, iterations, rng_seed):
+        assert (_estimate_or_error(estimate_duration, files, iterations, rng_seed)
+                == _estimate_or_error(pooled_estimate_duration, files, iterations,
+                                      rng_seed))
 
 
 def file_timeline(files, duration):

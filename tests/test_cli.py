@@ -1244,15 +1244,32 @@ class TestOutputPlumbing:
         _write_atomic(str(target), b"two")
         assert target.read_bytes() == b"two"
 
-    def test_write_atomic_failure_removes_temp_file(self, tmp_path, monkeypatch):
+    def test_write_atomic_writes_document_as_json_dumps(self, tmp_path):
+        doc = {"relay": "Zürich ✓", "small": 1e-7, "tenth": 0.1, "big": 1e300,
+               "nested": [[1, [2.5, []]], {"k": {}}], "empty": {}, "none": [],
+               "flag": None}
+        target = tmp_path / "doc.json"
+        _write_atomic(str(target), doc)
+        assert target.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        _write_atomic(str(target), "é\r\nline\n")  # text: UTF-8, untranslated
+        assert target.read_bytes() == "é\r\nline\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("failure", ["fsync", "serialize"])
+    def test_write_atomic_failure_removes_temp_file(self, tmp_path, monkeypatch,
+                                                    failure):
         target = tmp_path / "file.txt"
         target.write_text("old")
-
-        def no_space(_fd):
-            raise OSError(28, "No space left on device")
-        monkeypatch.setattr(os, "fsync", no_space)
-        with pytest.raises(OSError, match="No space left"):
-            _write_atomic(str(target), "new")
+        if failure == "fsync":
+            def no_space(_fd):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(os, "fsync", no_space)
+            data, error, match = "new", OSError, "No space left"
+        else:  # a set is not JSON: json.dump fails after emitting "kept"
+            data, error, match = ({"kept": [1, 2], "bad": {3}}, TypeError,
+                                  "set is not JSON serializable")
+        with pytest.raises(error, match=match):
+            _write_atomic(str(target), data)
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 

@@ -185,14 +185,20 @@ class TestScoreSuspects:
         groups = ast.literal_eval(outputs.pop())
         assert [len(g) for g in groups] == [3, 3]
 
-    @pytest.mark.parametrize("long, short", [(A, B), (B, A)],
-                             ids=["long-sorts-first", "short-sorts-first"])
-    def test_pair_visited_whichever_relay_sorts_first(self, long, short):
+    @pytest.mark.parametrize("long, short, short_start", [
+        (A, B, 10), (B, A, 10), (A, B, -5), (B, A, -5),
+    ], ids=["long-sorts-first", "short-sorts-first",
+            "long-sorts-first-short-starts-first",
+            "short-sorts-first-short-starts-first"])
+    def test_pair_visited_whichever_relay_sorts_first(self, long, short, short_start):
         # only the short record is deeply co-measured, and it has no solo
-        # baseline: the pair is undecided under either naming
+        # baseline: the pair is undecided under either naming. Relays are
+        # scored in order of their first start, so the short relay, which
+        # holds the co samples, is scored after its partner when it starts
+        # inside the long record and before it when it starts first
         records = [
             rec(long, 0, 100, 100.0), rec(long, 200, 300, 100.0),
-            rec(short, 10, 20, 50.0),
+            rec(short, short_start, short_start + 10, 50.0),
             rec(C, 400, 410, 100.0),
         ]
         report = score_suspects(records)
@@ -212,9 +218,15 @@ class TestScoreSuspects:
                            match=r"at least 2 relays, have 1; %s: 2 records$" % A):
             score_suspects(records)
 
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="threshold"):
-            score_suspects(shared_pair_records(), threshold=1.5)
+    @pytest.mark.parametrize("name, value", [
+        ("threshold", 1.5),
+        ("min_overlap_fraction", 1.5),
+        ("min_overlap_fraction", -0.5),
+        ("min_overlap_fraction", math.nan),
+    ])
+    def test_threshold_validated(self, name, value):
+        with pytest.raises(ValueError, match="%s must lie in" % name):
+            score_suspects(shared_pair_records(), **{name: value})
 
     def test_custom_threshold_blocks_grouping(self):
         report = score_suspects(shared_pair_records(), threshold=0.6)
@@ -374,6 +386,13 @@ class TestCollapsedSweepMatchesPairwise:
                       rec(A, None, 10.0, 100.0), rec(B, 9.0, 10.0, 50.0),
                       rec(A, None, 50.0, 100.0), rec(B, None, 60.0, 100.0)],
              assumed_duration=0.0, threshold=0.3, min_overlap_fraction=0.5)
+    # co samples on B's side only, B scored after A and before it
+    @example(records=[rec(A, 0.0, 100.0, 100.0), rec(A, 200.0, 300.0, 100.0),
+                      rec(B, 10.0, 20.0, 50.0), rec(B, 400.0, 410.0, 100.0)],
+             assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.5)
+    @example(records=[rec(A, 0.0, 100.0, 100.0), rec(A, 200.0, 300.0, 100.0),
+                      rec(B, -5.0, 5.0, 50.0), rec(B, 400.0, 410.0, 100.0)],
+             assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.5)
     def test_same_report_and_probes(self, records, assumed_duration, threshold,
                                     min_overlap_fraction):
         kwargs = dict(assumed_duration=assumed_duration, threshold=threshold,
