@@ -311,18 +311,16 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     )
 
 
-def to_records(files, relay_ids=None) -> list:
+def to_records(files) -> list:
     """Invert from_records: one record per entry, in file order, on thread 0
     and without a start time, which files do not keep. An entry with bw=0
-    becomes a failed record. relay_ids, if given, keeps only the entries of
-    those relays."""
+    becomes a failed record."""
     # relay_id, ba_id, thread_id, start_time, end_time, measured_bw passed by
     # position: keyword matching took a quarter of the time on large corpora
     return [
         MeasurementRecord(entry.node_id, bwf.ba_id, 0, None, float(entry.end_time),
                           float(entry.bw), ok=entry.bw > 0)
         for bwf in files for entry in bwf.entries
-        if relay_ids is None or entry.node_id in relay_ids
     ]
 
 

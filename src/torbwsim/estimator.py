@@ -123,22 +123,24 @@ def optimize_cluster(b: float, p: float, d: float) -> dict:
 
 def load_samples(path: str) -> list:
     """(x, y) pairs, one per line, split by a comma or blanks, after an
-    optional header row; # starts a comment. Raises ConfigError naming a bad
-    line."""
+    optional header row, which is the first line that is not blank or a
+    comment; # starts a comment. Raises ConfigError naming a bad line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read samples file: %s" % exc)
     samples = []
+    first = None  # number of the first line with content
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        first = first or lineno
         try:
             values = [float(part) for part in line.replace(",", " ").split()]
         except ValueError:
-            if lineno == 1:
+            if lineno == first:
                 continue  # header row
             values = []
         if len(values) != 2 or not all(map(math.isfinite, values)):

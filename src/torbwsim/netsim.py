@@ -1,9 +1,11 @@
 """Discrete-event simulation of hosts, relays, user load, and attack policies.
 
-The simulator owns a single logical timeline. Scanner threads are simulated
-entities that pull targets from a shared per-round queue (work stealing);
-each download is one event, so concurrent measurements see each other's
-contention through the shared FlowState. Bandwidth allocation per host is
+The simulator owns a single logical timeline, the event time. Scanner threads
+are simulated entities that pull targets from a shared per-round queue (work
+stealing); each download is one event, so concurrent measurements see each
+other's contention through the shared FlowState. A download's rate is fixed
+at its start: the lesser of its flow's allocation and what a new measurement
+of its exit would get (available_bandwidth). Bandwidth allocation per host is
 max-min fair: equal split among active flows with redistribution of any
 share a flow cannot use, never exceeding capacity times efficiency.
 
@@ -236,16 +238,16 @@ class FlowState:
     and user loads of the host it sits on, so a download re-solves that one
     host and never the rest of the network.
 
-    Each flow is also filed under every host it can sit on: its relay's
-    host and, for a detormult_member, the dedicated server. A host's solve
-    depends only on the flows filed under it, on which of their detect
-    times have passed, and on whether the host is in fp_suppressed_hosts.
-    So each solve is cached with the window [lo, hi) between the last
-    detect time at or before its instant and the next one after it, and
-    reused while now stays in that window and the false-positive flag is
-    unchanged. Adding or removing a flow drops the entries of its hosts.
-    fp_suppressed_hosts is a plain set that callers edit, so its flag is
-    checked on every lookup.
+    A flow is filed under every host it can sit on: its relay's host and,
+    for a detormult_member on another host, the dedicated server, where it
+    sits once detected. A host's solve depends only on the flows filed under
+    it, on which of their detect times have passed, and on whether the host
+    is in fp_suppressed_hosts. So each solve is cached with the window
+    [lo, hi) between the last detect time at or before its instant and the
+    next one after it, and reused while now stays in that window and the
+    false-positive flag is unchanged. Adding or removing a flow drops the
+    entries of its hosts. fp_suppressed_hosts is a plain set that callers
+    edit, so its flag is checked on every lookup.
     """
 
     def __init__(self, topology: Topology, user_load: dict):
@@ -258,6 +260,13 @@ class FlowState:
         self._host_flows = {}
         # host_id -> {probe relay_id or None: (lo, hi, suppressed, fill)}
         self._solves = {}
+        # relay_id -> (own host,) or (own host, dedicated server)
+        ded = topology.clusters.dedicated_server
+        self._hosts = {
+            r.relay_id: (r.host_id, ded) if r.policy == "detormult_member"
+            and ded != r.host_id else (r.host_id,)
+            for r in topology.relays.values()
+        }
         # host_id -> [(relay_id, demand)], in user_load order
         self._user_demands = {}
         for relay_id, load in self.user_load.items():
@@ -268,36 +277,27 @@ class FlowState:
                 (relay_id, min(load, relay.advertised_bw))
             )
 
-    def _filed_hosts(self, relay_id: str) -> tuple:
-        relay = self.topology.relays[relay_id]
-        dedicated = self.topology.clusters.dedicated_server
-        if relay.policy == "detormult_member" and dedicated != relay.host_id:
-            return (relay.host_id, dedicated)
-        return (relay.host_id,)
-
     def add_flow(self, relay_id: str, ba_id: str, detect_time: float):
         key = (relay_id, ba_id)
         if key in self.flows:
             raise SimulationError("duplicate measurement flow %s" % (key,))
         self.flows[key] = detect_time
-        for host_id in self._filed_hosts(relay_id):
+        for host_id in self._hosts[relay_id]:
             self._host_flows.setdefault(host_id, {})[key] = detect_time
             self._solves.pop(host_id, None)
 
     def remove_flow(self, relay_id: str, ba_id: str):
         key = (relay_id, ba_id)
         del self.flows[key]
-        for host_id in self._filed_hosts(relay_id):
+        for host_id in self._hosts[relay_id]:
             del self._host_flows[host_id][key]
             self._solves.pop(host_id, None)
 
     # -- allocation ---------------------------------------------------------
 
     def _flow_host(self, relay_id: str, detect_time: float, now: float) -> str:
-        relay = self.topology.relays[relay_id]
-        if relay.policy == "detormult_member" and now >= detect_time:
-            return self.topology.clusters.dedicated_server
-        return relay.host_id
+        hosts = self._hosts[relay_id]
+        return hosts[-1] if now >= detect_time else hosts[0]
 
     def _solve(self, host_id: str, now: float, probe=None) -> dict:
         """Max-min allocation of every active flow on one host, cached;
@@ -398,20 +398,16 @@ def _max_min_fill(pool: float, demands: list) -> dict:
 
 
 def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
-    """Bytes/second a measurement of relay_id sees at this instant.
+    """Bytes/second a new measurement of relay_id would see at this instant.
 
-    If the relay is under an active measurement, this is that flow's current
-    allocation. Otherwise the answer is hypothetical: what a newly started,
-    already-detected measurement would be allocated right now.
+    The answer is hypothetical: what a measurement started now, and already
+    detected, would be allocated beside the flows on its host. The loop asks
+    it of each download's exit, which no scan measures and no flow sits on.
     """
-    relay = state.topology.relays.get(relay_id)
-    if relay is None:
+    hosts = state._hosts.get(relay_id)
+    if hosts is None:
         raise ConfigError("unknown relay %r" % (relay_id,))
-    active = [key for key in state._host_flows.get(relay.host_id, ())
-              if key[0] == relay_id]
-    if active:
-        return max(state.flow_bandwidth(*key, now) for key in active)
-    fill = state._solve(state._flow_host(relay_id, now, now), now, probe=relay_id)
+    fill = state._solve(hosts[-1], now, probe=relay_id)
     return fill[("m", relay_id, "__probe__")]
 
 
@@ -430,7 +426,7 @@ _PRIO_ROUND = 2
 
 
 class _ThreadCtx:
-    __slots__ = ("scanner", "thread_id", "gen", "plan", "start", "now")
+    __slots__ = ("scanner", "thread_id", "gen", "plan", "start")
 
     def __init__(self, scanner: ScannerConfig, thread_id: int):
         self.scanner = scanner
@@ -438,7 +434,6 @@ class _ThreadCtx:
         self.gen = None
         self.plan = None
         self.start = 0.0
-        self.now = 0.0
 
 
 class _Loop:
@@ -502,33 +497,32 @@ class _Loop:
         self.state.add_flow(plan.target, ba_id, detect_time)
         ctx.plan = plan
         ctx.start = now
-        ctx.now = now
         ctx.gen = measurement_steps()
-        self._issue_download(ctx, ctx.gen.send(None))
+        self._issue_download(ctx, ctx.gen.send(None), now)
 
-    def _issue_download(self, ctx, step):
-        _phase, size = step
+    def _issue_download(self, ctx, size, now):
         rate = min(
-            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id, ctx.now),
-            available_bandwidth(self.state, ctx.plan.exit, ctx.now),
+            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id, now),
+            available_bandwidth(self.state, ctx.plan.exit, now),
         )
         if rate <= 0:
-            self.push(ctx.now, _PRIO_STEP, self._on_step, ctx, None)
+            self.push(now, _PRIO_STEP, self._on_step, ctx, None)
             return
         duration = size / rate
-        self.push(ctx.now + duration, _PRIO_STEP, self._on_step, ctx, duration)
+        self.push(now + duration, _PRIO_STEP, self._on_step, ctx, duration)
 
     def _on_step(self, now, ctx, duration):
-        ctx.now = now if duration is not None else ctx.now + _EPS
+        if duration is None:
+            now += _EPS  # a dead path ends just after it was found
         try:
-            step = ctx.gen.send(duration)
+            size = ctx.gen.send(duration)
         except StopIteration as stop:
-            self._complete(ctx, stop.value)
-            self._start_next(ctx, ctx.now)
+            self._complete(ctx, stop.value, now)
+            self._start_next(ctx, now)
             return
-        self._issue_download(ctx, step)
+        self._issue_download(ctx, size, now)
 
-    def _complete(self, ctx, outcome):
+    def _complete(self, ctx, outcome, now):
         ba_id = ctx.scanner.ba_id
         self.state.remove_flow(ctx.plan.target, ba_id)
         self.records.append(MeasurementRecord(
@@ -536,11 +530,8 @@ class _Loop:
             ba_id=ba_id,
             thread_id=ctx.thread_id,
             start_time=ctx.start,
-            end_time=ctx.now,
-            measured_bw=outcome["measured_bw"],
-            bytes_total=outcome["bytes_total"],
-            downloads=outcome["downloads"],
-            ok=outcome["ok"],
+            end_time=now,
+            **outcome,  # ok, measured_bw, bytes_total and downloads
         ))
         ctx.gen = None
         ctx.plan = None
@@ -555,8 +546,12 @@ class _Loop:
              if activation.get(r.relay_id, 0.0) <= now],
             "%s/%s/round%d" % (self.seed, scanner.ba_id, round_idx),
         )
-        self.queues[scanner.ba_id] = list(plans)  # leftovers of the old round vanish
-        for ctx in self.threads[scanner.ba_id]:
+        self._enqueue(scanner.ba_id, plans, now)
+
+    def _enqueue(self, ba_id, plans, now):
+        """Replace ba_id's queue with plans and start its idle threads."""
+        self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
+        for ctx in self.threads[ba_id]:
             if ctx.plan is None:
                 self._start_next(ctx, now)
 
@@ -733,30 +728,39 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
     One synthetic scanner starts every target at the same instant, so the
     targets contend exactly as a co-measurement would. The scanner runs one
     thread per target, so a probe takes at most 8 targets (the scanner's
-    thread limit) and raises ValueError beyond that. Used by the defense
+    thread limit) and raises ValueError beyond that. As in a round, each
+    target is a non-exit relay measured once: an exit or a repeated id
+    raises ValueError, an unknown id ConfigError. Used by the defense
     workflow to force co-probes. seed drives both the exit choice and the
     detector misses. Returns one record per relay.
     """
     relay_ids = list(relay_ids)
     if not relay_ids:
         return ()
+    scancfg = ScannerConfig(ba_id="probe", threads=len(relay_ids))
     probe_seed = "%s/probe" % (seed,)
     rng = random.Random(probe_seed)
+    relays = cfg.topology.relays
     exits = sorted(
-        (r for r in cfg.topology.relays.values() if r.role == "exit"),
+        (r for r in relays.values() if r.role == "exit"),
         key=lambda r: r.relay_id,
     )
-    scancfg = ScannerConfig(ba_id="probe", threads=len(relay_ids))
     plans = []
-    for relay_id in relay_ids:
-        exit_relay = select_exit(exits, cfg.topology.relays[relay_id], rng)
+    for i, relay_id in enumerate(relay_ids):
+        relay = relays.get(relay_id)
+        if relay is None:
+            raise ConfigError("unknown relay %r" % (relay_id,))
+        if relay.role == "exit":
+            raise ValueError("cannot probe exit %s: scans measure non-exit relays"
+                             % relay_id)
+        if relay_id in relay_ids[:i]:
+            raise ValueError("relay %s repeated: a probe measures each once" % relay_id)
+        exit_relay = select_exit(exits, relay, rng)
         if exit_relay is None:
             raise SimulationError("no qualifying exit for probe of %s" % relay_id)
         plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))
 
     loop = _Loop(replace(cfg, scanners=(scancfg,)), probe_seed)
-    loop.queues["probe"] = plans
-    for ctx in loop.threads["probe"]:
-        loop._start_next(ctx, start_time)
+    loop._enqueue("probe", plans, start_time)
     loop.run(math.inf)
     return tuple(loop.records)

@@ -108,20 +108,19 @@ def adapt_range(size: int, observed_duration: float) -> int:
 def measurement_steps():
     """Generator protocol driving one measurement, one download at a time.
 
-    Yields ("adapt" | "timed", size_bytes); the caller sends back the
+    Yields each download's size in bytes; the caller sends back the
     observed duration in seconds (or None for a dead path). Returns a dict
-    with the per-download sizes/durations of the timed phase, the measured
-    bandwidth (mean per-download throughput, 0.0 unless ok), total bytes
-    moved, download count, and an ok flag.
+    with an ok flag, the measured bandwidth (mean per-download throughput
+    of the timed downloads, 0.0 unless ok), total bytes moved and the
+    download count.
     """
     size = RANGE_INCREMENT
     bytes_total = 0
     downloads = 0
-    sizes, durations = [], []
 
     ok = False
     for _ in range(MAX_ADAPTATION_STEPS):
-        duration = yield ("adapt", size)
+        duration = yield size
         if duration is None or duration <= 0:
             break
         bytes_total += size
@@ -131,21 +130,17 @@ def measurement_steps():
             break
         size = adapt_range(size, duration)
 
+    throughput = 0.0
     if ok:
         for _ in range(DOWNLOADS_PER_MEASUREMENT):
-            duration = yield ("timed", size)
+            duration = yield size
             if duration is None or duration <= 0:
                 ok = False
                 break
             bytes_total += size
             downloads += 1
-            sizes.append(size)
-            durations.append(duration)
+            throughput += size / duration
 
-    measured = 0.0
-    if ok:
-        throughputs = [s / d for s, d in zip(sizes, durations)]
-        measured = sum(throughputs) / len(throughputs)
-    return {"ok": ok, "sizes": sizes, "durations": durations,
-            "measured_bw": measured, "bytes_total": bytes_total,
-            "downloads": downloads}
+    return {"ok": ok,
+            "measured_bw": throughput / DOWNLOADS_PER_MEASUREMENT if ok else 0.0,
+            "bytes_total": bytes_total, "downloads": downloads}

@@ -319,6 +319,17 @@ class TestLoadSamples:
         path.write_text("x,y\n1,2.5  # first\n\n2 3\n# only a comment\n")
         assert load_samples(str(path)) == [(1.0, 2.5), (2.0, 3.0)]
 
+    def test_header_after_leading_comment_and_blank_line(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("# curve samples\n\nx,y\n1,1\n2,4\n")
+        assert load_samples(str(path)) == [(1.0, 1.0), (2.0, 4.0)]
+
+    def test_header_only_before_the_first_sample(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("1,1\nx,y\n")
+        with pytest.raises(ConfigError, match="samples.csv:2: "):
+            load_samples(str(path))
+
     @pytest.mark.parametrize("line", ["5,nan", "inf,4", "3,-inf"])
     def test_nonfinite_rejected(self, tmp_path, line):
         path = tmp_path / "samples.csv"

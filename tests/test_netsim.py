@@ -109,10 +109,6 @@ def oracle_allocations(state, now):
 
 
 def oracle_available_bandwidth(state, relay_id, now):
-    active = [key for key in state.flows if key[0] == relay_id]
-    if active:
-        alloc = oracle_allocations(state, now)
-        return max(alloc[("m",) + key] for key in active)
     state.add_flow(relay_id, "__probe__", now)
     try:
         return oracle_allocations(state, now)[("m", relay_id, "__probe__")]
@@ -330,14 +326,6 @@ class TestAvailableBandwidth:
         got = available_bandwidth(state, fp("A"), 0.0)
         assert got == pytest.approx(30 * MB)
         assert state.flows == {}
-
-    def test_active_measurement_reports_its_allocation(self):
-        topology, load = shared_host_topology("honest")
-        state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 0.0)
-        assert available_bandwidth(state, fp("A"), 1.0) == pytest.approx(
-            50 * MB / 3
-        )
 
     def test_unknown_relay_rejected(self):
         topology, load = shared_host_topology()
@@ -939,7 +927,8 @@ class TestRunProbe:
         assert not rec.ok
         assert rec.measured_bw == 0.0
         assert rec.start_time == 5.0
-        assert rec.end_time > rec.start_time
+        assert rec.end_time == 5.0 + netsim._EPS
+        assert rec.downloads == rec.bytes_total == 0
 
     def test_seed_drives_detector_misses(self):
         # a detected probe of a DeTorMult member sees the 11 MB/s dedicated
@@ -953,6 +942,28 @@ class TestRunProbe:
             for i in range(40)
         }
         assert measured == {11.0, 25.0}
+
+    def test_unknown_relay_rejected(self):
+        relays, hosts, _load = honest_farm(n_middles=1)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        with pytest.raises(ConfigError, match="unknown relay 'F+'"):
+            run_probe(cfg, [fp("farm/middle0"), "F" * 40], seed="p")
+
+    def test_repeated_relay_rejected(self):
+        # measured twice, the two records would run one after the other,
+        # not at the same instant
+        relays, hosts, _load = honest_farm(n_middles=1)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        with pytest.raises(ValueError, match="repeated"):
+            run_probe(cfg, [fp("farm/middle0")] * 2, seed="p")
+
+    def test_exit_rejected(self):
+        # plan_round never measures an exit, and neither does a probe
+        relays, hosts, _load = honest_farm(n_middles=1)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts))
+        exit_id = next(r for r, spec in relays.items() if spec.role == "exit")
+        with pytest.raises(ValueError, match="cannot probe exit"):
+            run_probe(cfg, [exit_id], seed="p")
 
     def test_empty_probe_is_empty(self):
         topology, clusters, load = detormult_topology()

@@ -7,6 +7,7 @@ import pytest
 from conftest import MB, fp
 from torbwsim.core import RelaySpec
 from torbwsim.scanner import (
+    DOWNLOADS_PER_MEASUREMENT,
     MAX_ADAPTATION_STEPS,
     MIN_DURATION_PER_DOWNLOAD,
     ScannerConfig,
@@ -42,51 +43,49 @@ class TestAdaptRange:
 def run_steps(rates):
     """Drive measurement_steps with a per-download rate schedule (bytes/s).
 
-    The schedule repeats its last value. Returns (outcome, observed sizes).
+    The schedule repeats its last value. Returns (outcome, observed sizes,
+    observed durations).
     """
     gen = measurement_steps()
-    sizes = []
-    idx = 0
-    step = gen.send(None)
+    sizes, durations = [], []
+    size = gen.send(None)
     while True:
-        _phase, size = step
-        rate = rates[min(idx, len(rates) - 1)]
-        idx += 1
+        rate = rates[min(len(sizes), len(rates) - 1)]
         sizes.append(size)
-        duration = size / rate if rate > 0 else None
+        durations.append(size / rate if rate > 0 else None)
         try:
-            step = gen.send(duration)
+            size = gen.send(durations[-1])
         except StopIteration as stop:
-            return stop.value, sizes
+            return stop.value, sizes, durations
 
 
 class TestMeasurementSteps:
     def test_adaptation_ladder_at_25_mbps(self):
         # hand ladder: 16 MiB/25 MB = 0.67 s, doubling to 128 MiB = 5.37 s
         # in band, then five timed downloads at that size
-        outcome, sizes = run_steps([25 * MB])
+        outcome, sizes, durations = run_steps([25 * MB])
+        assert set(outcome) == {"ok", "measured_bw", "bytes_total", "downloads"}
         assert outcome["ok"]
         assert sizes == [16 * MIB, 32 * MIB, 64 * MIB, 128 * MIB] + [128 * MIB] * 5
         assert outcome["downloads"] == 9
         assert outcome["bytes_total"] == sum(sizes)
-        assert len(outcome["durations"]) == 5
-        for d in outcome["durations"]:
+        for d in durations[-DOWNLOADS_PER_MEASUREMENT:]:
             assert d == pytest.approx(128 * MIB / (25 * MB))
 
     def test_first_download_already_in_band(self):
         # 16 MiB at 2 MB/s is 8.4 s, inside the band immediately
-        outcome, sizes = run_steps([2 * MB])
+        outcome, sizes, _durations = run_steps([2 * MB])
         assert outcome["ok"]
         assert sizes == [16 * MIB] * 6
         assert outcome["downloads"] == 6
 
     def test_in_band_measurement_lasts_at_least_25s(self):
-        outcome, _sizes = run_steps([25 * MB])
-        total = sum(outcome["durations"])
+        _outcome, _sizes, durations = run_steps([25 * MB])
+        total = sum(durations[-DOWNLOADS_PER_MEASUREMENT:])
         assert total >= 5 * MIN_DURATION_PER_DOWNLOAD == 25.0
 
     def test_dead_path_fails(self):
-        outcome, sizes = run_steps([0.0])
+        outcome, sizes, _durations = run_steps([0.0])
         assert not outcome["ok"]
         assert sizes == [16 * MIB]
 
@@ -94,21 +93,21 @@ class TestMeasurementSteps:
         # the rate flips between downloads: the published number is the mean
         # of per-download throughputs, not total bytes over total time
         rates = [2 * MB, 8 * MB] * 5
-        outcome, sizes = run_steps(rates)
+        outcome, sizes, durations = run_steps(rates)
         assert outcome["ok"]
         # 16 MiB at 2 MB/s is in band at once; the five timed downloads
         # then see 8, 2, 8, 2, 8 MB/s
         assert len(sizes) == 6
         expected_mean = statistics.fmean(rates[1:6])
-        total_rate = outcome["bytes_total"] / (
-            16 * MIB / (2 * MB) + sum(outcome["durations"])
-        )
+        total_rate = outcome["bytes_total"] / sum(durations)
+        timed = [size / d for size, d in zip(sizes[1:], durations[1:])]
+        assert outcome["measured_bw"] == sum(timed) / len(timed)
         assert outcome["measured_bw"] == pytest.approx(expected_mean)
         assert outcome["measured_bw"] != pytest.approx(total_rate, rel=1e-3)
 
     @pytest.mark.parametrize("rates", [[0.0], [25 * MB] * 4 + [0.0]])
     def test_failed_measurement_measures_zero(self, rates):
-        outcome, _sizes = run_steps(rates)
+        outcome, _sizes, _durations = run_steps(rates)
         assert not outcome["ok"]
         assert outcome["measured_bw"] == 0.0
 
@@ -116,13 +115,13 @@ class TestMeasurementSteps:
         # alternating fast/slow keeps the size bouncing across the band and
         # never settles; the scanner must give up after the step cap
         rates = [200 * MB, 1 * MB] * 20
-        outcome, sizes = run_steps(rates)
+        outcome, sizes, _durations = run_steps(rates)
         assert not outcome["ok"]
         assert len(sizes) <= MAX_ADAPTATION_STEPS
 
     def test_too_slow_path_fails_at_floor(self):
         # 16 MiB at 0.1 MB/s is 168 s; halving cannot go below one increment
-        outcome, sizes = run_steps([0.1 * MB])
+        outcome, sizes, _durations = run_steps([0.1 * MB])
         assert not outcome["ok"]
         assert all(s == 16 * MIB for s in sizes)
         assert len(sizes) == MAX_ADAPTATION_STEPS
