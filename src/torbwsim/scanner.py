@@ -130,7 +130,7 @@ def measurement_steps():
             break
         size = adapt_range(size, duration)
 
-    throughput = 0.0
+    throughput_sum = 0.0
     if ok:
         for _ in range(DOWNLOADS_PER_MEASUREMENT):
             duration = yield size
@@ -139,8 +139,8 @@ def measurement_steps():
                 break
             bytes_total += size
             downloads += 1
-            throughput += size / duration
+            throughput_sum += size / duration
 
     return {"ok": ok,
-            "measured_bw": throughput / DOWNLOADS_PER_MEASUREMENT if ok else 0.0,
+            "measured_bw": throughput_sum / DOWNLOADS_PER_MEASUREMENT if ok else 0.0,
             "bytes_total": bytes_total, "downloads": downloads}
