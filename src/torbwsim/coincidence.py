@@ -49,7 +49,7 @@ class CoincidenceDistribution:
 
 
 def load_relay_set(path: str) -> set:
-    """Fingerprints listed one per line; blanks, a leading $ and case are
+    """Fingerprints listed one per line; blanks, one leading $ and case are
     forgiven, anything else raises ConfigError naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -58,7 +58,7 @@ def load_relay_set(path: str) -> set:
         raise ConfigError("cannot read relays file: %s" % exc)
     relay_set = set()
     for lineno, line in enumerate(lines, 1):
-        token = line.strip().lstrip("$").upper()
+        token = line.strip().removeprefix("$").upper()
         if not token:
             continue
         if not is_fingerprint(token):
@@ -148,8 +148,8 @@ def coincidence_vs_window(timeline, relay_set, windows) -> dict:
     t0 = min(iv.end for iv in chosen)
     out = {}
     for w in windows:
-        if w <= 0:
-            raise ValueError("window lengths must be > 0")
+        if not 0 < w < math.inf:
+            raise ValueError("window lengths must be finite and > 0, got %r" % (w,))
         try:
             dist = count_events(timeline, relay_set, window=(t0, t0 + w))
         except InsufficientDataError:

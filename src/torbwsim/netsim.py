@@ -4,8 +4,10 @@ The simulator owns a single logical timeline, the event time. Scanner threads
 are simulated entities that pull targets from a shared per-round queue (work
 stealing); each download is one event, so concurrent measurements see each
 other's contention through the shared FlowState. A download's rate is fixed
-at its start: the lesser of its flow's allocation and what a new measurement
-of its exit would get (available_bandwidth). Bandwidth allocation per host is
+at its start: the lesser of its flow's allocation and its exit's cap, the
+exit's advertised bandwidth or its host's usable capacity if lower. The exit
+cap is fixed for the run, so a download solves only its own flow's host, and
+no load on the exit's host slows it. Bandwidth allocation per host is
 max-min fair: equal split among active flows with redistribution of any
 share a flow cannot use, never exceeding capacity times efficiency.
 
@@ -236,7 +238,8 @@ class FlowState:
 
     Allocation is solved per host: a flow's rate depends only on the flows
     and user loads of the host it sits on, so a download re-solves that one
-    host and never the rest of the network.
+    host and never the rest of the network. An exit carries no flow; its
+    cap in exit_caps bounds every download through it.
 
     A flow is filed under every host it can sit on: its relay's host and,
     for a detormult_member on another host, the dedicated server, where it
@@ -258,7 +261,7 @@ class FlowState:
         self.fp_suppressed_hosts = set()
         # host_id -> {(relay_id, ba_id): detect time}, in flows order
         self._host_flows = {}
-        # host_id -> {probe relay_id or None: (lo, hi, suppressed, fill)}
+        # host_id -> (lo, hi, suppressed, fill)
         self._solves = {}
         # relay_id -> (own host,) or (own host, dedicated server)
         ded = topology.clusters.dedicated_server
@@ -266,6 +269,12 @@ class FlowState:
             r.relay_id: (r.host_id, ded) if r.policy == "detormult_member"
             and ded != r.host_id else (r.host_id,)
             for r in topology.relays.values()
+        }
+        # exit relay_id -> its advertised bandwidth, capped by its own host
+        self.exit_caps = {
+            r.relay_id: min(r.advertised_bw,
+                            topology.hosts[r.host_id].usable_capacity)
+            for r in topology.relays.values() if r.role == "exit"
         }
         # host_id -> [(relay_id, demand)], in user_load order
         self._user_demands = {}
@@ -299,7 +308,7 @@ class FlowState:
         hosts = self._hosts[relay_id]
         return hosts[-1] if now >= detect_time else hosts[0]
 
-    def _solve(self, host_id: str, now: float, probe=None) -> dict:
+    def _solve(self, host_id: str, now: float) -> dict:
         """Max-min allocation of every active flow on one host, cached;
         callers must not mutate it.
 
@@ -308,14 +317,9 @@ class FlowState:
         relay's user flow, a detected cotormult_member flow pauses every
         cotormult_member user flow on the host, and a false-positive epoch
         pauses all of them. Conserves capacity * efficiency.
-
-        probe, a relay id, adds a hypothetical measurement of that relay,
-        detected at now and keyed ("m", probe, "__probe__"), after the
-        host's own measurement flows.
         """
         suppressed = host_id in self.fp_suppressed_hosts
-        solves = self._solves.setdefault(host_id, {})
-        hit = solves.get(probe)
+        hit = self._solves.get(host_id)
         if hit is not None and hit[0] <= now < hit[1] and hit[2] == suppressed:
             return hit[3]
         filed = self._host_flows.get(host_id, {})
@@ -325,14 +329,11 @@ class FlowState:
                 lo = max(lo, detect_time)
             else:
                 hi = min(hi, detect_time)
-        flows = list(filed.items())
-        if probe is not None:
-            flows.append(((probe, "__probe__"), now))
         relays = self.topology.relays
         demands = []
         paused = set()
         pause_members = False
-        for key, detect_time in flows:
+        for key, detect_time in filed.items():
             if self._flow_host(key[0], detect_time, now) != host_id:
                 continue
             relay = relays[key[0]]
@@ -354,7 +355,7 @@ class FlowState:
         assert sum(fill.values()) <= pool + 1e-6, (
             "allocation exceeds capacity on host %s" % host_id
         )
-        solves[probe] = (lo, hi, suppressed, fill)
+        self._solves[host_id] = (lo, hi, suppressed, fill)
         return fill
 
     def allocations(self, now: float) -> dict:
@@ -395,20 +396,6 @@ def _max_min_fill(pool: float, demands: list) -> dict:
             alloc[key] = pending[key]
             remaining -= pending.pop(key)
     return alloc
-
-
-def available_bandwidth(state: FlowState, relay_id: str, now: float) -> float:
-    """Bytes/second a new measurement of relay_id would see at this instant.
-
-    The answer is hypothetical: what a measurement started now, and already
-    detected, would be allocated beside the flows on its host. The loop asks
-    it of each download's exit, which no scan measures and no flow sits on.
-    """
-    hosts = state._hosts.get(relay_id)
-    if hosts is None:
-        raise ConfigError("unknown relay %r" % (relay_id,))
-    fill = state._solve(hosts[-1], now, probe=relay_id)
-    return fill[("m", relay_id, "__probe__")]
 
 
 @dataclass(frozen=True)
@@ -503,7 +490,7 @@ class _Loop:
     def _issue_download(self, ctx, size, now):
         rate = min(
             self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id, now),
-            available_bandwidth(self.state, ctx.plan.exit, now),
+            self.state.exit_caps[ctx.plan.exit],
         )
         if rate <= 0:
             self.push(now, _PRIO_STEP, self._on_step, ctx, None)

@@ -37,6 +37,9 @@ class ScannerConfig:
     round_budget: float = 3600.0
 
     def __post_init__(self):
+        # the scanner's bandwidth file is bwfiles/<ba_id>.bw
+        if not self.ba_id or "/" in self.ba_id:
+            raise ValueError("ba_id must be a plain file name, got %r" % (self.ba_id,))
         if not 1 <= self.threads <= 8:
             raise ValueError("threads must be in [1, 8], got %d" % self.threads)
         if not self.round_budget > 0:

@@ -450,6 +450,18 @@ class TestSimulate:
             assert code == EXIT_CONFIG, (path, err)
             assert message in err, (path, err)
 
+    @pytest.mark.parametrize("ba_id", ["../escaped", "", "a/b"])
+    def test_ba_id_must_be_a_plain_file_name(self, ba_id, tmp_path, capsys):
+        # the scanner's file is bwfiles/<ba_id>.bw, which must stay there
+        doc = minimal_config(scanners=[{"ba_id": ba_id}])
+        cfg = write_config(tmp_path, doc)
+        code, _out, err = run(
+            capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run")
+        )
+        assert code == EXIT_CONFIG
+        assert "config.scanners[0]: ba_id must be a plain file name" in err
+        assert not (tmp_path / "run").exists()
+
     def test_duplicate_relay_rejected(self, tmp_path, capsys):
         doc = minimal_config()
         doc["relays"].append(dict(doc["relays"][0]))
@@ -689,14 +701,16 @@ class TestAnalyze:
 
     def test_relays_file_rejects_non_fingerprint(self, tmp_path, capsys):
         bwdir, relays = self._coincidence_corpus(tmp_path)
-        with open(relays, "a", encoding="utf-8") as fh:
-            fh.write("\nnot-a-fingerprint\n")
-        code, _out, err = run(
-            capsys, "analyze", "coincidence", str(bwdir), "--out",
-            str(tmp_path / "out"), "--relays", str(relays)
-        )
-        assert code == EXIT_CONFIG
-        assert "%s:8: not a relay fingerprint: 'not-a-fingerprint'" % relays in err
+        listed = relays.read_text(encoding="utf-8")
+        # one leading "$" is allowed, as in bandwidth files, but not two
+        for bad in ("not-a-fingerprint", "$$" + fp("a")):
+            relays.write_text(listed + "\n" + bad + "\n", encoding="utf-8")
+            code, _out, err = run(
+                capsys, "analyze", "coincidence", str(bwdir), "--out",
+                str(tmp_path / "out"), "--relays", str(relays)
+            )
+            assert code == EXIT_CONFIG
+            assert "%s:8: not a relay fingerprint: %r" % (relays, bad) in err
 
     def test_coincidence_on_simulated_records(self, tmp_path, capsys):
         # records.jsonl carries true start times, which the timeline keeps

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -157,8 +158,9 @@ class TestCoincidenceVsWindow:
     def test_rejects_bad_windows(self):
         with pytest.raises(ValueError, match="nonempty"):
             coincidence_vs_window(MIXED, MIXED_SET, [])
-        with pytest.raises(ValueError, match="> 0"):
-            coincidence_vs_window(MIXED, MIXED_SET, [0])
+        for bad in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                coincidence_vs_window(MIXED, MIXED_SET, [bad, 100.0])
 
     def test_no_selected_measurements(self):
         with pytest.raises(InsufficientDataError):

@@ -36,7 +36,6 @@ from torbwsim.netsim import (
     _baseline_bw,
     _fold_consensus,
     _max_min_fill,
-    available_bandwidth,
     inflation_factor,
     run_probe,
     run_simulation,
@@ -319,21 +318,6 @@ class TestFlowStateAllocations:
             state.add_flow(fp("A"), "ba0", 0.0)
 
 
-class TestAvailableBandwidth:
-    def test_hypothetical_probe_leaves_state_unchanged(self):
-        topology, load = shared_host_topology()
-        state = FlowState(topology, load)
-        got = available_bandwidth(state, fp("A"), 0.0)
-        assert got == pytest.approx(30 * MB)
-        assert state.flows == {}
-
-    def test_unknown_relay_rejected(self):
-        topology, load = shared_host_topology()
-        state = FlowState(topology, load)
-        with pytest.raises(ConfigError, match="unknown relay"):
-            available_bandwidth(state, "F" * 40, 0.0)
-
-
 class TestPerHostSolve:
     @settings(max_examples=300, deadline=None)
     @given(scenario=flow_states())
@@ -345,9 +329,6 @@ class TestPerHostSolve:
         for relay_id, ba_id in flows:
             assert (state.flow_bandwidth(relay_id, ba_id, now)
                     == expected[("m", relay_id, ba_id)])
-        for relay_id in state.topology.relays:
-            assert (available_bandwidth(state, relay_id, now)
-                    == oracle_available_bandwidth(state, relay_id, now))
         assert state.flows == flows
 
     @settings(max_examples=200, deadline=None)
@@ -375,20 +356,12 @@ class TestPerHostSolve:
             else:
                 state.fp_suppressed_hosts.symmetric_difference_update({data.draw(
                     st.sampled_from(sorted(state.topology.hosts)))})
-            # the oracle probes by adding a flow, so it runs on a twin
-            twin = FlowState(state.topology, state.user_load)
-            for (relay_id, ba_id), detect_time in state.flows.items():
-                twin.add_flow(relay_id, ba_id, detect_time)
-            twin.fp_suppressed_hosts.update(state.fp_suppressed_hosts)
             flows = dict(state.flows)
-            expected = oracle_allocations(twin, now)
+            expected = oracle_allocations(state, now)
             assert state.allocations(now) == expected
             for relay_id, ba_id in flows:
                 assert (state.flow_bandwidth(relay_id, ba_id, now)
                         == expected[("m", relay_id, ba_id)])
-            for relay_id in relays:
-                assert (available_bandwidth(state, relay_id, now)
-                        == oracle_available_bandwidth(twin, relay_id, now))
             assert state.flows == flows
 
     def test_returned_allocations_do_not_alias_the_cache(self):
@@ -401,14 +374,31 @@ class TestPerHostSolve:
         assert state.allocations(1.0) == expected
         assert (state.flow_bandwidth(fp("A"), "ba0", 1.0)
                 == expected[("m", fp("A"), "ba0")])
-        assert (available_bandwidth(state, fp("B"), 1.0)
-                == oracle_available_bandwidth(state, fp("B"), 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.floats(1.0, 1e10),
+           efficiency=st.sampled_from((1.0, 0.95, 0.5, 0.22)),
+           advertised=st.floats(1.0, 1e10))
+    def test_exit_cap_is_the_probe_of_a_lone_exit(self, capacity, efficiency,
+                                                  advertised):
+        # an exit alone on its host, without user load: its cap is exactly
+        # what a detected measurement of it would be allocated
+        exit_id = fp("X")
+        topology = Topology(
+            relays={exit_id: RelaySpec(relay_id=exit_id, host_id="hx",
+                                       advertised_bw=advertised, role="exit")},
+            hosts={"hx": HostSpec(host_id="hx", capacity=capacity,
+                                  efficiency=efficiency)},
+        )
+        state = FlowState(topology, {})
+        assert state.exit_caps == {
+            exit_id: oracle_available_bandwidth(state, exit_id, 0.0)}
 
     def test_solves_per_record_independent_of_network_size(self, monkeypatch):
-        # a host is re-solved only when its flows, detection state or
-        # false-positive flag change, so most downloads reuse both their
-        # target's and their exit's solve; a larger network spreads its
-        # exits' solves over more records, so it may need fewer per record
+        # a download solves only its target's host, and that host is
+        # re-solved only when its flows, detection state or false-positive
+        # flag change, so most downloads reuse the solve; exits have fixed
+        # caps and are never solved
         solves = []
 
         def counting_fill(pool, demands):
@@ -918,9 +908,29 @@ class TestRunProbe:
         assert rec.ok
         assert rec.measured_bw == pytest.approx(10 * MB)
 
+    def test_exit_cap_ignores_exit_host_load(self):
+        # the exit's 30 MB/s host carries 20 MB/s of the exit's own user
+        # load; the exit's cap is still its host's 30 MB/s, so the 25 MB/s
+        # target is not slowed
+        hosts = {
+            "h": HostSpec(host_id="h", capacity=400 * MB),
+            "hx": HostSpec(host_id="hx", capacity=30 * MB),
+        }
+        relays = {
+            fp("t"): RelaySpec(relay_id=fp("t"), host_id="h",
+                               advertised_bw=25 * MB),
+            fp("x"): RelaySpec(relay_id=fp("x"), host_id="hx",
+                               advertised_bw=200 * MB, role="exit"),
+        }
+        cfg = sim_config(Topology(relays=relays, hosts=hosts),
+                         user_load={fp("x"): 20 * MB})
+        (rec,) = run_probe(cfg, [fp("t")], seed="p")
+        assert rec.ok
+        assert rec.measured_bw == pytest.approx(25 * MB)
+
     def test_dead_path_record(self, monkeypatch):
-        monkeypatch.setattr(netsim, "available_bandwidth",
-                            lambda state, relay_id, now: 0.0)
+        monkeypatch.setattr(FlowState, "flow_bandwidth",
+                            lambda self, relay_id, ba_id, now: 0.0)
         relays, hosts, _load = honest_farm(n_middles=1)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
         (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
