@@ -22,7 +22,9 @@ Policy semantics on a detected measurement:
 A measurement the detector misses (false negative) is allocated exactly like
 a user flow. False positives are modeled coarsely: once per consensus epoch
 each host with adversarial relays may spuriously drop its user flows for
-that epoch.
+that epoch. Detections and epochs are loop events like downloads, and the
+events at one instant run in a fixed order: detections, then finished
+downloads, epochs and rounds.
 """
 
 import heapq
@@ -241,35 +243,21 @@ class FlowState:
     host and never the rest of the network. An exit carries no flow; its
     cap in exit_caps bounds every download through it.
 
-    A flow is filed under every host it can sit on: its relay's host and,
-    for a detormult_member on another host, the dedicated server, where it
-    sits once detected. A host's solve depends only on the flows filed under
-    it, on which of their detect times have passed, and on whether the host
-    is in fp_suppressed_hosts. So each solve is cached with the window
-    [lo, hi) between the last detect time at or before its instant and the
-    next one after it, and reused while now stays in that window and the
-    false-positive flag is unchanged. Adding or removing a flow drops the
-    entries of its hosts. fp_suppressed_hosts is a plain set that callers
-    edit, so its flag is checked on every lookup.
+    The state has no clock: the event loop reports each arrival, departure,
+    detection and false-positive epoch as it happens, and a host's solve is
+    cached until one of them touches that host.
     """
 
     def __init__(self, topology: Topology, user_load: dict):
         self.topology = topology
         self.user_load = dict(user_load)
-        # (relay_id, ba_id) -> detect time; math.inf for a missed detection
+        # (relay_id, ba_id) -> detected, in arrival order on each host
         self.flows = {}
-        self.fp_suppressed_hosts = set()
-        # host_id -> {(relay_id, ba_id): detect time}, in flows order
+        self.fp_suppressed_hosts = frozenset()
+        # host_id -> {(relay_id, ba_id): detected}, in arrival order
         self._host_flows = {}
-        # host_id -> (lo, hi, suppressed, fill)
+        # host_id -> max-min fill of its flows
         self._solves = {}
-        # relay_id -> (own host,) or (own host, dedicated server)
-        ded = topology.clusters.dedicated_server
-        self._hosts = {
-            r.relay_id: (r.host_id, ded) if r.policy == "detormult_member"
-            and ded != r.host_id else (r.host_id,)
-            for r in topology.relays.values()
-        }
         # exit relay_id -> its advertised bandwidth, capped by its own host
         self.exit_caps = {
             r.relay_id: min(r.advertised_bw,
@@ -286,64 +274,75 @@ class FlowState:
                 (relay_id, min(load, relay.advertised_bw))
             )
 
-    def add_flow(self, relay_id: str, ba_id: str, detect_time: float):
+    def _host(self, relay_id: str, detected: bool) -> str:
+        relay = self.topology.relays[relay_id]
+        if detected and relay.policy == "detormult_member":
+            return self.topology.clusters.dedicated_server
+        return relay.host_id
+
+    def add_flow(self, relay_id: str, ba_id: str, detected: bool):
         key = (relay_id, ba_id)
         if key in self.flows:
             raise SimulationError("duplicate measurement flow %s" % (key,))
-        self.flows[key] = detect_time
-        for host_id in self._hosts[relay_id]:
-            self._host_flows.setdefault(host_id, {})[key] = detect_time
-            self._solves.pop(host_id, None)
+        self._file(key, detected)
+
+    def _file(self, key, detected: bool):
+        self.flows[key] = detected
+        host_id = self._host(key[0], detected)
+        self._host_flows.setdefault(host_id, {})[key] = detected
+        self._solves.pop(host_id, None)
 
     def remove_flow(self, relay_id: str, ba_id: str):
         key = (relay_id, ba_id)
-        del self.flows[key]
-        for host_id in self._hosts[relay_id]:
-            del self._host_flows[host_id][key]
+        host_id = self._host(relay_id, self.flows.pop(key))
+        del self._host_flows[host_id][key]
+        self._solves.pop(host_id, None)
+
+    def detect(self, relay_id: str, ba_id: str):
+        """The detector recognises the flow from now on. A flow that moves to
+        the dedicated server arrives there last; any other keeps its place."""
+        key = (relay_id, ba_id)
+        if key not in self.flows:
+            raise SimulationError("detection of absent measurement flow %s" % (key,))
+        if self._host(relay_id, True) != self._host(relay_id, self.flows[key]):
+            self.remove_flow(relay_id, ba_id)
+        self._file(key, True)
+
+    def set_false_positives(self, host_ids):
+        """Begin a false-positive epoch: exactly host_ids pause user flows."""
+        host_ids = frozenset(host_ids)
+        for host_id in host_ids ^ self.fp_suppressed_hosts:
             self._solves.pop(host_id, None)
+        self.fp_suppressed_hosts = host_ids
 
     # -- allocation ---------------------------------------------------------
 
-    def _flow_host(self, relay_id: str, detect_time: float, now: float) -> str:
-        hosts = self._hosts[relay_id]
-        return hosts[-1] if now >= detect_time else hosts[0]
-
-    def _solve(self, host_id: str, now: float) -> dict:
+    def _solve(self, host_id: str) -> dict:
         """Max-min allocation of every active flow on one host, cached;
         callers must not mutate it.
 
-        Measurement flows come first, in the order they were added, then the
+        Measurement flows come first, in the order they arrived, then the
         host's user flows. A detected drop_on_measure flow pauses its own
         relay's user flow, a detected cotormult_member flow pauses every
         cotormult_member user flow on the host, and a false-positive epoch
         pauses all of them. Conserves capacity * efficiency.
         """
-        suppressed = host_id in self.fp_suppressed_hosts
-        hit = self._solves.get(host_id)
-        if hit is not None and hit[0] <= now < hit[1] and hit[2] == suppressed:
-            return hit[3]
-        filed = self._host_flows.get(host_id, {})
-        lo, hi = -math.inf, math.inf
-        for detect_time in filed.values():
-            if detect_time <= now:
-                lo = max(lo, detect_time)
-            else:
-                hi = min(hi, detect_time)
+        fill = self._solves.get(host_id)
+        if fill is not None:
+            return fill
         relays = self.topology.relays
         demands = []
         paused = set()
         pause_members = False
-        for key, detect_time in filed.items():
-            if self._flow_host(key[0], detect_time, now) != host_id:
-                continue
+        for key, detected in self._host_flows.get(host_id, {}).items():
             relay = relays[key[0]]
             demands.append((("m",) + key, relay.advertised_bw))
-            if now >= detect_time:
+            if detected:
                 if relay.policy == "drop_on_measure":
                     paused.add(relay.relay_id)
                 elif relay.policy == "cotormult_member":
                     pause_members = True
-        if not suppressed:
+        if host_id not in self.fp_suppressed_hosts:
             for relay_id, demand in self._user_demands.get(host_id, ()):
                 if relay_id in paused or (
                         pause_members
@@ -355,29 +354,23 @@ class FlowState:
         assert sum(fill.values()) <= pool + 1e-6, (
             "allocation exceeds capacity on host %s" % host_id
         )
-        self._solves[host_id] = (lo, hi, suppressed, fill)
+        self._solves[host_id] = fill
         return fill
 
-    def allocations(self, now: float) -> dict:
+    def allocations(self) -> dict:
         """Max-min allocation of every active flow, keyed by flow id.
 
         Measurement flows are keyed ("m", relay_id, ba_id), user flows
         ("u", relay_id): _solve over every host with demand.
         """
-        hosts = dict.fromkeys(
-            self._flow_host(relay_id, detect_time, now)
-            for (relay_id, _ba_id), detect_time in self.flows.items()
-        )
-        hosts.update(dict.fromkeys(self._user_demands))
         alloc = {}
-        for host_id in hosts:
-            alloc.update(self._solve(host_id, now))
+        for host_id in {**self._host_flows, **self._user_demands}:
+            alloc.update(self._solve(host_id))
         return alloc
 
-    def flow_bandwidth(self, relay_id: str, ba_id: str, now: float) -> float:
-        detect_time = self.flows[(relay_id, ba_id)]
-        fill = self._solve(self._flow_host(relay_id, detect_time, now), now)
-        return fill[("m", relay_id, ba_id)]
+    def flow_bandwidth(self, relay_id: str, ba_id: str) -> float:
+        host_id = self._host(relay_id, self.flows[(relay_id, ba_id)])
+        return self._solve(host_id)[("m", relay_id, ba_id)]
 
 
 def _max_min_fill(pool: float, demands: list) -> dict:
@@ -405,11 +398,12 @@ class SimResult:
     baseline_bw: float
 
 
-# Event priorities at equal timestamps: finish downloads first, then draw
-# the epoch's false positives, then start the next round.
-_PRIO_STEP = 0
-_PRIO_CONSENSUS = 1
-_PRIO_ROUND = 2
+# Event priorities at equal timestamps: detections (which downloads issued at
+# that instant must see), finished downloads, false-positive epochs, rounds.
+_PRIO_DETECT = 0
+_PRIO_STEP = 1
+_PRIO_CONSENSUS = 2
+_PRIO_ROUND = 3
 
 
 class _ThreadCtx:
@@ -424,7 +418,7 @@ class _ThreadCtx:
 
 
 class _Loop:
-    """The one event loop: scanner threads, rounds, and false-positive epochs.
+    """The one event loop: downloads, detections, rounds, false-positive epochs.
 
     An event is (time, prio, seq, handler, args); run calls
     handler(time, *args). seed drives every random draw of the loop (round
@@ -477,19 +471,25 @@ class _Loop:
         if idx is None:
             return
         plan = queue.pop(idx)
-        detect_time = now + self.cfg.detector.detection_delay
-        if (self.cfg.topology.relays[plan.target].policy != "honest"
-                and self.rng_detect.random() < self.cfg.detector.false_negative_rate):
-            detect_time = math.inf
-        self.state.add_flow(plan.target, ba_id, detect_time)
+        delay = self.cfg.detector.detection_delay
+        missed = (self.cfg.topology.relays[plan.target].policy != "honest"
+                  and self.rng_detect.random() < self.cfg.detector.false_negative_rate)
+        self.state.add_flow(plan.target, ba_id, detected=not missed and delay == 0)
+        if not missed and delay > 0:
+            self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, plan)
         ctx.plan = plan
         ctx.start = now
         ctx.gen = measurement_steps()
         self._issue_download(ctx, ctx.gen.send(None), now)
 
+    def _on_detect(self, _now, ctx, plan):
+        # a measurement that ended first (a dead path) is not detected
+        if ctx.plan is plan:
+            self.state.detect(plan.target, ctx.scanner.ba_id)
+
     def _issue_download(self, ctx, size, now):
         rate = min(
-            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id, now),
+            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id),
             self.state.exit_caps[ctx.plan.exit],
         )
         if rate <= 0:
@@ -544,12 +544,10 @@ class _Loop:
 
     def _resample_false_positives(self, _now):
         rate = self.cfg.detector.false_positive_rate
-        self.state.fp_suppressed_hosts.clear()
-        if rate <= 0:
-            return
-        for host_id in self.adversarial_hosts:
-            if self.rng_fp.random() < rate:
-                self.state.fp_suppressed_hosts.add(host_id)
+        self.state.set_false_positives(
+            host_id for host_id in self.adversarial_hosts
+            if rate > 0 and self.rng_fp.random() < rate
+        )
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:

@@ -37,8 +37,9 @@ class ScannerConfig:
     round_budget: float = 3600.0
 
     def __post_init__(self):
-        # the scanner's bandwidth file is bwfiles/<ba_id>.bw
-        if not self.ba_id or "/" in self.ba_id:
+        # the scanner's bandwidth file is bwfiles/<ba_id>.bw, whose stem must
+        # read back as ba_id: no directory, no NUL byte, not a hidden file
+        if self.ba_id[:1] in ("", ".") or "/" in self.ba_id or "\0" in self.ba_id:
             raise ValueError("ba_id must be a plain file name, got %r" % (self.ba_id,))
         if not 1 <= self.threads <= 8:
             raise ValueError("threads must be in [1, 8], got %d" % self.threads)

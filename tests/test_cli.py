@@ -450,9 +450,11 @@ class TestSimulate:
             assert code == EXIT_CONFIG, (path, err)
             assert message in err, (path, err)
 
-    @pytest.mark.parametrize("ba_id", ["../escaped", "", "a/b"])
+    @pytest.mark.parametrize("ba_id", ["../escaped", "", "a/b", "a\x00b", "..",
+                                       ".hidden"])
     def test_ba_id_must_be_a_plain_file_name(self, ba_id, tmp_path, capsys):
-        # the scanner's file is bwfiles/<ba_id>.bw, which must stay there
+        # the scanner's file is bwfiles/<ba_id>.bw, which must stay there,
+        # be writable and have ba_id as its stem
         doc = minimal_config(scanners=[{"ba_id": ba_id}])
         cfg = write_config(tmp_path, doc)
         code, _out, err = run(

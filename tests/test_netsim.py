@@ -43,9 +43,6 @@ from torbwsim.netsim import (
 from torbwsim.units import MIB
 
 
-MISSED = math.inf  # the detect time of a measurement the detector misses
-
-
 def shared_host_topology(policy_a="drop_on_measure"):
     """Two relays on one 50 MB host: A (adv 30, policy under test), B honest."""
     hosts = {
@@ -64,14 +61,14 @@ def shared_host_topology(policy_a="drop_on_measure"):
     return Topology(relays=relays, hosts=hosts), load
 
 
-def oracle_allocations(state, now):
+def oracle_allocations(state):
     """Whole-network max-min allocation, transcribed from the simulator as it
     was before allocation became per-host: every host solved at once, with
     the paused user flows found by scanning every relay."""
     relays = state.topology.relays
     dropped = set()
-    for (relay_id, _ba_id), detect_time in state.flows.items():
-        if now < detect_time:
+    for (relay_id, _ba_id), detected in state.flows.items():
+        if not detected:
             continue
         relay = relays[relay_id]
         if relay.policy == "drop_on_measure":
@@ -85,10 +82,10 @@ def oracle_allocations(state, now):
         if relay.host_id in state.fp_suppressed_hosts:
             dropped.add(relay.relay_id)
     demands_by_host = {}
-    for key, detect_time in state.flows.items():
+    for key, detected in state.flows.items():
         relay = relays[key[0]]
         host = relay.host_id
-        if relay.policy == "detormult_member" and now >= detect_time:
+        if relay.policy == "detormult_member" and detected:
             host = state.topology.clusters.dedicated_server
         demands_by_host.setdefault(host, []).append(
             (("m",) + key, relay.advertised_bw)
@@ -107,21 +104,23 @@ def oracle_allocations(state, now):
     return alloc
 
 
-def oracle_available_bandwidth(state, relay_id, now):
-    state.add_flow(relay_id, "__probe__", now)
+def oracle_available_bandwidth(state, relay_id):
+    state.add_flow(relay_id, "__probe__", detected=True)
     try:
-        return oracle_allocations(state, now)[("m", relay_id, "__probe__")]
+        return oracle_allocations(state)[("m", relay_id, "__probe__")]
     finally:
         state.remove_flow(relay_id, "__probe__")
 
 
 @st.composite
 def flow_states(draw):
-    """A small network mixing all four policies, with flows at one instant.
+    """A small network mixing all four policies, with active flows.
 
-    Relay hosts share a dedicated server; a flow's detect time may lie
-    before or after now, or be MISSED; several scanners may measure one
-    relay; any host may be suppressed by a false positive.
+    Relay hosts share a dedicated server; a flow may be detected when it is
+    added, detected later or never, and the later detections run in a random
+    order, so a DeTorMult flow may reach the dedicated server out of add
+    order; several scanners may measure one relay; any host may be
+    suppressed by a false positive.
     """
     hosts = {"ded": HostSpec(
         host_id="ded", capacity=draw(st.integers(5, 100)) * MB,
@@ -154,16 +153,21 @@ def flow_states(draw):
     )
     state = FlowState(Topology(relays=relays, hosts=hosts, clusters=clusters),
                       load)
-    state.fp_suppressed_hosts.update(draw(st.sets(st.sampled_from(sorted(hosts)))))
+    state.set_false_positives(draw(st.sets(st.sampled_from(sorted(hosts)))))
     keys = draw(st.lists(
         st.tuples(st.sampled_from(sorted(relays)),
                   st.sampled_from(("ba0", "ba1", "ba2"))),
         unique=True, max_size=8,
     ))
-    for relay_id, ba_id in keys:
-        state.add_flow(relay_id, ba_id,
-                       draw(st.sampled_from((0.0, 5.0, 10.0, MISSED))))
-    return state, draw(st.sampled_from((0.0, 5.0, 7.5, 10.0)))
+    later = []
+    for key in keys:
+        when = draw(st.sampled_from(("added", "later", "never")))
+        state.add_flow(*key, detected=when == "added")
+        if when == "later":
+            later.append(key)
+    for key in draw(st.permutations(later)):
+        state.detect(*key)
+    return state
 
 
 class TestMaxMinFill:
@@ -208,8 +212,8 @@ class TestFlowStateAllocations:
     def test_drop_on_measure_frees_own_user_flow(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(fp("A"), "ba0", detected=True)
+        alloc = state.allocations()
         # A's own 30 MB/s of user traffic vanished; B's 20 MB/s remains and
         # is satisfied, the rest of the 50 MB host goes to the measurement
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(30 * MB)
@@ -219,8 +223,8 @@ class TestFlowStateAllocations:
     def test_honest_relay_competes_with_all_user_flows(self):
         topology, load = shared_host_topology("honest")
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(fp("A"), "ba0", detected=True)
+        alloc = state.allocations()
         # three flows (measurement, A's load, B's load) split 50 MB evenly
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
         assert alloc[("u", fp("A"))] == pytest.approx(50 * MB / 3)
@@ -229,24 +233,25 @@ class TestFlowStateAllocations:
     def test_undetected_measurement_gets_no_special_treatment(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", MISSED)
-        alloc = state.allocations(1.0)
+        state.add_flow(fp("A"), "ba0", detected=False)
+        alloc = state.allocations()
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
 
     def test_detection_delay_defers_the_drop(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 5.0)
-        before = state.allocations(1.0)
-        after = state.allocations(5.0)
+        state.add_flow(fp("A"), "ba0", detected=False)
+        before = state.allocations()
+        state.detect(fp("A"), "ba0")
+        after = state.allocations()
         assert before[("m", fp("A"), "ba0")] == pytest.approx(50 * MB / 3)
         assert after[("m", fp("A"), "ba0")] == pytest.approx(30 * MB)
 
     def test_cotormult_measurement_drops_every_member_load(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(members[0], "ba0", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(members[0], "ba0", detected=True)
+        alloc = state.allocations()
         # all five member loads drop, the lone claim fits inside the pool
         assert alloc[("m", members[0], "ba0")] == pytest.approx(25 * MB)
         assert not any(key[0] == "u" and key[1] in members for key in alloc)
@@ -254,58 +259,58 @@ class TestFlowStateAllocations:
     def test_cotormult_claim_capped_by_host_pool(self):
         topology, members, load = cotormult_topology(member_claim=60 * MB)
         state = FlowState(topology, load)
-        state.add_flow(members[0], "ba0", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(members[0], "ba0", detected=True)
+        alloc = state.allocations()
         assert alloc[("m", members[0], "ba0")] == pytest.approx(47.5 * MB)
 
     def test_cotormult_concurrent_measurements_split_pool(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(members[0], "ba0", 0.0)
-        state.add_flow(members[1], "ba1", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(members[0], "ba0", detected=True)
+        state.add_flow(members[1], "ba1", detected=True)
+        alloc = state.allocations()
         assert alloc[("m", members[0], "ba0")] == pytest.approx(23.75 * MB)
         assert alloc[("m", members[1], "ba1")] == pytest.approx(23.75 * MB)
 
     def test_cotormult_undetected_member_competes_with_loads(self):
         topology, members, load = cotormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(members[0], "ba0", MISSED)
-        alloc = state.allocations(1.0)
+        state.add_flow(members[0], "ba0", detected=False)
+        alloc = state.allocations()
         # pool 47.5 MB over six flows, none of which fits its demand
         assert alloc[("m", members[0], "ba0")] == pytest.approx(47.5 * MB / 6)
 
     def test_detormult_measurement_lands_on_dedicated_server(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(clusters[0][0], "ba0", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(clusters[0][0], "ba0", detected=True)
+        alloc = state.allocations()
         # dedicated pool: 50 MB * 0.22 efficiency
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(11 * MB)
 
     def test_detormult_concurrent_measurements_share_dedicated_pool(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(clusters[0][0], "ba0", 0.0)
-        state.add_flow(clusters[1][0], "ba1", 0.0)
-        alloc = state.allocations(1.0)
+        state.add_flow(clusters[0][0], "ba0", detected=True)
+        state.add_flow(clusters[1][0], "ba1", detected=True)
+        alloc = state.allocations()
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(5.5 * MB)
         assert alloc[("m", clusters[1][0], "ba1")] == pytest.approx(5.5 * MB)
 
     def test_detormult_undetected_measurement_stays_on_cluster_host(self):
         topology, clusters, load = detormult_topology()
         state = FlowState(topology, load)
-        state.add_flow(clusters[0][0], "ba0", MISSED)
-        alloc = state.allocations(1.0)
+        state.add_flow(clusters[0][0], "ba0", detected=False)
+        alloc = state.allocations()
         # cluster host raw capacity 25 MB, six members but no user load here
         assert alloc[("m", clusters[0][0], "ba0")] == pytest.approx(25 * MB)
 
     def test_false_positive_suppression_drops_user_flows(self):
         topology, load = shared_host_topology("drop_on_measure")
         state = FlowState(topology, load)
-        state.fp_suppressed_hosts.add("h")
-        state.add_flow(fp("A"), "ba0", MISSED)
-        alloc = state.allocations(1.0)
+        state.set_false_positives({"h"})
+        state.add_flow(fp("A"), "ba0", detected=False)
+        alloc = state.allocations()
         # no user flow survives on the suppressed host, even undetected
         assert alloc[("m", fp("A"), "ba0")] == pytest.approx(30 * MB)
         assert not any(key[0] == "u" for key in alloc)
@@ -313,66 +318,75 @@ class TestFlowStateAllocations:
     def test_duplicate_flow_rejected(self):
         topology, load = shared_host_topology()
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 0.0)
+        state.add_flow(fp("A"), "ba0", detected=True)
         with pytest.raises(SimulationError, match="duplicate"):
-            state.add_flow(fp("A"), "ba0", 0.0)
+            state.add_flow(fp("A"), "ba0", detected=True)
+
+    def test_detection_of_absent_flow_rejected(self):
+        # a detection that outlives its measurement must not re-add the flow
+        topology, load = shared_host_topology()
+        state = FlowState(topology, load)
+        state.add_flow(fp("A"), "ba0", detected=False)
+        state.remove_flow(fp("A"), "ba0")
+        with pytest.raises(SimulationError, match="absent"):
+            state.detect(fp("A"), "ba0")
+        assert state.flows == {}
 
 
 class TestPerHostSolve:
     @settings(max_examples=300, deadline=None)
-    @given(scenario=flow_states())
-    def test_matches_whole_network_oracle(self, scenario):
-        state, now = scenario
+    @given(state=flow_states())
+    def test_matches_whole_network_oracle(self, state):
         flows = dict(state.flows)
-        expected = oracle_allocations(state, now)
-        assert state.allocations(now) == expected
+        expected = oracle_allocations(state)
+        assert state.allocations() == expected
         for relay_id, ba_id in flows:
-            assert (state.flow_bandwidth(relay_id, ba_id, now)
+            assert (state.flow_bandwidth(relay_id, ba_id)
                     == expected[("m", relay_id, ba_id)])
         assert state.flows == flows
 
     @settings(max_examples=200, deadline=None)
-    @given(scenario=flow_states(), data=st.data())
-    def test_matches_oracle_over_a_sequence_of_steps(self, scenario, data):
+    @given(state=flow_states(), data=st.data())
+    def test_matches_oracle_over_a_sequence_of_steps(self, state, data):
         # solves are cached between steps, so each step is one way a stale
-        # solve could leak: a flow added or removed, now moved forward or
-        # backward across a detect time, a false-positive flag flipped
-        state, now = scenario
+        # solve could leak: a flow added, removed or detected, a new set of
+        # false-positive hosts
         relays = sorted(state.topology.relays)
+        hosts = sorted(state.topology.hosts)
         keys = [(r, ba) for r in relays for ba in ("ba0", "ba1", "ba2")]
         for _ in range(data.draw(st.integers(1, 12), label="steps")):
             free = [key for key in keys if key not in state.flows]
-            kinds = ["now", "fp"] + ["add"] * bool(free) + ["remove"] * bool(state.flows)
+            undetected = sorted(key for key, detected in state.flows.items()
+                                if not detected)
+            kinds = (["fp"] + ["add"] * bool(free) + ["remove"] * bool(state.flows)
+                     + ["detect"] * bool(undetected))
             kind = data.draw(st.sampled_from(kinds), label="step")
             if kind == "add":
-                state.add_flow(*data.draw(st.sampled_from(free)), data.draw(
-                    st.sampled_from((0.0, 2.5, 5.0, 10.0, now, MISSED))))
+                state.add_flow(*data.draw(st.sampled_from(free)),
+                               detected=data.draw(st.booleans(), label="detected"))
             elif kind == "remove":
                 state.remove_flow(*data.draw(st.sampled_from(sorted(state.flows))))
-            elif kind == "now":
-                now = data.draw(st.sampled_from((0.0, 2.5, 5.0, 7.5, 10.0, 12.5)))
-            elif data.draw(st.booleans(), label="clear"):
-                state.fp_suppressed_hosts.clear()
+            elif kind == "detect":
+                state.detect(*data.draw(st.sampled_from(undetected)))
             else:
-                state.fp_suppressed_hosts.symmetric_difference_update({data.draw(
-                    st.sampled_from(sorted(state.topology.hosts)))})
+                state.set_false_positives(data.draw(st.sets(st.sampled_from(hosts))))
             flows = dict(state.flows)
-            expected = oracle_allocations(state, now)
-            assert state.allocations(now) == expected
+            expected = oracle_allocations(state)
+            assert state.allocations() == expected
             for relay_id, ba_id in flows:
-                assert (state.flow_bandwidth(relay_id, ba_id, now)
+                assert (state.flow_bandwidth(relay_id, ba_id)
                         == expected[("m", relay_id, ba_id)])
             assert state.flows == flows
 
     def test_returned_allocations_do_not_alias_the_cache(self):
         topology, load = shared_host_topology("honest")
         state = FlowState(topology, load)
-        state.add_flow(fp("A"), "ba0", 0.0)
-        expected = state.allocations(1.0)
-        state.allocations(1.0)[("u", fp("B"))] = -1.0
-        state.allocations(1.0).clear()
-        assert state.allocations(1.0) == expected
-        assert (state.flow_bandwidth(fp("A"), "ba0", 1.0)
+        state.add_flow(fp("A"), "ba0", detected=True)
+        expected = state.allocations()
+        state.allocations()[("u", fp("B"))] = -1.0
+        state.allocations().clear()
+        assert state.allocations() == expected
+        assert (state.flow_bandwidth(fp("A"), "ba0")
                 == expected[("m", fp("A"), "ba0")])
 
     @settings(max_examples=200, deadline=None)
@@ -392,7 +406,7 @@ class TestPerHostSolve:
         )
         state = FlowState(topology, {})
         assert state.exit_caps == {
-            exit_id: oracle_available_bandwidth(state, exit_id, 0.0)}
+            exit_id: oracle_available_bandwidth(state, exit_id)}
 
     def test_solves_per_record_independent_of_network_size(self, monkeypatch):
         # a download solves only its target's host, and that host is
@@ -930,7 +944,7 @@ class TestRunProbe:
 
     def test_dead_path_record(self, monkeypatch):
         monkeypatch.setattr(FlowState, "flow_bandwidth",
-                            lambda self, relay_id, ba_id, now: 0.0)
+                            lambda self, relay_id, ba_id: 0.0)
         relays, hosts, _load = honest_farm(n_middles=1)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
         (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
@@ -939,6 +953,19 @@ class TestRunProbe:
         assert rec.start_time == 5.0
         assert rec.end_time == 5.0 + netsim._EPS
         assert rec.downloads == rec.bytes_total == 0
+
+    def test_dead_path_ends_before_its_detection(self, monkeypatch):
+        # the measurement is over before the detector would recognise it, so
+        # its pending detection finds no flow and must do nothing
+        monkeypatch.setattr(FlowState, "flow_bandwidth",
+                            lambda self, relay_id, ba_id: 0.0)
+        relays, hosts, _load = honest_farm(n_middles=1)
+        detector = DetectorModel(mode="parametric", detection_delay_packets=5)
+        cfg = sim_config(Topology(relays=relays, hosts=hosts), detector=detector)
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
+        assert not rec.ok
+        assert rec.end_time == 5.0 + netsim._EPS
+        assert rec.end_time < 5.0 + detector.detection_delay
 
     def test_seed_drives_detector_misses(self):
         # a detected probe of a DeTorMult member sees the 11 MB/s dedicated
