@@ -47,6 +47,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
+from time import gmtime
 
 from .core import (ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint,
                    read_records_jsonl)
@@ -63,6 +64,8 @@ _ENTRY_ORDER = attrgetter("end_time", "node_id")
 _CANONICAL_TIME = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
 _TOKEN_TAIL = re.compile(r"\S*")  # to the next whitespace, as str.split cuts
+# unix seconds of years 1-9999 UTC, the times an entry can be written with
+_TIME_RANGE = range(-62135596800, 253402300800)
 
 
 class ParseError(ValueError):
@@ -97,9 +100,11 @@ def _parse_time(value: str):
     canonical = _CANONICAL_TIME.fullmatch(value)
     if not canonical:
         try:
-            return int(value)
+            ts = int(value)
         except ValueError:
             pass
+        else:
+            return ts if ts in _TIME_RANGE else None
     try:
         if canonical:
             dt = datetime.fromisoformat(value)
@@ -111,7 +116,10 @@ def _parse_time(value: str):
 
 
 def _format_time(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    if ts not in _TIME_RANGE:
+        raise ValueError("time %r is outside years 1-9999" % (ts,))
+    # the year zero-padded to four digits, as the canonical form reads back
+    return "%04d-%02d-%02dT%02d:%02d:%02d" % gmtime(ts)[:6]
 
 
 def _parse_token(token: str):

@@ -9,6 +9,7 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 ROLES = frozenset({"guard", "middle", "exit"})
@@ -223,11 +224,14 @@ _RECORD_KEYS = (
     ("ok", "ok", True, (bool,), "true or false"),
 )
 
+_RECORD_JSON_KEYS = tuple(key for key, *_ in _RECORD_KEYS)
+_record_values = attrgetter(*(name for _key, name, *_ in _RECORD_KEYS))
+
 
 def records_to_jsonl(records) -> str:
     """One JSON object per record, keys in _RECORD_KEYS order."""
     return "\n".join(
-        json.dumps({key: getattr(rec, name) for key, name, *_ in _RECORD_KEYS})
+        json.dumps(dict(zip(_RECORD_JSON_KEYS, _record_values(rec))))
         for rec in records
     ) + "\n"
 

@@ -12,7 +12,8 @@ max-min fair: equal split among active flows with redistribution of any
 share a flow cannot use, never exceeding capacity times efficiency.
 
 Policy semantics on a detected measurement:
-  honest           nothing changes, the measurement is one more flow
+  honest           nothing changes, the measurement is one more flow; the
+                   loop never marks it detected
   drop_on_measure  the relay's own user flows pause for the duration
   cotormult_member every user flow on the cluster host pauses; measured
                    members split the whole host
@@ -50,6 +51,7 @@ from .core import (
 from .scanner import (
     MeasurementPlan,
     ScannerConfig,
+    exit_candidates,
     measurement_steps,
     plan_round,
     select_exit,
@@ -245,7 +247,9 @@ class FlowState:
 
     The state has no clock: the event loop reports each arrival, departure,
     detection and false-positive epoch as it happens, and a host's solve is
-    cached until one of them touches that host.
+    cached until one of them touches that host; flow_bandwidth reads the
+    host kept for the flow, then its solve. The loop detects only flows of
+    relays whose policy reacts, so an honest flow's detected flag stays unset.
     """
 
     def __init__(self, topology: Topology, user_load: dict):
@@ -256,6 +260,8 @@ class FlowState:
         self.fp_suppressed_hosts = frozenset()
         # host_id -> {(relay_id, ba_id): detected}, in arrival order
         self._host_flows = {}
+        # (relay_id, ba_id) -> the host the flow sits on
+        self._flow_host = {}
         # host_id -> max-min fill of its flows
         self._solves = {}
         # exit relay_id -> its advertised bandwidth, capped by its own host
@@ -288,13 +294,14 @@ class FlowState:
 
     def _file(self, key, detected: bool):
         self.flows[key] = detected
-        host_id = self._host(key[0], detected)
+        host_id = self._flow_host[key] = self._host(key[0], detected)
         self._host_flows.setdefault(host_id, {})[key] = detected
         self._solves.pop(host_id, None)
 
     def remove_flow(self, relay_id: str, ba_id: str):
         key = (relay_id, ba_id)
-        host_id = self._host(relay_id, self.flows.pop(key))
+        del self.flows[key]
+        host_id = self._flow_host.pop(key)
         del self._host_flows[host_id][key]
         self._solves.pop(host_id, None)
 
@@ -304,7 +311,7 @@ class FlowState:
         key = (relay_id, ba_id)
         if key not in self.flows:
             raise SimulationError("detection of absent measurement flow %s" % (key,))
-        if self._host(relay_id, True) != self._host(relay_id, self.flows[key]):
+        if self._host(relay_id, True) != self._flow_host[key]:
             self.remove_flow(relay_id, ba_id)
         self._file(key, True)
 
@@ -369,8 +376,10 @@ class FlowState:
         return alloc
 
     def flow_bandwidth(self, relay_id: str, ba_id: str) -> float:
-        host_id = self._host(relay_id, self.flows[(relay_id, ba_id)])
-        return self._solve(host_id)[("m", relay_id, ba_id)]
+        host_id = self._flow_host[relay_id, ba_id]
+        # the fill of a host with a flow on it is never empty
+        fill = self._solves.get(host_id) or self._solve(host_id)
+        return fill["m", relay_id, ba_id]
 
 
 def _max_min_fill(pool: float, demands: list) -> dict:
@@ -407,10 +416,11 @@ _PRIO_ROUND = 3
 
 
 class _ThreadCtx:
-    __slots__ = ("scanner", "thread_id", "gen", "plan", "start")
+    # target and cap are the plan's, resolved once per measurement
+    __slots__ = ("ba_id", "thread_id", "gen", "plan", "start", "target", "cap")
 
-    def __init__(self, scanner: ScannerConfig, thread_id: int):
-        self.scanner = scanner
+    def __init__(self, ba_id: str, thread_id: int):
+        self.ba_id = ba_id
         self.thread_id = thread_id
         self.gen = None
         self.plan = None
@@ -434,7 +444,7 @@ class _Loop:
         self.seq = 0
         self.queues = {s.ba_id: [] for s in cfg.scanners}
         self.threads = {
-            s.ba_id: [_ThreadCtx(s, t) for t in range(s.threads)]
+            s.ba_id: [_ThreadCtx(s.ba_id, t) for t in range(s.threads)]
             for s in cfg.scanners
         }
         self.adversarial_hosts = sorted({
@@ -459,7 +469,10 @@ class _Loop:
     # -- scanner thread driving --------------------------------------------
 
     def _start_next(self, ctx, now):
-        ba_id = ctx.scanner.ba_id
+        """Start ctx's thread on the first queued target it may measure. Only
+        a relay whose policy reacts to detection draws a miss and is detected:
+        an honest flow's detected flag stays unset, under a delay or not."""
+        ba_id = ctx.ba_id
         queue = self.queues[ba_id]
         # a target may still be mid-measurement from the previous round;
         # leave it queued for whichever thread frees up after it
@@ -472,12 +485,14 @@ class _Loop:
             return
         plan = queue.pop(idx)
         delay = self.cfg.detector.detection_delay
-        missed = (self.cfg.topology.relays[plan.target].policy != "honest"
-                  and self.rng_detect.random() < self.cfg.detector.false_negative_rate)
-        self.state.add_flow(plan.target, ba_id, detected=not missed and delay == 0)
-        if not missed and delay > 0:
+        detect = (self.cfg.topology.relays[plan.target].policy != "honest"
+                  and self.rng_detect.random() >= self.cfg.detector.false_negative_rate)
+        self.state.add_flow(plan.target, ba_id, detected=detect and delay == 0)
+        if detect and delay > 0:
             self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, plan)
         ctx.plan = plan
+        ctx.target = plan.target
+        ctx.cap = self.state.exit_caps[plan.exit]
         ctx.start = now
         ctx.gen = measurement_steps()
         self._issue_download(ctx, ctx.gen.send(None), now)
@@ -485,13 +500,10 @@ class _Loop:
     def _on_detect(self, _now, ctx, plan):
         # a measurement that ended first (a dead path) is not detected
         if ctx.plan is plan:
-            self.state.detect(plan.target, ctx.scanner.ba_id)
+            self.state.detect(plan.target, ctx.ba_id)
 
     def _issue_download(self, ctx, size, now):
-        rate = min(
-            self.state.flow_bandwidth(ctx.plan.target, ctx.scanner.ba_id),
-            self.state.exit_caps[ctx.plan.exit],
-        )
+        rate = min(self.state.flow_bandwidth(ctx.target, ctx.ba_id), ctx.cap)
         if rate <= 0:
             self.push(now, _PRIO_STEP, self._on_step, ctx, None)
             return
@@ -510,11 +522,10 @@ class _Loop:
         self._issue_download(ctx, size, now)
 
     def _complete(self, ctx, outcome, now):
-        ba_id = ctx.scanner.ba_id
-        self.state.remove_flow(ctx.plan.target, ba_id)
+        self.state.remove_flow(ctx.target, ctx.ba_id)
         self.records.append(MeasurementRecord(
-            relay_id=ctx.plan.target,
-            ba_id=ba_id,
+            relay_id=ctx.target,
+            ba_id=ctx.ba_id,
             thread_id=ctx.thread_id,
             start_time=ctx.start,
             end_time=now,
@@ -726,10 +737,7 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
     probe_seed = "%s/probe" % (seed,)
     rng = random.Random(probe_seed)
     relays = cfg.topology.relays
-    exits = sorted(
-        (r for r in relays.values() if r.role == "exit"),
-        key=lambda r: r.relay_id,
-    )
+    candidates = exit_candidates(r for r in relays.values() if r.role == "exit")
     plans = []
     for i, relay_id in enumerate(relay_ids):
         relay = relays.get(relay_id)
@@ -740,7 +748,7 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
                              % relay_id)
         if relay_id in relay_ids[:i]:
             raise ValueError("relay %s repeated: a probe measures each once" % relay_id)
-        exit_relay = select_exit(exits, relay, rng)
+        exit_relay = select_exit(candidates, relay, rng)
         if exit_relay is None:
             raise SimulationError("no qualifying exit for probe of %s" % relay_id)
         plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))

@@ -12,6 +12,7 @@ later (bwfile.MIN_MEASUREMENT_GAP is that product).
 
 import logging
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .units import GIB, MIB
@@ -53,46 +54,56 @@ class MeasurementPlan:
     exit: str
 
 
-def select_exit(exits, target, rng):
-    """Draw an exit for target uniformly from those fast enough.
+def exit_candidates(exits):
+    """candidates(target): the exits at least EXIT_SPEED_FACTOR times as fast
+    as target, in relay_id order. The exits too slow for a target are the k
+    slowest, ties never split, so the list depends only on k (a bisect on
+    the sorted bandwidths): each is built once and shared after."""
+    exits = sorted(exits, key=lambda r: r.relay_id)
+    bandwidths = sorted(e.advertised_bw for e in exits)
+    lists = {}
 
-    An exit qualifies when its advertised bandwidth is at least
-    EXIT_SPEED_FACTOR times the target's. exits must be sorted by relay_id,
-    so a given rng state always picks the same exit. Returns None, without
-    drawing, when no exit qualifies.
-    """
-    candidates = [
-        e for e in exits
-        if e.advertised_bw >= EXIT_SPEED_FACTOR * target.advertised_bw
-    ]
-    return rng.choice(candidates) if candidates else None
+    def candidates(target):
+        threshold = EXIT_SPEED_FACTOR * target.advertised_bw
+        below = bisect_left(bandwidths, threshold)
+        if below not in lists:
+            lists[below] = [e for e in exits if e.advertised_bw >= threshold]
+        return lists[below]
+    return candidates
+
+
+def select_exit(candidates, target, rng):
+    """Draw target's exit uniformly from candidates(target), in relay_id
+    order, so a given rng state always picks the same exit; None, without
+    drawing, when no exit qualifies."""
+    found = candidates(target)
+    return rng.choice(found) if found else None
 
 
 def plan_round(cfg: ScannerConfig, relays, rng_seed) -> tuple:
     """Plan one measurement round: every non-exit relay once, shuffled order.
 
-    Exits are drawn by select_exit. Targets with no usable exit are skipped
-    with a warning.
+    Exits are drawn by select_exit from candidate lists built once for the
+    round. Targets with no usable exit are skipped with a warning.
     """
     rng = random.Random("%s/plan" % (rng_seed,))
-    exits = sorted(
-        (r for r in relays if r.role == "exit"), key=lambda r: r.relay_id
-    )
-    targets = sorted(
-        (r for r in relays if r.role != "exit"), key=lambda r: r.relay_id
-    )
+    exits, targets = [], []
+    for relay in relays:
+        (exits if relay.role == "exit" else targets).append(relay)
+    candidates = exit_candidates(exits)
+    targets.sort(key=lambda r: r.relay_id)
     plans = []
     for target in targets:
-        exit_relay = select_exit(exits, target, rng)
+        exit_relay = select_exit(candidates, target, rng)
         if exit_relay is None:
             log.warning("%s: no exit at least %.1fx faster than target %s, skipping",
                         cfg.ba_id, EXIT_SPEED_FACTOR, target.relay_id)
             continue
-        plans.append((target.relay_id, exit_relay.relay_id))
+        plans.append(MeasurementPlan(target=target.relay_id, exit=exit_relay.relay_id))
     rng.shuffle(plans)
     if targets and not plans:
         log.warning("%s: round is empty, no target has a qualifying exit", cfg.ba_id)
-    return tuple(MeasurementPlan(target=t, exit=e) for t, e in plans)
+    return tuple(plans)
 
 
 def adapt_range(size: int, observed_duration: float) -> int:

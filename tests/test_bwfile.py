@@ -169,13 +169,35 @@ class TestParse:
         with pytest.raises(ParseError, match="node_id"):
             BandwidthEntry(node_id="nope", bw=1, end_time=T0)
 
+    @pytest.mark.parametrize("ts, kept", [
+        (-62135596800, True),     # 0001-01-01T00:00:00
+        (253402300799, True),     # 9999-12-31T23:59:59
+        (-62135596801, False),    # year 0
+        (253402300800, False),    # year 10000
+        (99999999999999, False),
+    ])
+    def test_unix_time_must_be_in_years_1_to_9999(self, ts, kept):
+        # serialize writes every time it reads back: outside years 1-9999
+        # a time is a malformed entry, as it cannot be written as a date
+        data = "%d\n=====\nbw=1 node_id=$%s time=%d\nbw=2 node_id=$%s time=%d\n" % (
+            T0, R1, T0, R2, ts)
+        bwf = parse_bandwidth_file(data)
+        assert bwf.skipped_lines == (0 if kept else 1)
+        assert [e.end_time for e in bwf.entries if e.node_id == R2] == (
+            [ts] if kept else [])
+        again = parse_bandwidth_file(serialize_bandwidth_file(bwf))
+        assert again.entries == bwf.entries
+
 
 def strptime_parse_time(value):
-    """Oracle: _parse_time as it was, strptime for every non-integer."""
+    """Oracle: _parse_time as it was, strptime for every non-integer, and an
+    integer only within years 1-9999 UTC, the times serialize can write."""
     try:
-        return int(value)
+        ts = int(value)
     except ValueError:
         pass
+    else:
+        return ts if -62135596800 <= ts <= 253402300799 else None
     try:
         dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
@@ -488,6 +510,30 @@ class TestSerialize:
         parsed = parse_bandwidth_file(serialize_bandwidth_file(original), "ba0")
         assert parsed.header_timestamp == original.header_timestamp
         assert parsed.entries == original.entries
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ts=st.integers(-62135596800, 253402300799))
+    @example(ts=-62135596800)
+    @example(ts=253402300799)
+    @example(ts=-30610224001)     # 0999-12-31T23:59:59
+    @example(ts=-30610224000)     # 1000-01-01T00:00:00
+    @example(ts=0)
+    def test_format_time_matches_datetime(self, ts):
+        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+        text = bwfile._format_time(ts)
+        # the year always takes four digits; datetime's strftime pads years
+        # below 1000 only on some Python versions, its isoformat on all
+        assert text == dt.replace(tzinfo=None).isoformat()
+        if dt.year >= 1000:
+            assert text == dt.strftime("%Y-%m-%dT%H:%M:%S")
+        assert bwfile._parse_time(text) == ts
+
+    @pytest.mark.parametrize("ts", [-62135596801, 253402300800])
+    def test_time_outside_years_1_to_9999_not_written(self, ts):
+        bwf = BandwidthFile(header_timestamp=T0, entries=(
+            BandwidthEntry(node_id=R1, bw=1, end_time=ts),))
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            serialize_bandwidth_file(bwf)
 
     def test_serialization_sorts_entries(self):
         bwf = BandwidthFile(

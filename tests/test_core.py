@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -14,6 +15,8 @@ from torbwsim.core import (
     Topology,
     aggregate_consensus,
     is_fingerprint,
+    read_records_jsonl,
+    records_to_jsonl,
     selection_probability,
 )
 
@@ -163,6 +166,44 @@ class TestMeasurementRecord:
     def test_start_time_optional(self):
         rec = self._record(start_time=None)
         assert rec.start_time is None
+
+
+class TestRecordsToJsonl:
+    def _oracle(self, records):
+        """records_to_jsonl as it was: one dict per record, field by field."""
+        return "".join(json.dumps({
+            "relay_id": rec.relay_id, "ba_id": rec.ba_id,
+            "thread_id": rec.thread_id, "start": rec.start_time,
+            "end": rec.end_time, "bw": rec.measured_bw,
+            "bytes": rec.bytes_total, "downloads": rec.downloads, "ok": rec.ok,
+        }) + "\n" for rec in records)
+
+    def test_matches_per_record_dumps(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        # a bw written as an integer reads back as an int and is written so
+        path.write_text(json.dumps(
+            {"relay_id": fp("a"), "ba_id": "ba0", "end": 30, "bw": 25000000}) + "\n")
+        (from_jsonl,) = read_records_jsonl(str(path))
+        assert type(from_jsonl.measured_bw) is int
+        records = [
+            from_jsonl,
+            MeasurementRecord(relay_id=fp("b"), ba_id="ba1", thread_id=3,
+                              start_time=None, end_time=1e9 + 0.1,
+                              measured_bw=12_345_678.9, bytes_total=2 ** 40,
+                              downloads=9),
+            MeasurementRecord(relay_id=fp("c"), ba_id="sk\u00e4nner-\u6e2c",
+                              thread_id=0, start_time=1.5, end_time=40.25,
+                              measured_bw=7.0 * MB),
+            MeasurementRecord(relay_id=fp("d"), ba_id="ba0", thread_id=1,
+                              start_time=0.0, end_time=1e-9, measured_bw=0.0,
+                              ok=False),
+        ]
+        text = records_to_jsonl(records)
+        assert text == self._oracle(records)
+        assert '"bw": 25000000,' in text and '"start": null' in text
+        assert "\\u00e4" in text and '"ok": false' in text
+        path.write_text(text)
+        assert read_records_jsonl(str(path)) == records
 
 
 class TestConsensus:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -432,6 +433,114 @@ class TestPerHostSolve:
             per_record.append(len(solves) / len(result.records))
         assert per_record[1] <= per_record[0]
         assert max(per_record) < 1.5
+
+
+def mixed_policy_topology():
+    """A relay of each cheating policy, each with an honest relay beside it
+    on its host, every relay loaded; detormult members share one server."""
+    hosts = {
+        "h": HostSpec(host_id="h", capacity=50 * MB),
+        "c": HostSpec(host_id="c", capacity=50 * MB, efficiency=0.95),
+        "d": HostSpec(host_id="d", capacity=25 * MB),
+        "ded": HostSpec(host_id="ded", capacity=50 * MB,
+                        kind="dedicated_server", efficiency=0.22),
+        "hx": HostSpec(host_id="hx", capacity=400 * MB),
+    }
+    specs = [("drop", "h", "drop_on_measure"), ("honest-h", "h", "honest"),
+             ("co0", "c", "cotormult_member"), ("co1", "c", "cotormult_member"),
+             ("honest-c", "c", "honest"), ("de0", "d", "detormult_member"),
+             ("de1", "d", "detormult_member"), ("honest-d", "d", "honest")]
+    relays = {
+        fp(name): RelaySpec(relay_id=fp(name), host_id=host_id,
+                            advertised_bw=20 * MB, policy=policy)
+        for name, host_id, policy in specs
+    }
+    relays[fp("x")] = RelaySpec(relay_id=fp("x"), host_id="hx",
+                                advertised_bw=200 * MB, role="exit")
+    clusters = ClusterTopology(clusters=(
+        Cluster(cluster_id="c", members=(fp("co0"), fp("co1")), host_id="c"),
+        Cluster(cluster_id="d", members=(fp("de0"), fp("de1")), host_id="d"),
+    ), dedicated_server="ded")
+    load = {fp(name): 15 * MB for name, _host_id, _policy in specs}
+    return Topology(relays=relays, hosts=hosts, clusters=clusters), load
+
+
+class TestOnlyReactingPoliciesDetected:
+    """Under a delayed detector the loop detects only the flows of relays
+    whose policy reacts to detection: an honest flow's flag changes no
+    allocation, so detecting it would only drop its host's cached solve."""
+
+    def _run(self, monkeypatch, false_negative_rate=0.0, detect_honest=False):
+        """The records, the flows added, the flows detected and the count
+        of _max_min_fill calls of a run on mixed_policy_topology; with
+        detect_honest, honest flows are detected after the delay as well."""
+        topology, load = mixed_policy_topology()
+        detector = DetectorModel(mode="parametric",
+                                 false_negative_rate=false_negative_rate)
+        cfg = sim_config(topology, user_load=load, threads=4, n_scanners=2,
+                         duration=4 * 3600.0, round_budget=900.0,
+                         detector=detector)
+        added, detected, fills = [], [], []
+        add_flow, detect = FlowState.add_flow, FlowState.detect
+
+        def spy_add(state, relay_id, ba_id, detected):
+            added.append((relay_id, ba_id))
+            add_flow(state, relay_id, ba_id, detected)
+
+        def spy_detect(state, relay_id, ba_id):
+            detected.append((relay_id, ba_id))
+            detect(state, relay_id, ba_id)
+
+        def counting_fill(pool, demands):
+            fills.append(len(demands))
+            return _max_min_fill(pool, demands)
+
+        monkeypatch.setattr(FlowState, "add_flow", spy_add)
+        monkeypatch.setattr(FlowState, "detect", spy_detect)
+        monkeypatch.setattr(netsim, "_max_min_fill", counting_fill)
+        if detect_honest:
+            start_next = netsim._Loop._start_next
+
+            def start_and_detect(loop, ctx, now):
+                start_next(loop, ctx, now)
+                if (ctx.plan is not None
+                        and topology.relays[ctx.plan.target].policy == "honest"):
+                    loop.push(now + detector.detection_delay, netsim._PRIO_DETECT,
+                              loop._on_detect, ctx, ctx.plan)
+
+            monkeypatch.setattr(netsim._Loop, "_start_next", start_and_detect)
+        result = run_simulation(cfg)
+        return result.records, added, detected, len(fills)
+
+    def test_honest_flows_are_never_detected(self, monkeypatch):
+        records, added, detected, _fills = self._run(monkeypatch)
+        relays = mixed_policy_topology()[0].relays
+        cheating = Counter(key for key in added
+                           if relays[key[0]].policy != "honest")
+        # five cheating relays, each measured by both scanners
+        assert len(cheating) == 10 and sum(cheating.values()) < len(added)
+        # without misses each cheating flow is detected once, honest ones never
+        assert Counter(detected) == cheating
+        assert min(r.duration for r in records) > DetectorModel(
+            mode="parametric").detection_delay
+
+    def test_missed_flows_are_not_detected(self, monkeypatch):
+        _records, added, detected, _fills = self._run(
+            monkeypatch, false_negative_rate=0.5)
+        relays = mixed_policy_topology()[0].relays
+        cheating = Counter(key for key in added
+                           if relays[key[0]].policy != "honest")
+        assert not Counter(detected) - cheating
+        assert 0 < len(detected) < sum(cheating.values())
+
+    def test_detecting_honest_flows_only_costs_solves(self, monkeypatch):
+        records, _added, detected, fills = self._run(monkeypatch)
+        monkeypatch.undo()
+        all_records, _added, all_detected, all_fills = self._run(
+            monkeypatch, detect_honest=True)
+        assert len(all_detected) > len(detected)
+        assert all_records == records
+        assert fills < all_fills
 
 
 class TestDetectorModel:
@@ -955,8 +1064,9 @@ class TestRunProbe:
         assert rec.downloads == rec.bytes_total == 0
 
     def test_dead_path_ends_before_its_detection(self, monkeypatch):
-        # the measurement is over before the detector would recognise it, so
-        # its pending detection finds no flow and must do nothing
+        # the measurement is over before the detector would recognise it;
+        # an honest target schedules no detection (for a cheating one, see
+        # test_dead_path_of_a_cheating_relay_ends_before_its_detection)
         monkeypatch.setattr(FlowState, "flow_bandwidth",
                             lambda self, relay_id, ba_id: 0.0)
         relays, hosts, _load = honest_farm(n_middles=1)
@@ -965,6 +1075,23 @@ class TestRunProbe:
         (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
         assert not rec.ok
         assert rec.end_time == 5.0 + netsim._EPS
+        assert rec.end_time < 5.0 + detector.detection_delay
+
+    @pytest.mark.parametrize("policy", ["drop_on_measure", "cotormult_member",
+                                        "detormult_member"])
+    def test_dead_path_of_a_cheating_relay_ends_before_its_detection(
+            self, monkeypatch, policy):
+        # its detect event comes after the measurement ended, so it must
+        # find the thread moved on and do nothing
+        monkeypatch.setattr(FlowState, "flow_bandwidth",
+                            lambda self, relay_id, ba_id: 0.0)
+        topology, _load = mixed_policy_topology()
+        target = next(r for r, spec in topology.relays.items()
+                      if spec.policy == policy)
+        detector = DetectorModel(mode="parametric", detection_delay_packets=5)
+        cfg = sim_config(topology, detector=detector)
+        (rec,) = run_probe(cfg, [target], seed="p", start_time=5.0)
+        assert not rec.ok
         assert rec.end_time < 5.0 + detector.detection_delay
 
     def test_seed_drives_detector_misses(self):

@@ -1,17 +1,24 @@
 import logging
+import logging.handlers
 import math
+import random
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import MB, fp
 from torbwsim.core import RelaySpec
 from torbwsim.scanner import (
     DOWNLOADS_PER_MEASUREMENT,
+    EXIT_SPEED_FACTOR,
     MAX_ADAPTATION_STEPS,
     MIN_DURATION_PER_DOWNLOAD,
+    MeasurementPlan,
     ScannerConfig,
     adapt_range,
+    exit_candidates,
     measurement_steps,
     plan_round,
 )
@@ -191,6 +198,90 @@ class TestPlanRound:
             plans = plan_round(ScannerConfig(), relays, rng_seed="s")
         assert plans == ()
         assert any("skipping" in r.message for r in caplog.records)
+
+
+def scan_plan_round(relays, rng_seed):
+    """Oracle: plan_round as it was, scanning every exit for every target.
+    Returns the plans and the targets skipped for want of an exit."""
+    rng = random.Random("%s/plan" % (rng_seed,))
+    exits = sorted(
+        (r for r in relays if r.role == "exit"), key=lambda r: r.relay_id
+    )
+    targets = sorted(
+        (r for r in relays if r.role != "exit"), key=lambda r: r.relay_id
+    )
+    plans, skipped = [], []
+    for target in targets:
+        candidates = [
+            e for e in exits
+            if e.advertised_bw >= EXIT_SPEED_FACTOR * target.advertised_bw
+        ]
+        if not candidates:
+            skipped.append(target.relay_id)
+            continue
+        plans.append((target.relay_id, rng.choice(candidates).relay_id))
+    rng.shuffle(plans)
+    return tuple(MeasurementPlan(target=t, exit=e) for t, e in plans), skipped
+
+
+@st.composite
+def round_relays(draw):
+    """Targets and exits whose bandwidths come from a few values, so exits
+    tie, a target's threshold can equal an exit's bandwidth exactly, and a
+    target can be too fast for every exit; listed in a drawn order."""
+    exit_bws = draw(st.lists(st.sampled_from((10, 20, 20.5, 30, 40)), max_size=8))
+    target_bws = draw(st.lists(st.sampled_from((5, 7.3, 10, 10.1, 15, 20, 25)),
+                               min_size=1, max_size=12))
+    relays = [
+        RelaySpec(relay_id=fp("e%d" % i), host_id="h", advertised_bw=bw * MB,
+                  role="exit")
+        for i, bw in enumerate(exit_bws)
+    ] + [
+        RelaySpec(relay_id=fp("t%d" % i), host_id="h", advertised_bw=bw * MB)
+        for i, bw in enumerate(target_bws)
+    ]
+    return draw(st.permutations(relays))
+
+
+class TestPlanRoundMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(relays=round_relays())
+    @example(relays=_relays(n_targets=2, target_bw=10 * MB,
+                            exit_bws=(20 * MB, 20 * MB, 19 * MB)))
+    @example(relays=_relays(n_targets=3, target_bw=25 * MB,
+                            exit_bws=(20 * MB, 40 * MB)))
+    def test_plans_and_warnings_equal_the_scan(self, relays):
+        handler = logging.handlers.BufferingHandler(10_000)
+        log = logging.getLogger("torbwsim.scanner")
+        log.addHandler(handler)
+        try:
+            for seed in range(5):
+                handler.flush()
+                plans = plan_round(ScannerConfig(), relays, rng_seed=seed)
+                want, skipped = scan_plan_round(relays, rng_seed=seed)
+                assert plans == want
+                messages = [r.getMessage() for r in handler.buffer]
+                assert [m for m in messages if "skipping" in m] == [
+                    "ba0: no exit at least 2.0x faster than target %s, skipping"
+                    % relay_id for relay_id in skipped]
+                assert any("round is empty" in m for m in messages) == (
+                    not want and bool(skipped))
+        finally:
+            log.removeHandler(handler)
+
+    def test_thresholds_below_the_same_exits_share_one_list(self):
+        relays = _relays(exit_bws=(20 * MB, 30 * MB, 30 * MB, 40 * MB))
+        candidates = exit_candidates(r for r in relays if r.role == "exit")
+
+        def target(bw):
+            return RelaySpec(relay_id=fp("t"), host_id="h", advertised_bw=bw)
+
+        # thresholds 22, 30 and 20 MB: one list has both 30 MB exits
+        assert candidates(target(11 * MB)) is candidates(target(15 * MB))
+        assert sorted(e.advertised_bw for e in candidates(target(15 * MB))) == [
+            30 * MB, 30 * MB, 40 * MB]
+        assert len(candidates(target(10 * MB))) == 4
+        assert candidates(target(21 * MB)) == []
 
 
 class TestScannerConfig:
