@@ -327,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="torbwsim",
         description="Bandwidth-scanner inflation attack simulation and forensics.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a scenario and persist results")
@@ -391,10 +390,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     started = datetime.now(timezone.utc)
     try:
         _emit(args.func(args), args, list(argv), started)

@@ -108,6 +108,17 @@ class ClusterTopology:
     clusters: tuple = ()
     dedicated_server: Optional[str] = None
 
+    def __post_init__(self):
+        owners = {}  # relay_id -> the first cluster_id listing it
+        for i, c in enumerate(self.clusters):
+            if any(o.cluster_id == c.cluster_id for o in self.clusters[:i]):
+                raise ConfigError("duplicate cluster_id %r" % (c.cluster_id,))
+            for member in c.members:
+                if member in owners:
+                    raise ConfigError("cluster %s lists relay %r, already in cluster %s"
+                                      % (c.cluster_id, member, owners[member]))
+                owners[member] = c.cluster_id
+
     def cluster_of(self, relay_id: str) -> Optional[Cluster]:
         for c in self.clusters:
             if relay_id in c.members:

@@ -32,6 +32,7 @@ import heapq
 import math
 import random
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional, get_args
 
@@ -416,15 +417,14 @@ _PRIO_ROUND = 3
 
 
 class _ThreadCtx:
-    # target and cap are the plan's, resolved once per measurement
-    __slots__ = ("ba_id", "thread_id", "gen", "plan", "start", "target", "cap")
+    # gen is the running measurement, None while the thread is idle; target
+    # and cap are its plan's, resolved once per measurement
+    __slots__ = ("ba_id", "thread_id", "gen", "start", "target", "cap")
 
     def __init__(self, ba_id: str, thread_id: int):
         self.ba_id = ba_id
         self.thread_id = thread_id
         self.gen = None
-        self.plan = None
-        self.start = 0.0
 
 
 class _Loop:
@@ -488,19 +488,18 @@ class _Loop:
         detect = (self.cfg.topology.relays[plan.target].policy != "honest"
                   and self.rng_detect.random() >= self.cfg.detector.false_negative_rate)
         self.state.add_flow(plan.target, ba_id, detected=detect and delay == 0)
-        if detect and delay > 0:
-            self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, plan)
-        ctx.plan = plan
         ctx.target = plan.target
         ctx.cap = self.state.exit_caps[plan.exit]
         ctx.start = now
-        ctx.gen = measurement_steps()
-        self._issue_download(ctx, ctx.gen.send(None), now)
+        gen = ctx.gen = measurement_steps()
+        if detect and delay > 0:
+            self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, gen)
+        self._issue_download(ctx, gen.send(None), now)
 
-    def _on_detect(self, _now, ctx, plan):
-        # a measurement that ended first (a dead path) is not detected
-        if ctx.plan is plan:
-            self.state.detect(plan.target, ctx.ba_id)
+    def _on_detect(self, _now, ctx, gen):
+        # a measurement over before the delay ran out is not detected
+        if ctx.gen is gen:
+            self.state.detect(ctx.target, ctx.ba_id)
 
     def _issue_download(self, ctx, size, now):
         rate = min(self.state.flow_bandwidth(ctx.target, ctx.ba_id), ctx.cap)
@@ -532,7 +531,6 @@ class _Loop:
             **outcome,  # ok, measured_bw, bytes_total and downloads
         ))
         ctx.gen = None
-        ctx.plan = None
 
     # -- rounds and false-positive epochs ------------------------------------
 
@@ -550,7 +548,7 @@ class _Loop:
         """Replace ba_id's queue with plans and start its idle threads."""
         self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
         for ctx in self.threads[ba_id]:
-            if ctx.plan is None:
+            if ctx.gen is None:
                 self._start_next(ctx, now)
 
     def _resample_false_positives(self, _now):
@@ -597,31 +595,24 @@ def _fold_consensus(records, cfg: SimConfig) -> tuple:
     snapshot, each scanner's mean per relay of its ok records ending in
     ((e-1)*interval, e*interval]; an epoch without votes re-emits the prior."""
     interval = cfg.consensus_interval
-    filed = {}  # (epoch, ba_id) -> ok records, in record order
+    # bisect_left files an end time equal to edges[e] in epoch e, which it closes
+    edges = [e * interval for e in range(int(cfg.duration // interval) + 1)]
+    tallies = {}  # (epoch, ba_id) -> {relay_id: [sum, count]}, in record order
     for rec in records:
-        if not rec.ok:
-            continue
-        end = rec.end_time
-        # the quotient may round across an edge; the window itself decides
-        epoch = math.ceil(end / interval)
-        while end <= (epoch - 1) * interval:
-            epoch -= 1
-        while end > epoch * interval:
-            epoch += 1
-        filed.setdefault((epoch, rec.ba_id), []).append(rec)
+        if rec.ok:
+            tally = tallies.setdefault((bisect_left(edges, rec.end_time), rec.ba_id), {})
+            acc = tally.setdefault(rec.relay_id, [0.0, 0])
+            acc[0] += rec.measured_bw
+            acc[1] += 1
     snapshots = []
     prior = None
-    for epoch in range(1, int(cfg.duration // interval) + 1):
+    for epoch in range(1, len(edges)):
         votes = []
         for scanner in cfg.scanners:
-            sums, counts = {}, {}
-            for rec in filed.get((epoch, scanner.ba_id), ()):
-                sums[rec.relay_id] = sums.get(rec.relay_id, 0.0) + rec.measured_bw
-                counts[rec.relay_id] = counts.get(rec.relay_id, 0) + 1
-            if sums:
-                votes.append(
-                    (scanner.ba_id, {r: sums[r] / counts[r] for r in sums})
-                )
+            tally = tallies.get((epoch, scanner.ba_id))
+            if tally:
+                votes.append((scanner.ba_id,
+                              {r: total / n for r, (total, n) in tally.items()}))
         if votes:
             prior = aggregate_consensus(votes, prior=prior, epoch=epoch)
         else:
@@ -718,13 +709,13 @@ def summarize(cfg: SimConfig, result: SimResult) -> dict:
     }
 
 
-def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple:
+def run_probe(cfg: SimConfig, relay_ids, seed) -> tuple:
     """Measure the given relays simultaneously, isolated from any round.
 
-    One synthetic scanner starts every target at the same instant, so the
-    targets contend exactly as a co-measurement would. The scanner runs one
-    thread per target, so a probe takes at most 8 targets (the scanner's
-    thread limit) and raises ValueError beyond that. As in a round, each
+    One synthetic scanner starts every target at time 0, so the targets
+    contend exactly as a co-measurement would. The scanner runs one thread
+    per target, so a probe takes at most 8 targets (the scanner's thread
+    limit) and raises ValueError beyond that. As in a round, each
     target is a non-exit relay measured once: an exit or a repeated id
     raises ValueError, an unknown id ConfigError. Used by the defense
     workflow to force co-probes. seed drives both the exit choice and the
@@ -754,6 +745,6 @@ def run_probe(cfg: SimConfig, relay_ids, seed, start_time: float = 0.0) -> tuple
         plans.append(MeasurementPlan(target=relay_id, exit=exit_relay.relay_id))
 
     loop = _Loop(replace(cfg, scanners=(scancfg,)), probe_seed)
-    loop._enqueue("probe", plans, start_time)
+    loop._enqueue("probe", plans, 0.0)
     loop.run(math.inf)
     return tuple(loop.records)

@@ -464,6 +464,20 @@ class TestSimulate:
         assert "config.scanners[0]: ba_id must be a plain file name" in err
         assert not (tmp_path / "run").exists()
 
+    def test_member_in_two_clusters_rejected(self, tmp_path, capsys):
+        doc = json.loads(_preset_bytes("cotormult-n5"))
+        member = doc["clusters"]["clusters"][0]["members"][0]
+        doc["clusters"]["clusters"].append(
+            {"cluster_id": "cluster-b", "members": [member], "host_id": "honest-00"})
+        cfg = write_config(tmp_path, doc)
+        code, _out, err = run(
+            capsys, "simulate", "--config", cfg, "--out", str(tmp_path / "run")
+        )
+        assert code == EXIT_CONFIG
+        assert ("config.clusters: cluster cluster-b lists relay %r, already in "
+                "cluster cluster-a" % member) in err
+        assert not (tmp_path / "run").exists()
+
     def test_duplicate_relay_rejected(self, tmp_path, capsys):
         doc = minimal_config()
         doc["relays"].append(dict(doc["relays"][0]))

@@ -141,6 +141,30 @@ class TestTopology:
             Topology(relays={relay.relay_id: relay}, hosts=hosts,
                      clusters=clusters)
 
+    # cluster_of finds a relay's first cluster only, so a second listing
+    # would escape the checks above and the attacker groups
+    def test_member_listed_twice_rejected(self):
+        members = (fp("m0"), fp("m1"), fp("m0"))
+        with pytest.raises(ConfigError, match="cluster a lists relay '%s', "
+                           "already in cluster a" % fp("m0")):
+            ClusterTopology(clusters=(
+                Cluster(cluster_id="a", members=members, host_id="h1"),))
+
+    def test_member_in_two_clusters_rejected(self):
+        with pytest.raises(ConfigError, match="cluster b lists relay '%s', "
+                           "already in cluster a" % fp("m1")):
+            ClusterTopology(clusters=(
+                Cluster(cluster_id="a", members=(fp("m0"), fp("m1")), host_id="h1"),
+                Cluster(cluster_id="b", members=(fp("m1"),), host_id="h2"),
+            ))
+
+    def test_duplicate_cluster_id_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate cluster_id 'a'"):
+            ClusterTopology(clusters=(
+                Cluster(cluster_id="a", members=(fp("m0"),), host_id="h1"),
+                Cluster(cluster_id="a", members=(fp("m1"),), host_id="h2"),
+            ))
+
 
 class TestMeasurementRecord:
     def _record(self, **kwargs):

@@ -1,8 +1,11 @@
+import json
 import math
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +40,7 @@ from torbwsim.netsim import (
     _baseline_bw,
     _fold_consensus,
     _max_min_fill,
+    build_sim_config,
     inflation_factor,
     run_probe,
     run_simulation,
@@ -503,10 +507,10 @@ class TestOnlyReactingPoliciesDetected:
 
             def start_and_detect(loop, ctx, now):
                 start_next(loop, ctx, now)
-                if (ctx.plan is not None
-                        and topology.relays[ctx.plan.target].policy == "honest"):
+                if (ctx.gen is not None
+                        and topology.relays[ctx.target].policy == "honest"):
                     loop.push(now + detector.detection_delay, netsim._PRIO_DETECT,
-                              loop._on_detect, ctx, ctx.plan)
+                              loop._on_detect, ctx, ctx.gen)
 
             monkeypatch.setattr(netsim._Loop, "_start_next", start_and_detect)
         result = run_simulation(cfg)
@@ -996,19 +1000,19 @@ class TestRunProbe:
         relays, hosts, _load = honest_farm(n_middles=9)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
         targets = [fp("farm/middle%d" % i) for i in range(9)]
-        records = run_probe(cfg, targets[:8], seed="p", start_time=3.0)
+        records = run_probe(cfg, targets[:8], seed="p")
         assert len(records) == 8
-        assert {rec.start_time for rec in records} == {3.0}
+        assert {rec.start_time for rec in records} == {0.0}
         with pytest.raises(ValueError, match="threads"):
             run_probe(cfg, targets, seed="p")
 
     def test_constant_rate(self):
         relays, hosts, _load = honest_farm(n_middles=1)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
-        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=100.0)
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p")
         assert rec.ok
         assert rec.measured_bw == pytest.approx(25 * MB)
-        assert rec.start_time == 100.0
+        assert rec.start_time == 0.0
         assert rec.duration == pytest.approx(
             (16 + 32 + 64 + 128 * 6) * MIB / (25 * MB)
         )
@@ -1056,11 +1060,11 @@ class TestRunProbe:
                             lambda self, relay_id, ba_id: 0.0)
         relays, hosts, _load = honest_farm(n_middles=1)
         cfg = sim_config(Topology(relays=relays, hosts=hosts))
-        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p")
         assert not rec.ok
         assert rec.measured_bw == 0.0
-        assert rec.start_time == 5.0
-        assert rec.end_time == 5.0 + netsim._EPS
+        assert rec.start_time == 0.0
+        assert rec.end_time == netsim._EPS
         assert rec.downloads == rec.bytes_total == 0
 
     def test_dead_path_ends_before_its_detection(self, monkeypatch):
@@ -1072,10 +1076,10 @@ class TestRunProbe:
         relays, hosts, _load = honest_farm(n_middles=1)
         detector = DetectorModel(mode="parametric", detection_delay_packets=5)
         cfg = sim_config(Topology(relays=relays, hosts=hosts), detector=detector)
-        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p", start_time=5.0)
+        (rec,) = run_probe(cfg, [fp("farm/middle0")], seed="p")
         assert not rec.ok
-        assert rec.end_time == 5.0 + netsim._EPS
-        assert rec.end_time < 5.0 + detector.detection_delay
+        assert rec.end_time == netsim._EPS
+        assert rec.end_time < detector.detection_delay
 
     @pytest.mark.parametrize("policy", ["drop_on_measure", "cotormult_member",
                                         "detormult_member"])
@@ -1090,9 +1094,28 @@ class TestRunProbe:
                       if spec.policy == policy)
         detector = DetectorModel(mode="parametric", detection_delay_packets=5)
         cfg = sim_config(topology, detector=detector)
-        (rec,) = run_probe(cfg, [target], seed="p", start_time=5.0)
+        (rec,) = run_probe(cfg, [target], seed="p")
         assert not rec.ok
-        assert rec.end_time < 5.0 + detector.detection_delay
+        assert rec.end_time < detector.detection_delay
+
+    def test_detection_after_the_measurement_ended_is_dropped(self):
+        # a 100 s delay outlasts every measurement of the CoTorMult preset,
+        # so each member's detection finds its thread idle or measuring
+        # another relay: the probe and the run equal those of a detector
+        # that misses every member
+        preset = resources.files("torbwsim").joinpath("presets", "cotormult-n5.json")
+        cfg = build_sim_config(json.loads(preset.read_bytes()))
+        late = DetectorModel(mode="parametric", detection_delay_packets=200_000)
+        blind = replace(late, false_negative_rate=1.0)
+        member = cfg.topology.clusters.clusters[0].members[0]
+        (rec,) = run_probe(replace(cfg, detector=late), [member], seed="p")
+        assert rec.ok
+        assert rec.duration == pytest.approx(57.2, abs=0.05)
+        assert rec.duration < late.detection_delay
+        assert run_probe(replace(cfg, detector=blind), [member], seed="p") == (rec,)
+        result = run_simulation(replace(cfg, detector=late))
+        assert max(r.duration for r in result.records) < late.detection_delay
+        assert result == run_simulation(replace(cfg, detector=blind))
 
     def test_seed_drives_detector_misses(self):
         # a detected probe of a DeTorMult member sees the 11 MB/s dedicated
