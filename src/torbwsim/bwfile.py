@@ -412,8 +412,12 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     last ended: they wait in a queue and move to a sorted ready list once
     their gap is long enough. Raises ValueError for an entry that ends
     before the one preceding it.
+
+    The draw is random.Random.choice's own on Python 3.10-3.13: k bits of
+    getrandbits for n ready threads, k = n.bit_length(), redrawn while the
+    index is >= n. The index is then popped from the ready list.
     """
-    rng = random.Random(str(rng_seed))
+    getrandbits = random.Random(str(rng_seed)).getrandbits
     last_end = []  # per thread
     busy = deque()  # threads that cannot accept yet, by last end
     ready = []      # threads that can accept, by index
@@ -429,8 +433,12 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
         while busy and end_time - last_end[busy[0]] >= MIN_MEASUREMENT_GAP:
             insort(ready, busy.popleft())
         if ready:
-            thread = rng.choice(ready)
-            ready.remove(thread)
+            n = len(ready)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            thread = ready.pop(r)
             gap = end_time - last_end[thread]
             if gap < MAX_SEQUENTIAL_GAP:
                 durations.append(float(gap))

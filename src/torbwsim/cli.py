@@ -288,7 +288,7 @@ def _duration(text: str) -> float:
 
 
 def _durations(text: str) -> list:
-    return [_duration(part) for part in text.split(",") if part]
+    return [_duration(part) for part in text.split(",")]
 
 
 def _positive_int(text: str) -> int:

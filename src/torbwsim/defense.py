@@ -13,6 +13,7 @@ carries one, else an assumed duration ending at end_time.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bwfile import DEFAULT_ASSUMED_DURATION, measurement_interval
@@ -80,8 +81,10 @@ def score_suspects(records,
     again, so records first collapse onto their distinct intervals
     (start, end, relay), each carrying the bandwidths of all its records.
     One sweep in start order pairs each interval with every later one that
-    starts no later than it ends, touching included, and keeps the deepest
-    overlap per partner relay. Then one relay at a time gathers its
+    starts no later than it ends, touching included: interval i's partners
+    run up to bisect_right(starts, end_i, i + 1), so one starting exactly at
+    end_i is a partner. The sweep keeps the deepest overlap per partner
+    relay. Then one relay at a time gathers its
     bandwidths, all of them and per partner the co-measured and the
     touching ones, and turns them into its directional drops, so only that
     relay's lists are alive at once. Each interval's partner map is freed
@@ -115,20 +118,23 @@ def score_suspects(records,
             "need successful records for at least 2 relays, have %d%s"
             % (len(relays), "".join("; %s: %d records" % (r, n_ok) for r in relays)))
     items = sorted(bws_of)
+    starts = [start for start, _end, _relay in items]
 
     deepest = [{} for _ in items]  # per interval: partner relay -> overlap
-    for i, (start_i, end_i, relay_i) in enumerate(items):
+    for i, (_start_i, end_i, relay_i) in enumerate(items):
         deepest_i = deepest[i]
-        for j in range(i + 1, len(items)):
+        for j in range(i + 1, bisect_right(starts, end_i, i + 1)):
             start_j, end_j, relay_j = items[j]
-            if start_j > end_i:
-                break
             if relay_j == relay_i:
                 continue
-            overlap = min(end_i, end_j) - start_j
-            deepest_i[relay_j] = max(deepest_i.get(relay_j, 0.0), overlap)
+            # start_i <= start_j <= end_i and start_j <= end_j, so overlap >= 0
+            # and the -1.0 default admits the first one per partner
+            overlap = (end_i if end_i < end_j else end_j) - start_j
+            if overlap > deepest_i.get(relay_j, -1.0):
+                deepest_i[relay_j] = overlap
             deepest_j = deepest[j]
-            deepest_j[relay_i] = max(deepest_j.get(relay_i, 0.0), overlap)
+            if overlap > deepest_j.get(relay_i, -1.0):
+                deepest_j[relay_i] = overlap
 
     indices_of = {}  # relay -> its interval indices, in items order
     for i, (_start, _end, relay) in enumerate(items):
@@ -149,9 +155,18 @@ def score_suspects(records,
             all_bws.extend(values)
             duration = end - start
             for partner, overlap in deepest[i].items():
-                near_bws.setdefault(partner, []).extend(negated)
+                # first lists are copies: an interval's lists serve every partner
+                near = near_bws.get(partner)
+                if near is None:
+                    near_bws[partner] = negated.copy()
+                else:
+                    near.extend(negated)
                 if duration <= 0 or overlap / duration >= min_overlap_fraction:
-                    co_bws.setdefault(partner, []).extend(values)
+                    co = co_bws.get(partner)
+                    if co is None:
+                        co_bws[partner] = values.copy()
+                    else:
+                        co.extend(values)
             deepest[i] = None  # only this relay reads it
         filed = waiting.pop(relay, {})
         for partner, co in co_bws.items():
@@ -289,13 +304,12 @@ def verify_shared_resource(probe_a, probe_b, solo_baselines: dict) -> Verificati
 
 def report_to_dict(report: SuspicionReport) -> dict:
     """JSON-friendly rendering of a SuspicionReport."""
+    pair_drops = report.pair_drops
     return {
         "threshold": report.threshold,
         "scores": dict(sorted(report.scores.items())),
-        "pair_drops": {
-            "%s,%s" % pair: drop
-            for pair, drop in sorted(report.pair_drops.items())
-        },
+        # pairs are distinct, so sorting the keys alone gives the same order
+        "pair_drops": {"%s,%s" % pair: pair_drops[pair] for pair in sorted(pair_drops)},
         "groups": [list(g) for g in report.groups],
         "insufficient_data": list(report.insufficient_data),
     }

@@ -693,6 +693,11 @@ class TestInferThreadsMatchesScan:
     @settings(max_examples=300, deadline=None)
     @given(gaps=gap_lists(),
            rng_seed=st.one_of(st.integers(0, 5), st.just("s/it3/file1")))
+    # n threads become ready at once and are drawn down to one: ready lists
+    # of every length up to n, so the draw's redraw of an index >= n runs
+    @example(gaps=[0] * 5 + [25] + [0] * 4, rng_seed=0)
+    @example(gaps=[0] * 9 + [30] + [0] * 8, rng_seed="s/it3/file1")
+    @example(gaps=[0] * 16 + [25] + [0] * 15, rng_seed=3)
     def test_same_assignment(self, gaps, rng_seed):
         bwf = entry_file(list(accumulate(gaps)))
         assert (infer_threads(bwf, rng_seed=rng_seed)

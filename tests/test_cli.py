@@ -1128,6 +1128,7 @@ def test_unusable_duration_exits_2(command, value, tmp_path):
 
 @pytest.mark.parametrize("command, window", [
     ("window-sweep", "nan"), ("window-sweep", "inf"), ("window-sweep", "30,nan"),
+    ("window-sweep", ""), ("window-sweep", ","), ("window-sweep", "30,,80"),
     ("coincidence", "%d,%d" % (T0 + 7200, T0 + 3600)),
     ("coincidence", "nan,%d" % T0), ("coincidence", "%d,nan" % T0),
 ])

@@ -393,6 +393,16 @@ class TestCollapsedSweepMatchesPairwise:
     @example(records=[rec(A, 0.0, 100.0, 100.0), rec(A, 200.0, 300.0, 100.0),
                       rec(B, -5.0, 5.0, 50.0), rec(B, 400.0, 410.0, 100.0)],
              assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.5)
+    # two intervals start exactly where A's first ends and count as its
+    # partners; one of C's starts just past that end, so it leaves A's
+    # baseline against C, which A's last interval co-measures, unchanged
+    @example(records=[rec(A, 0.0, 100.0, 100.0), rec(B, 100.0, 110.0, 50.0),
+                      rec(B, 100.0, 120.0, 50.0),
+                      rec(C, math.nextafter(100.0, math.inf), 110.0, 50.0),
+                      rec(A, 200.0, 300.0, 80.0), rec(B, 400.0, 410.0, 100.0),
+                      rec(C, 500.0, 510.0, 100.0), rec(A, 600.0, 700.0, 50.0),
+                      rec(C, 600.0, 700.0, 50.0)],
+             assumed_duration=39.0, threshold=0.05, min_overlap_fraction=0.0)
     def test_same_report_and_probes(self, records, assumed_duration, threshold,
                                     min_overlap_fraction):
         kwargs = dict(assumed_duration=assumed_duration, threshold=threshold,
