@@ -19,8 +19,9 @@ measured again, so load_corpus parses a directory with one memo: each
 distinct token maps to its (key, value) pair, a node_id value to its
 canonical fingerprint, a time to its unix seconds and a bw to its integer
 (None where the check fails), and the pair of an unknown key is the very
-tuple kept in extras. The memo lives for one load_corpus call; the files it
-returns equal file-by-file parses, skipped lines and warnings included.
+tuple kept in extras. The memo lives for one load of a directory; the
+files it returns, or their records, equal file-by-file parses, skipped
+lines and warnings included.
 
 A relay-scoped load (load_corpus or load_records given relay_ids) parses
 only the entry lines that can name a listed relay: a line whose one
@@ -147,7 +148,8 @@ def _parse_token(token: str):
 
 
 # A parsed entry is built through its slots, skipping __post_init__: its one
-# check, is_fingerprint, already ran on the node_id in _parse_token.
+# check, is_fingerprint, already ran on the node_id in _parse_token (or, in
+# from_records, once per relay id).
 _new_entry = object.__new__
 _set_node_id, _set_bw, _set_end_time, _set_extras = (
     BandwidthEntry.__dict__[name].__set__
@@ -302,15 +304,25 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     seconds, mirroring the 1 s resolution of real files. Failed measurements
     are omitted, like a scanner that publishes only successes.
     """
-    entries = [
-        BandwidthEntry(
-            node_id=rec.relay_id,
-            bw=int(round(rec.measured_bw)),
-            end_time=base_time + int(rec.end_time),
-        )
-        for rec in records
-        if rec.ba_id == ba_id and rec.ok
-    ]
+    fingerprints = set()  # the relay ids already checked
+    entries = []
+    for rec in records:
+        if rec.ba_id != ba_id or not rec.ok:
+            continue
+        # bw and end_time first, as the BandwidthEntry call evaluated them
+        bw = int(round(rec.measured_bw))
+        end_time = base_time + int(rec.end_time)
+        node_id = rec.relay_id
+        if node_id not in fingerprints:
+            if not is_fingerprint(node_id):
+                raise ParseError("bad node_id %r" % (node_id,))
+            fingerprints.add(node_id)
+        entry = _new_entry(BandwidthEntry)
+        _set_node_id(entry, node_id)
+        _set_bw(entry, bw)
+        _set_end_time(entry, end_time)
+        _set_extras(entry, ())
+        entries.append(entry)
     if not entries:
         raise InsufficientDataError("no successful records for scanner %s" % ba_id)
     entries.sort(key=_ENTRY_ORDER)
@@ -347,11 +359,17 @@ def load_corpus(directory: str, relay_ids=None) -> list:
     the listed relays' entries: they are meant for to_records, not for
     infer_threads or estimate_duration, which need every entry of a file.
     """
+    return list(_corpus_files(directory, relay_ids))
+
+
+def _corpus_files(directory: str, relay_ids):
+    """load_corpus one file at a time: each file is yielded as soon as it is
+    parsed, and ConfigError is raised after the last name if none parsed."""
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
         raise ConfigError("cannot read bandwidth file directory: %s" % exc)
-    files = []
+    parsed = False
     memo = {}
     for name in names:
         path = os.path.join(directory, name)
@@ -360,13 +378,15 @@ def load_corpus(directory: str, relay_ids=None) -> list:
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            files.append(parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0],
-                                              memo=memo, relay_ids=relay_ids))
+            bwf = parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0],
+                                       memo=memo, relay_ids=relay_ids)
         except (OSError, ParseError) as exc:
             log.warning("skipping %s: %s", path, exc)
-    if not files:
+            continue
+        parsed = True
+        yield bwf
+    if not parsed:
         raise ConfigError("no parsable bandwidth files in %s" % directory)
-    return files
 
 
 def load_records(path: str, relay_ids=None) -> list:
@@ -376,7 +396,9 @@ def load_records(path: str, relay_ids=None) -> list:
     directory is loaded relay-scoped (see load_corpus): only the lines that
     can name a listed relay are parsed, and only those report a malformed
     line. A records.jsonl file is still checked line by line in full, and
-    a bad line there stays fatal.
+    a bad line there stays fatal. A directory's files become records one
+    at a time, so its parsed files and its records are never all alive
+    together.
     """
     if os.path.isfile(path):
         records = read_records_jsonl(path)
@@ -384,7 +406,7 @@ def load_records(path: str, relay_ids=None) -> list:
             return records
         return [rec for rec in records if rec.relay_id in relay_ids]
     if os.path.isdir(path):
-        return to_records(load_corpus(path, relay_ids))
+        return to_records(_corpus_files(path, relay_ids))
     raise ConfigError("input path %s does not exist" % path)
 
 

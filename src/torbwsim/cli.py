@@ -206,7 +206,7 @@ def cmd_analyze(args) -> Outputs:
     timeline = bwfile.build_timeline(records, args.duration)
     if args.subcommand == "coincidence":
         window = None
-        if args.window:
+        if args.window is not None:
             try:
                 lo, hi = (float(part) for part in args.window.split(","))
             except ValueError:

@@ -8,7 +8,10 @@ import json
 import math
 import re
 import statistics
+import sys
 from dataclasses import dataclass, field
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Optional
 
@@ -219,8 +222,9 @@ class MeasurementRecord:
 _REQUIRED = object()
 
 # records.jsonl: (json key, MeasurementRecord field, default when absent,
-# the JSON types its value may take, what they are called); a number must
-# be finite, and a bool is no number
+# the JSON types its value may take, what they are called), in the order of
+# MeasurementRecord's fields, which the reader fills by position; a number
+# must be finite, and a bool is no number
 _RECORD_KEYS = (
     ("relay_id", "relay_id", _REQUIRED, (str,),
      "a 40-char uppercase hex fingerprint"),
@@ -236,15 +240,70 @@ _RECORD_KEYS = (
 )
 
 _RECORD_JSON_KEYS = tuple(key for key, *_ in _RECORD_KEYS)
+_RECORD_DEFAULTS = tuple(default for _key, _name, default, *_ in _RECORD_KEYS)
 _record_values = attrgetter(*(name for _key, name, *_ in _RECORD_KEYS))
+# the exact types of a record's values that _RECORD_KEYS allows, all at once
+_RECORD_SHAPES = frozenset(product(*(types for *_, types, _wanted in _RECORD_KEYS)))
+# json.dumps's line for a record: %s writes an int or a float as its repr
+_RECORD_LINE = "{%s}\n" % ", ".join('"%s": %%s' % key for key in _RECORD_JSON_KEYS)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _conforms(values, fingerprints) -> bool:
+    """Whether a record's values, in _RECORD_KEYS order, pass _check_record
+    at a glance: one of _RECORD_SHAPES, start, end and bw finite, and a
+    relay id that is in fingerprints or is a fingerprint, then added there.
+    An int beyond the largest float does not conform although it may pass,
+    so the caller runs _check_record on a False. Never raises."""
+    relay_id, _ba_id, _thread_id, start, end, bw = values[:6]
+    # (*map(...),) builds the tuple at its size; tuple(map(...)) shrinks a
+    # guessed one, and such tuples, once freed, pile up on the interpreter's
+    # tuple free list (0.2 MB held after one records.jsonl)
+    if ((*map(type, values),) not in _RECORD_SHAPES
+            or not -_FLOAT_MAX <= end <= _FLOAT_MAX
+            or not -_FLOAT_MAX <= bw <= _FLOAT_MAX
+            or not (start is None or -_FLOAT_MAX <= start <= _FLOAT_MAX)):
+        return False
+    if relay_id not in fingerprints:
+        if not is_fingerprint(relay_id):
+            return False
+        fingerprints.add(relay_id)
+    return True
+
+
+def _check_record(values) -> None:
+    """Raise for the first of a record's values, in _RECORD_KEYS order, that
+    _RECORD_KEYS does not allow: KeyError for a required key left out
+    (_REQUIRED), OverflowError for an int too large for a float, else
+    ValueError naming the key."""
+    for (key, _name, _default, types, wanted), value in zip(_RECORD_KEYS, values):
+        if value is _REQUIRED:
+            raise KeyError(key)
+        if type(value) not in types or (
+                float in types and value is not None
+                and not math.isfinite(value)) or (
+                key == "relay_id" and not is_fingerprint(value)):
+            raise ValueError("%s must be %s, got %r" % (key, wanted, value))
 
 
 def records_to_jsonl(records) -> str:
-    """One JSON object per record, keys in _RECORD_KEYS order."""
-    return "\n".join(
-        json.dumps(dict(zip(_RECORD_JSON_KEYS, _record_values(rec))))
-        for rec in records
-    ) + "\n"
+    """One JSON object per record, keys in _RECORD_KEYS order, each line
+    the bytes json.dumps writes. A record with a value that
+    read_records_jsonl would refuse raises ValueError, in its words."""
+    fingerprints = set()
+    lines = []
+    for values in map(_record_values, records):
+        if not _conforms(values, fingerprints):
+            try:
+                _check_record(values)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError("record %d: %s" % (len(lines) + 1, exc)) from None
+        relay_id, ba_id, thread_id, start, end, bw, nbytes, downloads, ok = values
+        lines.append(_RECORD_LINE % (
+            _quote(relay_id), _quote(ba_id), thread_id,
+            "null" if start is None else start, end, bw, nbytes, downloads,
+            "true" if ok else "false"))
+    return "".join(lines) or "\n"
 
 
 def read_records_jsonl(path: str) -> list:
@@ -253,6 +312,7 @@ def read_records_jsonl(path: str) -> list:
     raises ConfigError, as does a file that cannot be opened or a line that
     is not UTF-8."""
     records = []
+    fingerprints = set()
     try:
         # undecodable bytes become lone surrogates, so the line that holds
         # them can be named below
@@ -276,16 +336,11 @@ def read_records_jsonl(path: str) -> list:
                         type(doc).__name__,
                         "; bandwidth files are read from their directory"
                         if type(doc) in (int, float) else ""))
-                fields = {}
-                for key, name, default, types, wanted in _RECORD_KEYS:
-                    value = doc[key] if default is _REQUIRED else doc.get(key, default)
-                    if type(value) not in types or (
-                            float in types and value is not None
-                            and not math.isfinite(value)) or (
-                            key == "relay_id" and not is_fingerprint(value)):
-                        raise ValueError("%s must be %s, got %r" % (key, wanted, value))
-                    fields[name] = value
-                records.append(MeasurementRecord(**fields))
+                # at its size, as in _conforms
+                values = (*map(doc.get, _RECORD_JSON_KEYS, _RECORD_DEFAULTS),)
+                if not _conforms(values, fingerprints):
+                    _check_record(values)
+                records.append(MeasurementRecord(*values))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records

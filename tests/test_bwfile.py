@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import random
 import statistics
@@ -341,14 +342,15 @@ def corpora(draw):
 class WarningCount(logging.Handler):
     def __init__(self):
         super().__init__(logging.WARNING)
-        self.count = 0
+        self.messages = []
 
     def emit(self, record):
-        self.count += 1
+        self.messages.append(record.getMessage())
 
 
-def warnings_of(fn):
-    """(result or ParseError/ConfigError raised, warnings bwfile logged) of fn()."""
+def warnings_of(fn, messages=False):
+    """(result or ParseError/ConfigError raised, count of warnings bwfile
+    logged, or with messages=True the warnings themselves) of fn()."""
     handler = WarningCount()
     bwfile.log.addHandler(handler)
     try:
@@ -357,7 +359,7 @@ def warnings_of(fn):
         result = exc
     finally:
         bwfile.log.removeHandler(handler)
-    return result, handler.count
+    return result, handler.messages if messages else len(handler.messages)
 
 
 def corpus_text(lines):
@@ -548,6 +550,19 @@ class TestSerialize:
         assert lines[3].endswith("2023-01-01T00:01:40")
 
 
+def keyword_from_records(records, ba_id, base_time):
+    """from_records as it was: each entry built and checked by its __init__."""
+    entries = [
+        BandwidthEntry(node_id=rec.relay_id, bw=int(round(rec.measured_bw)),
+                       end_time=base_time + int(rec.end_time))
+        for rec in records if rec.ba_id == ba_id and rec.ok
+    ]
+    if not entries:
+        raise InsufficientDataError("no successful records for scanner %s" % ba_id)
+    entries.sort(key=bwfile._ENTRY_ORDER)
+    return BandwidthFile(header_timestamp=base_time, entries=tuple(entries), ba_id=ba_id)
+
+
 class TestFromRecords:
     def _rec(self, relay_id, end, ba_id="ba0", ok=True, bw=25_000_000.4):
         return MeasurementRecord(
@@ -592,6 +607,26 @@ class TestFromRecords:
         back = bwfile.to_records([from_records(records, "ba0", base_time=0)])
         assert sorted((r.relay_id, r.end_time, r.measured_bw) for r in back) == kept
         assert {(r.ba_id, r.thread_id, r.start_time) for r in back} == {("ba0", 0, None)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from((R1, R2, "x", R1.lower(), R2 + "\n")), st.sampled_from(("ba0", "other")),
+        st.sampled_from((37.8, 0.0, 1e6, math.inf)), st.booleans(),
+    ), max_size=8))
+    # an end time that int() refuses, then a bad id on the same record
+    @example(rows=[(R1, "ba0", 5.0, True), ("x", "ba0", math.inf, True)])
+    def test_matches_keyword_entries(self, rows):
+        records = [MeasurementRecord(relay_id=relay, ba_id=ba, thread_id=0,
+                                     start_time=None, end_time=end,
+                                     measured_bw=7.6 if ok else 0.0, ok=ok)
+                   for relay, ba, end, ok in rows]
+
+        def outcome(build):
+            try:
+                return build(records, "ba0", base_time=T0)
+            except (ParseError, OverflowError, InsufficientDataError) as exc:
+                return repr(exc)
+        assert outcome(from_records) == outcome(keyword_from_records)
 
     def test_to_records_keeps_zero_bandwidth_as_failed(self):
         bwf = BandwidthFile(header_timestamp=T0, ba_id="ba0", entries=(
@@ -841,6 +876,25 @@ class TestBuildTimeline:
         got = build_timeline(bwfile.to_records(corpus), duration).intervals
         want = file_timeline(corpus, duration)
         assert [repr(iv) for iv in got] == [repr(iv) for iv in want]
+
+
+class TestLoadRecordsOneFileAtATime:
+    @settings(max_examples=100, deadline=None)
+    @given(corpus=corpora(), relays=st.one_of(
+        st.none(), st.sets(st.sampled_from((R1, R2, R3)))))
+    @example(corpus=[["junk"], ["bw=x node_id=$%s time=5" % R1]], relays=None)
+    def test_equals_records_of_the_corpus(self, corpus, relays):
+        with tempfile.TemporaryDirectory() as directory:
+            write_corpus(directory, corpus)
+            want = warnings_of(lambda: bwfile.to_records(
+                bwfile.load_corpus(directory, relays)), messages=True)
+            got = warnings_of(lambda: bwfile.load_records(directory, relays),
+                              messages=True)
+        if isinstance(want[0], ConfigError):
+            assert isinstance(got[0], ConfigError) and str(got[0]) == str(want[0])
+        else:
+            assert got[0] == want[0]
+        assert got[1] == want[1]  # the same warnings, in the same order
 
 
 class TestLoadRecords:

@@ -1131,6 +1131,7 @@ def test_unusable_duration_exits_2(command, value, tmp_path):
     ("window-sweep", ""), ("window-sweep", ","), ("window-sweep", "30,,80"),
     ("coincidence", "%d,%d" % (T0 + 7200, T0 + 3600)),
     ("coincidence", "nan,%d" % T0), ("coincidence", "%d,nan" % T0),
+    ("coincidence", ""),
 ])
 def test_unusable_window_exits_2(command, window, tmp_path, capsys):
     bwdir = tmp_path / "bw"

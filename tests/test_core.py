@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import MB, fp
+from torbwsim import core
 from torbwsim.core import (
     Cluster,
     ClusterTopology,
@@ -192,6 +198,28 @@ class TestMeasurementRecord:
         assert rec.start_time is None
 
 
+FPS = [fp("r%d" % i) for i in range(3)]
+# numbers as records hold them: ints, and floats from subnormal to the largest
+NUMBERS = st.one_of(st.integers(-2 ** 64, 2 ** 64),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0, -0.0, 5e-324, 1e308, sys.float_info.max]))
+
+
+@st.composite
+def records(draw):
+    """Records the writer accepts: any ba_id text, lone surrogates too."""
+    end = draw(NUMBERS)
+    start = draw(st.one_of(st.none(), NUMBERS))
+    if start is not None and not start < end:
+        start = None
+    bw = draw(NUMBERS)
+    return MeasurementRecord(
+        draw(st.sampled_from(FPS)),
+        draw(st.text(st.characters(exclude_categories=()), max_size=6)),
+        draw(st.integers()), start, end, bw, draw(st.integers()), draw(st.integers()),
+        bw > 0 and draw(st.booleans()))
+
+
 class TestRecordsToJsonl:
     def _oracle(self, records):
         """records_to_jsonl as it was: one dict per record, field by field."""
@@ -228,6 +256,144 @@ class TestRecordsToJsonl:
         assert "\\u00e4" in text and '"ok": false' in text
         path.write_text(text)
         assert read_records_jsonl(str(path)) == records
+
+    def test_empty_input_is_one_newline(self):
+        assert records_to_jsonl([]) == "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(records(), min_size=1, max_size=4))
+    @example(records=[MeasurementRecord(FPS[0], ba_id, 0, None, 1e308, 5e-324)
+                      for ba_id in ('"', "\\", "\x00\x1f\x7f", "\U0001f600", "\ud800")])
+    @example(records=[MeasurementRecord(FPS[1], "ba0", -3, -0.0, 2 ** 53 + 1, -0.0,
+                                        ok=False, bytes_total=-1, downloads=10 ** 30)])
+    def test_writes_the_bytes_of_json_dumps(self, records):
+        text = records_to_jsonl(records)
+        assert text == self._oracle(records)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "records.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            # ints stay ints and floats floats, -0.0 included
+            assert repr(read_records_jsonl(path)) == repr(records)
+
+    @pytest.mark.parametrize("field, value", [
+        ("relay_id", "x"), ("relay_id", FPS[0].lower()), ("relay_id", FPS[0] + "\n"),
+        ("relay_id", None), ("ba_id", 7), ("thread_id", True), ("thread_id", 1.5),
+        ("start_time", -math.inf), ("start_time", math.nan), ("start_time", False),
+        ("end_time", math.inf), ("end_time", 10 ** 400), ("end_time", True),
+        ("measured_bw", True), ("measured_bw", math.nan), ("measured_bw", "5"),
+        ("bytes_total", 1.5), ("downloads", "2"), ("ok", 1),
+    ])
+    def test_refuses_what_the_reader_refuses(self, field, value, tmp_path):
+        good = MeasurementRecord(FPS[0], "ba0", 0, None, 30.0, 5.0, ok=False)
+        bad = MeasurementRecord(**dict(
+            {name: getattr(good, name) for name in good.__slots__}, **{field: value}))
+        with pytest.raises(ValueError) as raised:
+            records_to_jsonl([good, bad])
+        # the oracle writes the line; the reader names the same fault
+        path = tmp_path / "records.jsonl"
+        path.write_text(self._oracle([bad]))
+        with pytest.raises(ConfigError) as read:
+            read_records_jsonl(str(path))
+        assert str(raised.value) == "record 2: " + str(read.value).split(
+            "bad record: ", 1)[1]
+
+
+def oracle_read_records_jsonl(path):
+    """read_records_jsonl as it was: each key taken and checked in turn."""
+    records = []
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ConfigError("cannot open records file %s: %s" % (path, exc))
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ConfigError("%s:%d: not UTF-8 text: byte 0x%02x" % (
+                    path, lineno, ord(line[exc.start]) - 0xDC00))
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise ValueError("expected a JSON object, got %s%s" % (
+                        type(doc).__name__,
+                        "; bandwidth files are read from their directory"
+                        if type(doc) in (int, float) else ""))
+                fields = {}
+                for key, name, default, types, wanted in core._RECORD_KEYS:
+                    value = (doc[key] if default is core._REQUIRED
+                             else doc.get(key, default))
+                    if type(value) not in types or (
+                            float in types and value is not None
+                            and not math.isfinite(value)) or (
+                            key == "relay_id" and not is_fingerprint(value)):
+                        raise ValueError("%s must be %s, got %r" % (key, wanted, value))
+                    fields[name] = value
+                records.append(MeasurementRecord(**fields))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
+    return records
+
+
+RECORD_KEYS = [key for key, *_ in core._RECORD_KEYS]
+# values a line may hold in place of a key's own: too large for a float, not
+# finite, a bool for a number, ids that are no fingerprint, other JSON types
+ODD_VALUES = st.sampled_from([
+    10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970, 2 ** 1024 - 2 ** 971, math.nan,
+    math.inf, -math.inf, True, False, None, 0, -1, 1.5, "x", "", FPS[0].lower(),
+    FPS[0] + "\n", FPS[1], [], {}, 0.0, -0.0, 5e-324])
+
+
+@st.composite
+def record_lines(draw):
+    """A writer's line, then some keys dropped, some set to odd values or
+    added, and the keys shuffled."""
+    doc = json.loads(records_to_jsonl([draw(records())]))
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS), max_size=2)):
+        doc.pop(key, None)
+    for key in draw(st.lists(st.sampled_from(RECORD_KEYS + ["extra"]), max_size=2)):
+        doc[key] = draw(ODD_VALUES)
+    return json.dumps(dict(draw(st.permutations(list(doc.items())))))
+
+
+class TestReadRecordsJsonl:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        record_lines(),
+        st.sampled_from(["", "  ", "[1, 2]", '"x"', "7", "1e400", "{", "null",
+                         '{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": 1} {}' % FPS[0],
+                         '\ufeff{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": 1}' % FPS[0],
+                         '{"relay_id": "%s", "ba_id": "b", "end": Infinity, "bw": 1}' % FPS[0],
+                         '{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": NaN}' % FPS[0],
+                         '{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": 0}' % FPS[0],
+                         '{"relay_id": "%s", "ba_id": "b", "start": 2, "end": 1, "bw": 1}'
+                         % FPS[0]])), min_size=1, max_size=4))
+    # an id first read as a fingerprint, then one that only looks like it
+    @example(lines=['{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": 1}' % FPS[0],
+                    '{"relay_id": "%s", "ba_id": "b", "end": 1, "bw": 1}' % FPS[0].lower()])
+    # an int the largest float rounds to, and one past it
+    @example(lines=['{"relay_id": "%s", "ba_id": "b", "end": %d, "bw": 1}'
+                    % (FPS[0], 2 ** 1024 - 2 ** 971 + 1),
+                    '{"relay_id": "%s", "ba_id": "b", "end": %d, "bw": 1}'
+                    % (FPS[0], 2 ** 1024 - 2 ** 970)])
+    def test_matches_per_key_reader(self, lines):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "records.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            assert outcome(read_records_jsonl, path) == outcome(
+                oracle_read_records_jsonl, path)
+
+
+def outcome(read, path):
+    try:
+        return repr(read(path))
+    except ConfigError as exc:
+        return "ConfigError: %s" % exc
 
 
 class TestConsensus:
