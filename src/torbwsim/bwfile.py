@@ -50,15 +50,14 @@ from datetime import datetime, timezone
 from operator import attrgetter
 from time import gmtime
 
-from .core import (ConfigError, InsufficientDataError, MeasurementRecord, is_fingerprint,
-                   read_records_jsonl)
+from .core import (DEFAULT_ASSUMED_DURATION, ConfigError, InsufficientDataError,
+                   MeasurementRecord, is_fingerprint, read_records_jsonl)
 from .scanner import DOWNLOADS_PER_MEASUREMENT, MIN_DURATION_PER_DOWNLOAD
 
 log = logging.getLogger(__name__)
 
 MIN_MEASUREMENT_GAP = DOWNLOADS_PER_MEASUREMENT * MIN_DURATION_PER_DOWNLOAD
 MAX_SEQUENTIAL_GAP = 50.0
-DEFAULT_ASSUMED_DURATION = 39.0
 
 _TERMINATOR = "====="
 _ENTRY_ORDER = attrgetter("end_time", "node_id")

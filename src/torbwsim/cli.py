@@ -15,30 +15,33 @@ line, config digest, seed, and wall-clock bounds: `started` is taken before
 the command runs and `finished` after its last file is written, so the two
 bound the whole command. With wall times excluded, reruns with identical
 inputs produce identical bytes.
+
+Importing this module loads only what every command shares; each command
+imports the modules it runs when it runs, so `estimate` alone loads numpy
+and only `simulate` loads the simulator.
 """
 
 import argparse
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import logging
 import math
 import os
 import sys
 from datetime import datetime, timezone
-from importlib import resources
 from typing import NamedTuple, Optional
 
-from . import __version__, bwfile, coincidence, defense, estimator, netsim, units
+from . import __version__, units
 from .core import (
+    DEFAULT_ASSUMED_DURATION,
+    DEFAULT_THRESHOLD,
     ConfigError,
     InsufficientDataError,
     SimulationError,
     records_to_jsonl,
 )
-from .netsim import build_sim_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +53,21 @@ PRESET_NAMES = ("all-honest", "cotormult-n5", "detormult-3x6")
 DEFAULT_SWEEP_WINDOWS = (86400.0, 604800.0, 2592000.0, 7776000.0)
 
 
+def __getattr__(name):
+    # cli.build_sim_config is netsim's own function; netsim loads on first
+    # use, so `import torbwsim.cli` does not load the simulator
+    if name == "build_sim_config":
+        from . import netsim
+        return netsim.build_sim_config
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
 # -- config ingestion ---------------------------------------------------------
 
 
 def _preset_bytes(name: str) -> bytes:
+    from importlib import resources  # with pathlib and tempfile: only --preset needs it
+
     res = resources.files("torbwsim").joinpath("presets", name + ".json")
     try:
         return res.read_bytes()
@@ -151,12 +165,16 @@ def _lines(rows) -> str:
 
 
 def cmd_simulate(args) -> Outputs:
+    import hashlib
+
+    from . import bwfile, netsim
+
     raw = _load_config_bytes(args)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
-    cfg = build_sim_config(doc)
+    cfg = netsim.build_sim_config(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
 
@@ -187,6 +205,8 @@ def cmd_simulate(args) -> Outputs:
 
 
 def cmd_analyze(args) -> Outputs:
+    from . import bwfile, coincidence
+
     if args.subcommand == "durations":
         corpus = bwfile.load_corpus(args.input)
         est = bwfile.estimate_duration(
@@ -236,6 +256,8 @@ def cmd_analyze(args) -> Outputs:
 
 
 def cmd_estimate(args) -> Outputs:
+    from . import estimator
+
     if args.subcommand == "inflation":
         return Outputs({"x": args.x, "inflation": estimator.inflation_curve(args.x)})
     if args.subcommand == "refit":
@@ -260,6 +282,8 @@ def cmd_estimate(args) -> Outputs:
 
 
 def cmd_detect(args) -> Outputs:
+    from . import bwfile, defense
+
     records = bwfile.load_records(args.input)
     report = defense.score_suspects(
         records, assumed_duration=args.duration, threshold=args.threshold
@@ -291,6 +315,16 @@ def _durations(text: str) -> list:
     return [_duration(part) for part in text.split(",")]
 
 
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError("must be a number in [0, 1], got %r" % text)
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -311,7 +345,7 @@ def _rate(text: str) -> float:
 
 def _add_duration(parser) -> None:
     parser.add_argument("--duration", type=_duration,
-                        default=bwfile.DEFAULT_ASSUMED_DURATION,
+                        default=DEFAULT_ASSUMED_DURATION,
                         help="assumed duration for records without start times")
 
 
@@ -377,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="score co-measurement suspects")
     det.add_argument("input", help="records.jsonl or a bandwidth-file directory")
-    det.add_argument("--threshold", type=float, default=defense.DEFAULT_THRESHOLD)
+    det.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD,
+                     help="pair drop at which relays are grouped, in [0, 1]")
     det.add_argument("--probe-budget", type=_positive_int, default=10)
     _add_duration(det)
     det.add_argument("--out", required=True)

@@ -7,7 +7,6 @@ only where configs are read (units.py, netsim.build_sim_config).
 import json
 import math
 import re
-import statistics
 import sys
 from dataclasses import dataclass, field
 from itertools import product
@@ -31,6 +30,11 @@ POLICIES = frozenset(
 HOST_KINDS = frozenset({"relay_host", "dedicated_server"})
 
 _FINGERPRINT_RE = re.compile(r"[0-9A-F]{40}")
+
+# defaults of the CLI's flags, here so that building its parser imports no
+# command module; bwfile and defense re-export them
+DEFAULT_ASSUMED_DURATION = 39.0  # seconds a record without a start time spans
+DEFAULT_THRESHOLD = 0.3  # symmetric pair drop at which defense groups relays
 
 
 class ConfigError(ValueError):
@@ -274,15 +278,19 @@ def _conforms(values, fingerprints) -> bool:
 def _check_record(values) -> None:
     """Raise for the first of a record's values, in _RECORD_KEYS order, that
     _RECORD_KEYS does not allow: KeyError for a required key left out
-    (_REQUIRED), OverflowError for an int too large for a float, else
-    ValueError naming the key."""
+    (_REQUIRED), else ValueError naming the key."""
     for (key, _name, _default, types, wanted), value in zip(_RECORD_KEYS, values):
         if value is _REQUIRED:
             raise KeyError(key)
-        if type(value) not in types or (
+        try:
+            bad = type(value) not in types or (
                 float in types and value is not None
                 and not math.isfinite(value)) or (
-                key == "relay_id" and not is_fingerprint(value)):
+                key == "relay_id" and not is_fingerprint(value))
+        except OverflowError:  # math.isfinite of an int beyond the largest float
+            raise ValueError("%s must be %s, got an int too large for a float"
+                             % (key, wanted)) from None
+        if bad:
             raise ValueError("%s must be %s, got %r" % (key, wanted, value))
 
 
@@ -296,7 +304,7 @@ def records_to_jsonl(records) -> str:
         if not _conforms(values, fingerprints):
             try:
                 _check_record(values)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError("record %d: %s" % (len(lines) + 1, exc)) from None
         relay_id, ba_id, thread_id, start, end, bw, nbytes, downloads, ok = values
         lines.append(_RECORD_LINE % (
@@ -341,7 +349,7 @@ def read_records_jsonl(path: str) -> list:
                 if not _conforms(values, fingerprints):
                     _check_record(values)
                 records.append(MeasurementRecord(*values))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records
 
@@ -367,6 +375,8 @@ def aggregate_consensus(votes, prior: Optional[ConsensusSnapshot] = None,
     median over the scanners that measured it; relays present only in the
     prior snapshot keep their prior weight.
     """
+    import statistics  # here, not at import: only the simulator builds a consensus
+
     if not votes:
         raise ValueError("no votes")
     for ba_id, vote in votes:

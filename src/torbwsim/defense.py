@@ -16,10 +16,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .bwfile import DEFAULT_ASSUMED_DURATION, measurement_interval
-from .core import InsufficientDataError
+from .bwfile import measurement_interval
+from .core import DEFAULT_ASSUMED_DURATION, DEFAULT_THRESHOLD, InsufficientDataError
 
-DEFAULT_THRESHOLD = 0.3
 SHARED_BAND_FACTOR = 1.25
 INDEPENDENT_BAND_FACTOR = 0.8
 DEFAULT_PROBE_SPACING = 120.0

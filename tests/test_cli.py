@@ -29,6 +29,7 @@ from torbwsim.core import MeasurementRecord, read_records_jsonl, records_to_json
 from torbwsim.netsim import run_simulation
 
 T0 = 1672531200
+SRC = os.path.dirname(os.path.dirname(netsim.__file__))
 
 
 def run(capsys, *argv):
@@ -1058,6 +1059,23 @@ class TestDetect:
         assert exc.value.code == EXIT_CONFIG
         assert "--probe-budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "1.5", "-0.1"])
+    def test_unusable_threshold_exits_2_before_reading(self, threshold, tmp_path):
+        # the archive's malformed lines would print WARNING lines once read;
+        # a fresh process, so logging writes to this run's stderr
+        bwdir = tmp_path / "bw"
+        bwdir.mkdir()
+        write_archive(bwdir)
+        out = tmp_path / "det"
+        proc = subprocess.run(
+            [sys.executable, "-m", "torbwsim.cli", "detect", str(bwdir),
+             "--out", str(out), "--threshold", threshold],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert "--threshold" in proc.stderr
+        assert "WARNING" not in proc.stderr
+        assert not out.exists()
+
 
 def write_archive(directory):
     """Hourly files from two scanners, in the shape of a published archive.
@@ -1350,3 +1368,71 @@ class TestOutputPlumbing:
         manifest = read_json(out / "manifest.json")
         assert datetime.fromisoformat(manifest["started"]) <= times[0]
         assert times[1] <= datetime.fromisoformat(manifest["finished"])
+
+
+# torbwsim.cli.main in a fresh interpreter: argv[1] is where to write the
+# exit code and the modules loaded, the rest is the command line
+IMPORTS_SCRIPT = r"""
+import json, sys
+import torbwsim.cli
+code = torbwsim.cli.main(sys.argv[2:]) if sys.argv[2:] else None
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+class TestCommandImports:
+    # each command imports the modules it runs when it runs, and building
+    # the parser imports none of them
+
+    COMMAND_MODULES = {"numpy", "torbwsim.netsim", "torbwsim.scanner",
+                       "torbwsim.bwfile", "torbwsim.defense",
+                       "torbwsim.coincidence", "torbwsim.estimator"}
+
+    @staticmethod
+    def _loaded(tmp_path, *argv):
+        report = tmp_path / "modules.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORTS_SCRIPT, str(report), *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        result = read_json(report)
+        assert result["code"] in (None, EXIT_OK), proc.stderr
+        return set(result["modules"])
+
+    @staticmethod
+    def _inputs(tmp_path, command):
+        if command == "analyze":
+            bwdir = tmp_path / "bw"
+            bwdir.mkdir()
+            write_archive(bwdir)
+            return ["analyze", "durations", str(bwdir), "--out", str(tmp_path / "out")]
+        if command == "detect":
+            path = tmp_path / "records.jsonl"
+            path.write_text(records_to_jsonl([
+                MeasurementRecord(fp("imports/%d" % (i % 2)), "ba0", 0,
+                                  100.0 * i, 100.0 * i + 30, 1.0)
+                for i in range(6)]))
+            return ["detect", str(path), "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            return ["simulate", "--preset", "all-honest", "--out", str(tmp_path / "out")]
+        if command == "estimate":
+            return ["estimate", "servers", "--x", "109", "--b", "678 Gbit",
+                    "--p", "50", "--d", "100 MB"]
+        return []
+
+    @pytest.mark.parametrize("command, allowed", [
+        ("import", set()),
+        ("estimate", {"numpy", "torbwsim.estimator"}),
+        ("simulate", {"torbwsim.netsim", "torbwsim.scanner", "torbwsim.bwfile"}),
+        ("analyze", {"torbwsim.scanner", "torbwsim.bwfile", "torbwsim.coincidence"}),
+        ("detect", {"torbwsim.scanner", "torbwsim.bwfile", "torbwsim.defense"}),
+    ])
+    def test_command_loads_only_its_modules(self, command, allowed, tmp_path):
+        loaded = self._loaded(tmp_path, *self._inputs(tmp_path, command))
+        assert loaded & self.COMMAND_MODULES == allowed
+
+    def test_build_sim_config_is_netsims(self):
+        from torbwsim.cli import build_sim_config as from_cli
+        assert from_cli is netsim.build_sim_config

@@ -297,6 +297,9 @@ class TestRecordsToJsonl:
             read_records_jsonl(str(path))
         assert str(raised.value) == "record 2: " + str(read.value).split(
             "bad record: ", 1)[1]
+        # each names the field by its JSON key, an int beyond floats included
+        key = {name: key for key, name, *_ in core._RECORD_KEYS}[field]
+        assert str(raised.value).startswith("record 2: %s must be " % key)
 
 
 def oracle_read_records_jsonl(path):
@@ -327,14 +330,19 @@ def oracle_read_records_jsonl(path):
                 for key, name, default, types, wanted in core._RECORD_KEYS:
                     value = (doc[key] if default is core._REQUIRED
                              else doc.get(key, default))
-                    if type(value) not in types or (
+                    try:
+                        bad = type(value) not in types or (
                             float in types and value is not None
                             and not math.isfinite(value)) or (
-                            key == "relay_id" and not is_fingerprint(value)):
+                            key == "relay_id" and not is_fingerprint(value))
+                    except OverflowError:
+                        raise ValueError("%s must be %s, got an int too large "
+                                         "for a float" % (key, wanted))
+                    if bad:
                         raise ValueError("%s must be %s, got %r" % (key, wanted, value))
                     fields[name] = value
                 records.append(MeasurementRecord(**fields))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("%s:%d: bad record: %s" % (path, lineno, exc))
     return records
 
