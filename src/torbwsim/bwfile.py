@@ -44,10 +44,11 @@ import os
 import random
 import re
 from bisect import insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from operator import attrgetter
+from datetime import date, datetime, timezone
+from functools import lru_cache
+from operator import attrgetter, le
 from time import gmtime
 
 from .core import (DEFAULT_ASSUMED_DURATION, ConfigError, InsufficientDataError,
@@ -62,7 +63,8 @@ MAX_SEQUENTIAL_GAP = 50.0
 _TERMINATOR = "====="
 _ENTRY_ORDER = attrgetter("end_time", "node_id")
 _CANONICAL_TIME = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _TOKEN_TAIL = re.compile(r"\S*")  # to the next whitespace, as str.split cuts
 # unix seconds of years 1-9999 UTC, the times an entry can be written with
 _TIME_RANGE = range(-62135596800, 253402300800)
@@ -93,23 +95,36 @@ class BandwidthFile:
     skipped_lines: int = 0
 
 
-def _parse_time(value: str):
-    # the canonical form takes the fast path; strptime stays the arbiter for
-    # every other string (unpadded fields, lowercase "t", non-ASCII digits),
-    # and hour 24 goes to it too, so no newer fromisoformat rule leaks in
-    canonical = _CANONICAL_TIME.fullmatch(value)
-    if not canonical:
-        try:
-            ts = int(value)
-        except ValueError:
-            pass
-        else:
-            return ts if ts in _TIME_RANGE else None
+@lru_cache(maxsize=4096)
+def _midnight(day: str):
+    """Unix seconds of a YYYY-MM-DD day's midnight UTC, or None when there
+    is no such day (month 13, day 00, Feb 29 of a common year, year 0)."""
     try:
-        if canonical:
-            dt = datetime.fromisoformat(value)
-        else:
-            dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
+        return (date.fromisoformat(day).toordinal() - _EPOCH_ORDINAL) * 86400
+    except ValueError:
+        return None
+
+
+def _parse_time(value: str):
+    # the canonical form is its day's cached midnight plus its clock;
+    # strptime stays the arbiter for every other string (unpadded fields,
+    # lowercase "t", non-ASCII digits, minute or second 60), and hour 24
+    # goes to it too, so no newer fromisoformat rule leaks in
+    canonical = _CANONICAL_TIME.fullmatch(value)
+    if canonical:
+        day, hour, minute, second = canonical.groups()
+        midnight = _midnight(day)
+        if midnight is None:
+            return None
+        return midnight + int(hour) * 3600 + int(minute) * 60 + int(second)
+    try:
+        ts = int(value)
+    except ValueError:
+        pass
+    else:
+        return ts if ts in _TIME_RANGE else None
+    try:
+        dt = datetime.strptime(value, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
         return None
     return int(dt.replace(tzinfo=timezone.utc).timestamp())
@@ -330,17 +345,45 @@ def from_records(records, ba_id: str, base_time: int = 1650000000) -> BandwidthF
     )
 
 
+# Records of entries are built through their slots too. Of MeasurementRecord's
+# checks, the one an entry can fail is repeated in to_records: an entry built
+# by hand with bw=math.inf is successful with an infinite bandwidth.
+_new_record = object.__new__
+(_set_relay_id, _set_ba_id, _set_thread_id, _set_start_time, _set_rec_end_time,
+ _set_measured_bw, _set_bytes_total, _set_downloads, _set_ok) = (
+    MeasurementRecord.__dict__[name].__set__ for name in MeasurementRecord.__slots__)
+
+
 def to_records(files) -> list:
     """Invert from_records: one record per entry, in file order, on thread 0
     and without a start time, which files do not keep. An entry with bw=0
     becomes a failed record."""
-    # relay_id, ba_id, thread_id, start_time, end_time, measured_bw passed by
-    # position: keyword matching took a quarter of the time on large corpora
-    return [
-        MeasurementRecord(entry.node_id, bwf.ba_id, 0, None, float(entry.end_time),
-                          float(entry.bw), ok=entry.bw > 0)
-        for bwf in files for entry in bwf.entries
-    ]
+    records = []
+    append = records.append
+    for bwf in files:
+        ba_id = bwf.ba_id
+        for entry in bwf.entries:
+            # evaluated in the order of MeasurementRecord's arguments
+            node_id = entry.node_id
+            end_time = float(entry.end_time)
+            bw = entry.bw
+            measured_bw = float(bw)
+            ok = bw > 0
+            if ok and not 0 < measured_bw < math.inf:
+                raise ValueError("successful measurement of %s must have a finite "
+                                 "measured_bw > 0" % node_id)
+            rec = _new_record(MeasurementRecord)
+            _set_relay_id(rec, node_id)
+            _set_ba_id(rec, ba_id)
+            _set_thread_id(rec, 0)
+            _set_start_time(rec, None)
+            _set_rec_end_time(rec, end_time)
+            _set_measured_bw(rec, measured_bw)
+            _set_bytes_total(rec, 0)
+            _set_downloads(rec, 0)
+            _set_ok(rec, ok)
+            append(rec)
+    return records
 
 
 def load_corpus(directory: str, relay_ids=None) -> list:
@@ -426,13 +469,40 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     previous end lies at least MIN_MEASUREMENT_GAP earlier; the accepting
     thread is chosen uniformly at random. Entries no thread can accept open
     a new thread. Same-thread gaps shorter than MAX_SEQUENTIAL_GAP are
-    collected as duration samples.
+    collected as duration samples. Raises ValueError for an entry that ends
+    before the one preceding it. The walk itself is _walk_threads, which
+    estimate_duration runs on the same end times.
+    """
+    assignment, num_threads, durations = _walk_threads(_end_times(bwf), rng_seed)
+    return ThreadAssignment(
+        assignment=tuple(assignment),
+        num_threads=num_threads,
+        durations=tuple(durations),
+    )
+
+
+def _end_times(bwf: BandwidthFile) -> list:
+    """The end times of a file's entries, which must not decrease: else
+    ValueError names the first entry that ends before the one preceding it."""
+    ends = [entry.end_time for entry in bwf.entries]
+    if not all(map(le, ends, ends[1:])):  # le is False on NaN: look closer
+        for previous_end, end_time in zip(ends, ends[1:]):
+            if end_time < previous_end:
+                raise ValueError("entries must be in end-time order: %r ends before %r"
+                                 % (end_time, previous_end))
+    return ends
+
+
+def _walk_threads(end_times, rng_seed):
+    """infer_threads on end times in order: (thread per entry, as a list,
+    the number of threads, the duration samples, as a list).
 
     As end times never decrease, a thread that can accept one entry can
     accept every later one, and busy threads free up in the order they
     last ended: they wait in a queue and move to a sorted ready list once
-    their gap is long enough. Raises ValueError for an entry that ends
-    before the one preceding it.
+    their gap is long enough. That queue is the assignment itself: a
+    thread joins it with each entry it takes, and the busy threads are its
+    part from head on.
 
     The draw is random.Random.choice's own on Python 3.10-3.13: k bits of
     getrandbits for n ready threads, k = n.bit_length(), redrawn while the
@@ -440,19 +510,14 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     """
     getrandbits = random.Random(str(rng_seed)).getrandbits
     last_end = []  # per thread
-    busy = deque()  # threads that cannot accept yet, by last end
-    ready = []      # threads that can accept, by index
-    assignment = []
+    assignment = []  # from head on, the busy threads by last end
+    head = 0
+    ready = []  # threads that can accept, by index
     durations = []
-    previous_end = -math.inf
-    for entry in bwf.entries:
-        end_time = entry.end_time
-        if end_time < previous_end:
-            raise ValueError("entries must be in end-time order: %r ends before %r"
-                             % (end_time, previous_end))
-        previous_end = end_time
-        while busy and end_time - last_end[busy[0]] >= MIN_MEASUREMENT_GAP:
-            insort(ready, busy.popleft())
+    for i, end_time in enumerate(end_times):
+        while head < i and end_time - last_end[assignment[head]] >= MIN_MEASUREMENT_GAP:
+            insort(ready, assignment[head])
+            head += 1
         if ready:
             n = len(ready)
             k = n.bit_length()
@@ -467,13 +532,8 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
         else:
             thread = len(last_end)
             last_end.append(end_time)
-        busy.append(thread)
         assignment.append(thread)
-    return ThreadAssignment(
-        assignment=tuple(assignment),
-        num_threads=len(last_end),
-        durations=tuple(durations),
-    )
+    return assignment, len(last_end), durations
 
 
 @dataclass(frozen=True)
@@ -500,10 +560,12 @@ def _counted_median(counts: Counter):
 def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstimate:
     """Median measurement duration over repeated random thread assignments.
 
-    Each iteration re-runs infer_threads on every file with a derived
-    sub-seed; duration samples pool across everything. The histogram counts
-    inferred thread numbers per (iteration, file) pair. Samples are tallied
-    per duration value, not kept, so memory does not grow with iterations;
+    Each iteration walks every file's threads as infer_threads does, with a
+    derived sub-seed; duration samples pool across everything. The
+    histogram counts inferred thread numbers per (iteration, file) pair.
+    Each file's end times are read and checked once per call, not once per
+    iteration, and no assignment tuple is built. Samples are tallied per
+    duration value, not kept, so memory does not grow with iterations;
     median and sample_count equal statistics.median and len of the pooled
     samples.
     """
@@ -513,11 +575,15 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstim
         raise ValueError("iterations must be >= 1")
     counts = Counter()  # duration -> samples
     histogram = {}
+    end_times = []  # per file, each checked when iteration 0 reaches it
     for it in range(iterations):
         for fi, bwf in enumerate(files):
-            ta = infer_threads(bwf, rng_seed="%s/it%d/file%d" % (rng_seed, it, fi))
-            counts.update(ta.durations)
-            histogram[ta.num_threads] = histogram.get(ta.num_threads, 0) + 1
+            if it == 0:
+                end_times.append(_end_times(bwf))
+            _assignment, num_threads, durations = _walk_threads(
+                end_times[fi], "%s/it%d/file%d" % (rng_seed, it, fi))
+            counts.update(durations)
+            histogram[num_threads] = histogram.get(num_threads, 0) + 1
     if not counts:
         raise InsufficientDataError("insufficient sequential measurements")
     return DurationEstimate(

@@ -17,8 +17,8 @@ bound the whole command. With wall times excluded, reruns with identical
 inputs produce identical bytes.
 
 Importing this module loads only what every command shares; each command
-imports the modules it runs when it runs, so `estimate` alone loads numpy
-and only `simulate` loads the simulator.
+imports the modules it runs when it runs, so `estimate` alone loads numpy,
+only `simulate` loads the simulator, and `estimate` loads no logging.
 """
 
 import argparse
@@ -26,11 +26,11 @@ import contextlib
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from . import __version__, units
@@ -88,18 +88,77 @@ def _load_config_bytes(args) -> bytes:
 # -- output plumbing ----------------------------------------------------------
 
 
+def _key_json(key) -> str:
+    # json.dumps turns a str, int, float, bool or None key into a string,
+    # and raises its TypeError for any other
+    return json.dumps({key: 0})[1:-4]
+
+
+# the value types that json's C encoder writes as json.dumps(indent=2) does
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_CHUNK_ITEMS = 2048
+
+
+def _json_pieces(o, indent: str, open_ids: set):
+    """The text of json.dumps(o, indent=2), in pieces, for o on a line
+    indented by indent; open_ids holds the ids of the containers o sits in.
+
+    A container goes out _CHUNK_ITEMS items at a time. A chunk whose values
+    are all of _SCALAR_TYPES is one piece, written by json's C encoder with
+    this level's line break and indent as its item separator; the items of
+    any other chunk go out one by one, a scalar as json.dumps writes it. A
+    value json.dumps cannot encode raises its TypeError, and a container
+    inside itself its ValueError, once the pieces before it are out."""
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))):
+        yield json.dumps(o)
+        return
+    if not o:
+        yield "{}" if is_dict else "[]"
+        return
+    if id(o) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(o))
+    inner = indent + "  "
+    compact = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+    items = iter(o.items() if is_dict else o)
+    separator = ("{\n" if is_dict else "[\n") + inner
+    while chunk := (dict if is_dict else list)(islice(items, _CHUNK_ITEMS)):
+        if set(map(type, chunk.values() if is_dict else chunk)) <= _SCALAR_TYPES:
+            yield separator + compact(chunk)[1:-1]
+            separator = ",\n" + inner
+            continue
+        for key, value in (chunk.items() if is_dict else enumerate(chunk)):
+            yield separator + _key_json(key) + ": " if is_dict else separator
+            yield from _json_pieces(value, inner, open_ids)
+            separator = ",\n" + inner
+    open_ids.discard(id(o))
+    yield "\n" + indent + ("}" if is_dict else "]")
+
+
+def _write_json(doc, write) -> None:
+    """Write the bytes of json.dump(doc, fh, indent=2) through write, piece
+    by piece (see _json_pieces), so the text is never held whole. Every
+    scalar is written by json itself: strings by encode_basestring_ascii,
+    ints and floats by int.__repr__ and float.__repr__, and NaN, the
+    infinities, true, false and null in json's spellings."""
+    for piece in _json_pieces(doc, "", set()):
+        write(piece)
+
+
 def _write_atomic(path: str, data) -> None:
     """Write bytes, text or a JSON document (a dict) to a temp file beside
     path, fsync it and rename it over path; on any failure the temp file is
     removed and path is left as it was. Text is written as UTF-8, its line
-    ends untranslated. A document is streamed in, indented and with a final
-    newline, so it is never held whole as text or bytes."""
+    ends untranslated. A document goes out through _write_json, indented
+    and with a final newline: the bytes of json.dump with indent=2, never
+    held whole as text or bytes."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
         with (open(tmp, "wb") if isinstance(data, bytes)
               else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
             if isinstance(data, dict):
-                json.dump(data, fh, indent=2)
+                _write_json(data, fh.write)
                 fh.write("\n")
             else:
                 fh.write(data)
@@ -161,6 +220,15 @@ def _lines(rows) -> str:
     return "".join(row + "\n" for row in rows)
 
 
+def _log_warnings() -> None:
+    """Print warnings to stderr. Only simulate, analyze and detect run
+    modules that log, so only they load logging and call this."""
+    import logging
+
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -169,6 +237,7 @@ def cmd_simulate(args) -> Outputs:
 
     from . import bwfile, netsim
 
+    _log_warnings()
     raw = _load_config_bytes(args)
     try:
         doc = json.loads(raw)
@@ -207,6 +276,7 @@ def cmd_simulate(args) -> Outputs:
 def cmd_analyze(args) -> Outputs:
     from . import bwfile, coincidence
 
+    _log_warnings()
     if args.subcommand == "durations":
         corpus = bwfile.load_corpus(args.input)
         est = bwfile.estimate_duration(
@@ -284,6 +354,7 @@ def cmd_estimate(args) -> Outputs:
 def cmd_detect(args) -> Outputs:
     from . import bwfile, defense
 
+    _log_warnings()
     records = bwfile.load_records(args.input)
     report = defense.score_suspects(
         records, assumed_duration=args.duration, threshold=args.threshold
@@ -425,8 +496,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     started = datetime.now(timezone.utc)
     try:
         _emit(args.func(args), args, list(argv), started)

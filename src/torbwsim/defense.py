@@ -83,20 +83,26 @@ def score_suspects(records,
     starts no later than it ends, touching included: interval i's partners
     run up to bisect_right(starts, end_i, i + 1), so one starting exactly at
     end_i is a partner. The sweep keeps the deepest overlap per partner
-    relay. Then one relay at a time gathers its
-    bandwidths, all of them and per partner the co-measured and the
-    touching ones, and turns them into its directional drops, so only that
-    relay's lists are alive at once. Each interval's partner map is freed
-    once its relay has read it, and a pair's two directions are averaged
-    as soon as both relays are scored: only the drops still waiting for
-    their partner are kept, filed under that partner. Every mean counts
-    each record, repeats included, and is math.fsum(xs) / len(xs), which
-    is what statistics.fmean computes; fsum rounds the exact sum once, so
-    the order of its inputs cannot change a mean. The records apart from r2
-    are all of r1's less those touching r2, so their sum is taken as the
-    fsum of all of r1's bandwidths and the negated touching ones, which
-    equals the fsum of the records apart, for the finite bandwidths
-    MeasurementRecord admits.
+    relay. Then one relay at a time totals its bandwidths, all of them and
+    per partner the co-measured and the touching ones, and turns them into
+    its directional drops. Each interval's partner map is freed once its
+    relay has read it, and a pair's two directions are averaged as soon as
+    both relays are scored: only the drops still waiting for their partner
+    are kept, filed under that partner.
+
+    Every mean counts each record, repeats included, and equals
+    statistics.fmean of its bandwidths, math.fsum(xs) / len(xs), bit for
+    bit. Each bandwidth is taken as a float, as fsum takes it, and is an
+    exact multiple of 1/scale, scale being the largest denominator of
+    float.as_integer_ratio() among the call's bandwidths. So each
+    interval's bandwidths become one exact integer sum in units of 1/scale
+    and a count, and the totals are sums of those; the records apart from
+    r2 total all of r1's less those touching r2, exactly. A mean is then
+    sum / scale / n: an int's true division rounds the exact quotient once,
+    as fsum rounds the exact sum, so each drop is the one fsum gives. Where
+    fsum overflowed on its way to a finite sum, the exact sum does not; a
+    sum that is itself beyond the largest float raises OverflowError, as
+    fsum does.
     """
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
@@ -116,7 +122,17 @@ def score_suspects(records,
         raise InsufficientDataError(
             "need successful records for at least 2 relays, have %d%s"
             % (len(relays), "".join("; %s: %d records" % (r, n_ok) for r in relays)))
+    ratio = float.as_integer_ratio
+    scale = max(ratio(float(bw))[1] for bws in bws_of.values() for bw in bws)
+    for key, bws in bws_of.items():  # each list becomes its exact (sum, count)
+        total = 0
+        for bw in bws:
+            numerator, denominator = ratio(float(bw))
+            total += numerator * (scale // denominator)
+        bws_of[key] = (total, len(bws))
     items = sorted(bws_of)
+    sums = [bws_of[key] for key in items]
+    del bws_of
     starts = [start for start, _end, _relay in items]
 
     deepest = [{} for _ in items]  # per interval: partner relay -> overlap
@@ -144,38 +160,39 @@ def score_suspects(records,
     waiting = {}  # relay not yet scored -> {scored partner: its drop against it}
     scored = set()
     for relay, indices in indices_of.items():
-        all_bws = []
-        co_bws = {}    # partner -> bandwidths of deeply co-measured records
-        near_bws = {}  # partner -> negated bandwidths of records it touches
+        all_sum = all_n = 0
+        co_sums = {}    # partner -> [sum, count] of deeply co-measured records
+        near_sums = {}  # partner -> [sum, count] of records it touches
         for i in indices:
             start, end, _relay = items[i]
-            values = bws_of[items[i]]
-            negated = [-bw for bw in values]
-            all_bws.extend(values)
+            bw_sum, n = sums[i]
+            all_sum += bw_sum
+            all_n += n
             duration = end - start
             for partner, overlap in deepest[i].items():
-                # first lists are copies: an interval's lists serve every partner
-                near = near_bws.get(partner)
+                near = near_sums.get(partner)
                 if near is None:
-                    near_bws[partner] = negated.copy()
+                    near_sums[partner] = [bw_sum, n]
                 else:
-                    near.extend(negated)
+                    near[0] += bw_sum
+                    near[1] += n
                 if duration <= 0 or overlap / duration >= min_overlap_fraction:
-                    co = co_bws.get(partner)
+                    co = co_sums.get(partner)
                     if co is None:
-                        co_bws[partner] = values.copy()
+                        co_sums[partner] = [bw_sum, n]
                     else:
-                        co.extend(values)
+                        co[0] += bw_sum
+                        co[1] += n
             deepest[i] = None  # only this relay reads it
         filed = waiting.pop(relay, {})
-        for partner, co in co_bws.items():
-            near = near_bws[partner]
-            n_solo = len(all_bws) - len(near)
+        for partner, (co_sum, co_n) in co_sums.items():
+            near_sum, near_n = near_sums[partner]
+            n_solo = all_n - near_n
             drop = None  # without a baseline
             if n_solo:
-                solo_mean = math.fsum(all_bws + near) / n_solo
+                solo_mean = (all_sum - near_sum) / scale / n_solo
                 if solo_mean > 0:
-                    co_mean = math.fsum(co) / len(co)
+                    co_mean = co_sum / scale / co_n
                     drop = min(1.0, max(0.0, 1.0 - co_mean / solo_mean))
             if partner not in scored:
                 waiting.setdefault(partner, {})[relay] = drop

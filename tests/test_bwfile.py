@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -309,8 +310,29 @@ class TestParseMatchesOracle:
     @example(value="2022-02-29T00:00:00")
     @example(value="0001-01-01T00:00:00")
     @example(value="2022-04-15t10:00:00")
+    # the day cache: days that do not exist, the ends of the range, and
+    # clocks that no day has
+    @example(value="2023-02-29T12:00:00")
+    @example(value="2024-02-29T12:00:00")
+    @example(value="2022-04-00T10:00:00")
+    @example(value="2022-13-15T10:00:00")
+    @example(value="0000-01-01T00:00:00")
+    @example(value="0000-12-31T23:59:59")
+    @example(value="9999-12-31T23:59:59")
+    @example(value="2022-04-15T10:60:00")
+    @example(value="2022-04-15T23:59:59")
     def test_parse_time(self, value):
         assert bwfile._parse_time(value) == strptime_parse_time(value)
+
+    def test_day_cache_keeps_no_clock(self):
+        # a day read again, with a bad clock and then a good one, and a day
+        # that does not exist read twice, each as the oracle reads it
+        values = ["2024-02-29T10:00:00", "2024-02-29T10:61:00",
+                  "2024-02-29T24:00:00", "2024-02-29T10:00:60",
+                  "2024-02-29T23:59:59", "2023-02-29T10:00:00",
+                  "2023-02-29T10:00:00", "2023-03-01T00:00:00"]
+        assert ([bwfile._parse_time(v) for v in values]
+                == [strptime_parse_time(v) for v in values])
 
     @settings(max_examples=1000, deadline=None)
     @given(line=entry_lines())
@@ -563,6 +585,15 @@ def keyword_from_records(records, ba_id, base_time):
     return BandwidthFile(header_timestamp=base_time, entries=tuple(entries), ba_id=ba_id)
 
 
+def keyword_to_records(files):
+    """to_records as it was: each record built and checked by its __init__."""
+    return [
+        MeasurementRecord(entry.node_id, bwf.ba_id, 0, None, float(entry.end_time),
+                          float(entry.bw), ok=entry.bw > 0)
+        for bwf in files for entry in bwf.entries
+    ]
+
+
 class TestFromRecords:
     def _rec(self, relay_id, end, ba_id="ba0", ok=True, bw=25_000_000.4):
         return MeasurementRecord(
@@ -627,6 +658,31 @@ class TestFromRecords:
             except (ParseError, OverflowError, InsufficientDataError) as exc:
                 return repr(exc)
         assert outcome(from_records) == outcome(keyword_from_records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(files=st.lists(st.tuples(
+        st.sampled_from(("ba0", "ba1")),
+        st.lists(st.tuples(st.sampled_from((R1, R2)),
+                           st.sampled_from((0, -1, 7, 10 ** 6, 2 ** 53 + 1, math.inf)),
+                           st.sampled_from((T0, 0, -5, T0 + 0.5))), max_size=6)),
+        max_size=3))
+    # hand-built entries: bw=0 and bw=-1 are failed records, and bw=inf
+    # fails MeasurementRecord's finite check, after an entry that passes
+    @example(files=[("ba0", [(R1, 0, T0), (R2, -1, T0)])])
+    @example(files=[("ba0", [(R1, 7, T0)]), ("ba1", [(R2, math.inf, T0)])])
+    def test_to_records_matches_keyword_records(self, files):
+        bwfs = [BandwidthFile(header_timestamp=T0, ba_id=ba_id, entries=tuple(
+            BandwidthEntry(node_id=node_id, bw=bw, end_time=end)
+            for node_id, bw, end in entries)) for ba_id, entries in files]
+
+        def outcome(convert):
+            try:
+                records = convert(iter(bwfs))
+            except ValueError as exc:
+                return repr(exc)
+            assert {type(r) for r in records} <= {MeasurementRecord}
+            return [dataclasses.astuple(r) for r in records]
+        assert outcome(bwfile.to_records) == outcome(keyword_to_records)
 
     def test_to_records_keeps_zero_bandwidth_as_failed(self):
         bwf = BandwidthFile(header_timestamp=T0, ba_id="ba0", entries=(

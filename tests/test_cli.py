@@ -7,11 +7,14 @@ import re
 import subprocess
 import sys
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fp
-from torbwsim import bwfile, core, defense, estimator, netsim
+from torbwsim import bwfile, cli, core, defense, estimator, netsim
 from torbwsim.bwfile import build_timeline
 from torbwsim.coincidence import count_events, distribution_rows, expected_inflation
 from torbwsim.cli import (
@@ -1281,6 +1284,29 @@ class TestReadme:
         assert capsys.readouterr().out == "5.0\n()\nTrue\n"
 
 
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2 ** 64, 2 ** 200), st.integers(-(2 ** 200), -(2 ** 64)),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from((-0.0, 5e-324, 1e300, -1e300, 0.1, 1e8 / 3)),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.sampled_from(("", "Zürich ✓", "\x00\x1f\x7f", "\ud800", "a\udfffb", '"\\')),
+)
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def json_documents():
+    """Dicts of scalars, lists, tuples and dicts nested at any depth, keys of
+    every type json.dumps converts."""
+    return st.dictionaries(JSON_KEYS, st.recursive(
+        JSON_SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=6),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(JSON_KEYS, children, max_size=6)),
+        max_leaves=30), max_size=8)
+
+
 class TestOutputPlumbing:
     def test_write_atomic_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "file.txt"
@@ -1322,6 +1348,27 @@ class TestOutputPlumbing:
             _write_atomic(str(target), data)
         assert target.read_text() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_documents(), chunk_items=st.sampled_from((1, 2, 3, 2048)))
+    @example(doc={"": [], "e": {}, "n": [[], {}, [[{}]]], "d": {"a": {"b": {"c": {}}}}},
+             chunk_items=2)
+    @example(doc={"s": "Zürich ✓ \U0001f600", "c": "\x00\x1f\x7f\"\\\n\t\ud800",
+                  "\udfff\x01": ["\u2028", "é"]}, chunk_items=2048)
+    @example(doc={"f": [-0.0, 5e-324, 1e300, 0.1, math.nan, math.inf, -math.inf],
+                  "i": [2 ** 64, -(2 ** 64) - 1, 10 ** 30, 0, -1],
+                  "b": [True, False, None], "t": (1, (2.5, ()))},
+             chunk_items=3)
+    @example(doc={1: "int", 2.5: "float", True: "bool", None: "none", math.nan: "nan",
+                  -math.inf: "-inf", 2 ** 70: "big", -0.0: "zero"}, chunk_items=2)
+    @example(doc={"pairs": {"%d,%d" % (i, i + 1): i / 7 for i in range(5000)},
+                  "mixed": list(range(2049)) + [[1]] + [{"k": 0.5}] * 3},
+             chunk_items=2048)
+    def test_writer_bytes_equal_json_dumps(self, doc, chunk_items):
+        pieces = []
+        with mock.patch.object(cli, "_CHUNK_ITEMS", chunk_items):
+            cli._write_json(doc, pieces.append)
+        assert "".join(pieces) == json.dumps(doc, indent=2)
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "afile"
@@ -1432,6 +1479,16 @@ class TestCommandImports:
     def test_command_loads_only_its_modules(self, command, allowed, tmp_path):
         loaded = self._loaded(tmp_path, *self._inputs(tmp_path, command))
         assert loaded & self.COMMAND_MODULES == allowed
+
+    @pytest.mark.parametrize("command, logs", [
+        ("import", False), ("estimate", False),
+        ("simulate", True), ("analyze", True), ("detect", True),
+    ])
+    def test_only_commands_that_log_load_logging(self, command, logs, tmp_path):
+        # bwfile and scanner log; the CLI configures logging in the commands
+        # that run them, so `import torbwsim.cli` and estimate never load it
+        loaded = self._loaded(tmp_path, *self._inputs(tmp_path, command))
+        assert ("logging" in loaded) is logs
 
     def test_build_sim_config_is_netsims(self):
         from torbwsim.cli import build_sim_config as from_cli

@@ -403,12 +403,64 @@ class TestCollapsedSweepMatchesPairwise:
                       rec(C, 500.0, 510.0, 100.0), rec(A, 600.0, 700.0, 50.0),
                       rec(C, 600.0, 700.0, 50.0)],
              assumed_duration=39.0, threshold=0.05, min_overlap_fraction=0.0)
+    # bandwidths of wide magnitude and denominator, so the exact sums run in
+    # units of 2**-1074 and span thousands of bits; 2**53 + 1 is an int,
+    # which fsum, and so the scoring, takes as the float 2**53
+    @example(records=[rec(A, 0.0, 10.0, 5e-324), rec(B, 0.0, 10.0, 0.1),
+                      rec(A, 20.0, 30.0, 1e8 / 3), rec(B, 40.0, 50.0, 2**53 + 1),
+                      rec(A, 5.0, 12.0, 1e300), rec(B, 60.0, 70.0, 1e300)],
+             assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.5)
+    @example(records=[rec(A, None, 10.0, 0.1), rec(B, None, 10.0, 0.1),
+                      rec(A, None, 10.0, 5e-324), rec(B, None, 70.0, 1e300),
+                      rec(A, None, 90.0, 2**53 + 1), rec(A, None, 90.0, 2**53 + 1),
+                      rec(B, None, 120.0, 1e8 / 3), rec(A, None, 200.0, 1e300),
+                      rec(B, None, 200.0, 5e-324), rec(C, None, 200.0, 0.1)],
+             assumed_duration=39.0, threshold=0.05, min_overlap_fraction=0.0)
+    @example(records=[rec(A, 0.0, 10.0, 1e300), rec(A, 0.0, 10.0, 1e300),
+                      rec(B, 5.0, 10.0, 5e-324), rec(A, 20.0, 30.0, 0.1),
+                      rec(B, 40.0, 50.0, 1e300), rec(B, 40.0, 50.0, 1e8 / 3)],
+             assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.25)
+    # a mean rounds twice, the sum and then its division, as fsum(xs) / n
+    # does: three 0.1s average to 0.10000000000000002, not 0.1
+    @example(records=[rec(A, 0.0, 10.0, 0.1), rec(B, 0.0, 10.0, 0.1),
+                      rec(A, 20.0, 30.0, 0.1), rec(A, 40.0, 50.0, 0.1),
+                      rec(A, 60.0, 70.0, 0.1), rec(B, 80.0, 90.0, 0.1),
+                      rec(B, 100.0, 110.0, 0.1), rec(B, 120.0, 130.0, 0.1)],
+             assumed_duration=39.0, threshold=0.0, min_overlap_fraction=0.5)
+    # an int bandwidth counts as its float: three 2**53 + 1 sum to 3 * 2**53
+    @example(records=[rec(A, 0.0, 10.0, float(2**53)), rec(B, 0.0, 10.0, 50.0),
+                      *[rec(A, 20.0, 30.0, 2**53 + 1)] * 3, rec(B, 40.0, 50.0, 100.0)],
+             assumed_duration=39.0, threshold=0.3, min_overlap_fraction=0.5)
     def test_same_report_and_probes(self, records, assumed_duration, threshold,
                                     min_overlap_fraction):
         kwargs = dict(assumed_duration=assumed_duration, threshold=threshold,
                       min_overlap_fraction=min_overlap_fraction)
         assert (_outputs(score_suspects, records, **kwargs)
                 == _outputs(pairwise_score_suspects, records, **kwargs))
+
+
+class TestExactSumsAtTheFloatLimit:
+    # the records apart from B total all of A's less those touching B, an
+    # exact integer sum: math.fsum over A's bandwidths and the negated
+    # touching ones overflowed on the way (1e308 + 1e308) and raised
+    # OverflowError, though the sum it sought, 1e308, is a float
+    def test_finite_sum_after_an_overflowing_partial_is_scored(self):
+        records = [rec(A, 0.0, 10.0, 1e308), rec(B, 0.0, 10.0, 1e308),
+                   rec(A, 20.0, 30.0, 1e308), rec(B, 40.0, 50.0, 1e308)]
+        report = score_suspects(records)
+        assert report.pair_drops == {(A, B): 0.0}
+        assert report == pairwise_score_suspects(records)
+
+    # a sum that is itself beyond the largest float still raises, as
+    # statistics.fmean and the oracle do
+    def test_sum_beyond_the_largest_float_raises(self):
+        records = [rec(A, 0.0, 10.0, 1e308), rec(A, 0.0, 10.0, 1e308),
+                   rec(B, 0.0, 10.0, 1e308), rec(A, 20.0, 30.0, 1e308),
+                   rec(B, 40.0, 50.0, 1e308)]
+        with pytest.raises(OverflowError):
+            score_suspects(records)
+        with pytest.raises(OverflowError):
+            pairwise_score_suspects(records)
 
 
 class TestPlanProbes:
