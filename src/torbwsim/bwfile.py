@@ -15,13 +15,15 @@ then node id, so serialize(parse(x)) is a stable normal form and a byte-exact
 identity on files this package wrote itself.
 
 Archives repeat an entry's tokens from file to file until the relay is
-measured again, so load_corpus parses a directory with one memo: each
-distinct token maps to its (key, value) pair, a node_id value to its
-canonical fingerprint, a time to its unix seconds and a bw to its integer
-(None where the check fails), and the pair of an unknown key is the very
-tuple kept in extras. The memo lives for one load of a directory; the
-files it returns, or their records, equal file-by-file parses, skipped
-lines and warnings included.
+measured again, so load_corpus parses the files of one worker with one
+memo: each distinct token maps to its (key, value) pair, a node_id value to
+its canonical fingerprint, a time to its unix seconds and a bw to its
+integer (None where the check fails), and the pair of an unknown key is the
+very tuple kept in extras, shared by that worker's files. A large directory
+is split into one run of files per CPU, each but the first parsed in a
+forked worker (see _corpus_files). A memo lives for one load; the files
+returned, or their records, equal file-by-file parses, skipped lines and
+warnings included, in the same order whatever the number of workers.
 
 A relay-scoped load (load_corpus or load_records given relay_ids) parses
 only the entry lines that can name a listed relay: a line whose one
@@ -39,12 +41,17 @@ durations.
 """
 
 import logging
+import marshal
 import math
 import os
 import random
 import re
+import stat
+import sys
+import threading
 from bisect import insort
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import lru_cache
@@ -386,13 +393,138 @@ def to_records(files) -> list:
     return records
 
 
+# -- forked workers -----------------------------------------------------------
+
+# The least work worth a forked worker. In a 50 MB process on an idle
+# 2-vCPU host with Python 3.11, forking a worker, reading one small result
+# and reaping it take 2.2 ms (5-7 ms while other guests load the host); a
+# full parse takes 23 ns a byte of bandwidth file, packing a worker's files
+# and rebuilding them 13 ns more, and a thread-walk step 0.6 us. Each
+# minimum is 12-15 ms of the work it splits, so a worker given it saves
+# more than it costs. A relay-scoped parse passes over most lines, at 6 ns
+# a byte, so a scoped load counts a quarter of its bytes.
+MIN_BYTES_PER_WORKER = 512 * 1024  # of bandwidth files, for a directory load
+MIN_STEPS_PER_WORKER = 25_000  # thread-walk steps, for estimate_duration
+SCOPED_PARSE_SHARE = 4  # full-parse bytes per byte of a relay-scoped load
+
+
+def _worker_count(work: int, minimum: int) -> int:
+    """One worker per CPU this process may run on, as long as each gets at
+    least minimum of the work; 1 where forking is unavailable or unsafe:
+    without os.fork, off Linux, or with other threads running. Native
+    threads that Python does not run, such as a BLAS pool, are not counted:
+    they hold no lock that a worker's parse or walk takes."""
+    if not hasattr(os, "fork") or sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, work // minimum))
+
+
+def _split(items, parts: int) -> list:
+    """items in at most parts contiguous slices, none of them empty unless
+    items is, whose lengths differ by at most one."""
+    parts = max(1, min(parts, len(items)))
+    return [items[len(items) * i // parts:len(items) * (i + 1) // parts]
+            for i in range(parts)]
+
+
+@contextmanager
+def _forked(work, parts):
+    """Run work(part), an iterable, for each of parts in a child forked on
+    entry, and give an iterator over all their items in part order.
+
+    A child packs each item with marshal as work yields it, then sends the
+    packed items through a pipe, each behind its length, and leaves by
+    os._exit alone. It sends only once done: a pipe holds 64 KiB, and this
+    process reads a child only after those before it, so a child sending as
+    it went would stall. This process unpacks one item at a time, so it
+    never holds more than one packed item. After a child's last item it is
+    reaped, and RuntimeError is raised if it failed. Where os.pipe or
+    os.fork fails (no descriptor, process or memory to spare), that part
+    and those after it run in this process instead, after the children.
+    Any child not reaped when the block ends, on whatever path, is sent
+    SIGKILL and reaped then.
+    """
+    children = []  # [pid or None once reaped, read end of its pipe]
+    here = []  # the parts run in this process
+    try:
+        for index, part in enumerate(parts):
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                here = parts[index:]
+                break
+            children.append([None, open(read_fd, "rb")])
+            try:
+                try:
+                    children[-1][0] = pid = os.fork()
+                except OSError:
+                    pid = None
+                if pid == 0:
+                    status = 1
+                    try:
+                        for _pid, pipe in children:  # its own and its elders' read ends
+                            pipe.close()
+                        packed = [marshal.dumps(item) for item in work(part)]
+                        with open(write_fd, "wb") as pipe:
+                            for data in packed:
+                                pipe.write(len(data).to_bytes(8, "little"))
+                                pipe.write(data)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write_fd)
+            if pid is None:
+                children.pop()[1].close()
+                here = parts[index:]
+                break
+
+        def results():
+            for child in children:
+                pid, pipe = child
+                with pipe:
+                    while len(header := pipe.read(8)) == 8:
+                        size = int.from_bytes(header, "little")
+                        data = pipe.read(size)
+                        if len(data) < size:
+                            break  # cut short: the child died writing, as its status says
+                        yield marshal.loads(data)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                child[0] = None  # only once reaped: an interrupted wait leaves it to SIGKILL
+                if status:
+                    raise RuntimeError(
+                        "forked worker %d failed (status %d); run on one CPU "
+                        "(taskset -c 0) to see its error" % (pid, status))
+            for part in here:
+                yield from work(part)
+        yield results()
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                from signal import SIGKILL  # here: only an early exit needs it
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+# -- directories ---------------------------------------------------------------
+
+
 def load_corpus(directory: str, relay_ids=None) -> list:
     """Parse every regular file of a directory in name order, stem as ba_id.
 
     Unreadable and unparsable files are skipped with a warning. Raises
     ConfigError when the directory cannot be read or holds no parsable file.
-    The files share one parse memo, dropped on return: archives repeat an
-    entry's tokens from file to file, so each distinct token is parsed once.
+    Archives repeat an entry's tokens from file to file, so the files of
+    one worker share one parse memo, dropped on return, and each distinct
+    token is parsed once per worker. With more than one CPU, a large
+    directory is split into runs of files, each parsed in a forked worker
+    (see _corpus_files); the files, their order and the warnings are the
+    same whatever the number of workers.
 
     relay_ids, if given, scopes the load to those relays: only the entry
     lines that can name a listed relay are parsed, so a malformed line that
@@ -404,29 +536,120 @@ def load_corpus(directory: str, relay_ids=None) -> list:
     return list(_corpus_files(directory, relay_ids))
 
 
+def _load_file(path: str, memo: dict, relay_ids):
+    """The parse of one file of a directory, or None, with a warning, when
+    it cannot be read or parsed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_bandwidth_file(data, ba_id=os.path.splitext(os.path.basename(path))[0],
+                                    memo=memo, relay_ids=relay_ids)
+    except (OSError, ParseError) as exc:
+        log.warning("skipping %s: %s", path, str(exc))  # str: a worker marshals it
+        return None
+
+
+def _packed_files(paths, relay_ids):
+    """_load_file of each path with one memo, for a forked worker: per
+    path, the records it logged, as (level, msg, args) kept rather than
+    emitted, and the file packed for _unpacked_file, or None when it was
+    skipped. Each record's args go through marshal, so they must be plain
+    values (a str, not an exception)."""
+    memo = {}
+    for path in paths:
+        logged = []
+
+        def keep(record):
+            logged.append((record.levelno, record.msg, record.args))
+            return False  # kept, so neither this process nor its handlers emit it
+        log.addFilter(keep)
+        try:
+            bwf = _load_file(path, memo, relay_ids)
+        finally:
+            log.removeFilter(keep)
+        if bwf is not None:
+            entries = bwf.entries
+            bwf = (bwf.header_timestamp, bwf.headers, bwf.skipped_lines, bwf.ba_id,
+                   [e.node_id for e in entries], [e.bw for e in entries],
+                   [e.end_time for e in entries], [e.extras for e in entries])
+        yield logged, bwf
+
+
+def _unpacked_file(packed, shared: dict) -> BandwidthFile:
+    """The file that _packed_files packed, its entries built through their
+    slots as _parse_entry builds them. marshal gives each file its own
+    copies, so shared maps every node id, extras pair and extras tuple
+    rebuilt so far in a load to itself: equal ones across files are one
+    object, as a parse memo makes them, and a worker's files take about
+    as much memory as parsed ones. The ints (bw, end time) are left as
+    they come: sharing them too would save a seventh of the memory the
+    rebuilt files hold and cost a fifth more time."""
+    header_timestamp, headers, skipped_lines, ba_id, node_ids, *columns = packed
+    entries = []
+    for node_id, bw, end_time, extras in zip(map(shared.setdefault, node_ids, node_ids),
+                                             *columns):
+        kept = shared.get(extras)
+        if kept is None:
+            kept = tuple(map(shared.setdefault, extras, extras))
+            shared[kept] = kept
+        extras = kept
+        entry = _new_entry(BandwidthEntry)
+        _set_node_id(entry, node_id)
+        _set_bw(entry, bw)
+        _set_end_time(entry, end_time)
+        _set_extras(entry, extras)
+        entries.append(entry)
+    return BandwidthFile(header_timestamp=header_timestamp, entries=tuple(entries),
+                         ba_id=ba_id, headers=headers, skipped_lines=skipped_lines)
+
+
 def _corpus_files(directory: str, relay_ids):
     """load_corpus one file at a time: each file is yielded as soon as it is
-    parsed, and ConfigError is raised after the last name if none parsed."""
+    parsed, and ConfigError is raised after the last name if none parsed.
+
+    The regular files, in name order, are cut into one contiguous run per
+    worker (_worker_count on their total size, a quarter of it when the
+    load is relay-scoped). Each run but the first is
+    parsed in a forked worker (_packed_files); this process parses the
+    first, yielding its files as it goes, then takes the other runs' files
+    one at a time, in name order, logging each file's warnings and yielding
+    it rebuilt. So this process never holds more than one file of a worker,
+    packed or rebuilt, at a time; a worker holds its run's files packed
+    until it sends them (see _forked).
+    """
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
         raise ConfigError("cannot read bandwidth file directory: %s" % exc)
-    parsed = False
-    memo = {}
+    paths = []
+    size = 0
     for name in names:
         path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            bwf = parse_bandwidth_file(data, ba_id=os.path.splitext(name)[0],
-                                       memo=memo, relay_ids=relay_ids)
-        except (OSError, ParseError) as exc:
-            log.warning("skipping %s: %s", path, exc)
+            st = os.stat(path)
+        except OSError:
             continue
-        parsed = True
-        yield bwf
+        if stat.S_ISREG(st.st_mode):  # os.path.isfile's test
+            paths.append(path)
+            size += st.st_size
+    if relay_ids is not None:
+        size //= SCOPED_PARSE_SHARE
+    runs = _split(paths, _worker_count(size, MIN_BYTES_PER_WORKER))
+    parsed = False
+    with _forked(lambda run: _packed_files(run, relay_ids), runs[1:]) as results:
+        memo = {}
+        shared = {}
+        for path in runs[0]:
+            bwf = _load_file(path, memo, relay_ids)
+            if bwf is not None:
+                parsed = True
+                yield bwf
+        for logged, packed_file in results:
+            for level, msg, args in logged:
+                log.log(level, msg, *args)
+            if packed_file is not None:
+                parsed = True
+                yield _unpacked_file(packed_file, shared)
     if not parsed:
         raise ConfigError("no parsable bandwidth files in %s" % directory)
 
@@ -439,8 +662,9 @@ def load_records(path: str, relay_ids=None) -> list:
     can name a listed relay are parsed, and only those report a malformed
     line. A records.jsonl file is still checked line by line in full, and
     a bad line there stays fatal. A directory's files become records one
-    at a time, so its parsed files and its records are never all alive
-    together.
+    at a time, so in this process its parsed files and its records are
+    never all alive together; a forked worker of the load holds its run of
+    files packed, about 0.8 of their size on disk, until it sends them.
     """
     if os.path.isfile(path):
         records = read_records_jsonl(path)
@@ -482,14 +706,22 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
 
 
 def _end_times(bwf: BandwidthFile) -> list:
-    """The end times of a file's entries, which must not decrease: else
-    ValueError names the first entry that ends before the one preceding it."""
+    """The end times of a file's entries, which must be finite and must not
+    decrease: else ValueError names the first that is not finite or that
+    ends before the one preceding it."""
     ends = [entry.end_time for entry in bwf.entries]
     if not all(map(le, ends, ends[1:])):  # le is False on NaN: look closer
         for previous_end, end_time in zip(ends, ends[1:]):
+            for end in (previous_end, end_time):
+                if end != end:
+                    raise ValueError("end time %r is not finite" % (end,))
             if end_time < previous_end:
                 raise ValueError("entries must be in end-time order: %r ends before %r"
                                  % (end_time, previous_end))
+    # in order, so an infinite end time is the first or the last
+    for end in ends[:1] + ends[-1:]:
+        if not -math.inf < end < math.inf:
+            raise ValueError("end time %r is not finite" % (end,))
     return ends
 
 
@@ -563,27 +795,43 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstim
     Each iteration walks every file's threads as infer_threads does, with a
     derived sub-seed; duration samples pool across everything. The
     histogram counts inferred thread numbers per (iteration, file) pair.
-    Each file's end times are read and checked once per call, not once per
-    iteration, and no assignment tuple is built. Samples are tallied per
-    duration value, not kept, so memory does not grow with iterations;
-    median and sample_count equal statistics.median and len of the pooled
-    samples.
+    Every file's end times are read and checked once, before any walk, and
+    no assignment tuple is built. Samples are tallied per duration value,
+    not kept, so memory does not grow with iterations; median and
+    sample_count equal statistics.median and len of the pooled samples.
+
+    Each walk has its own seed, so with more than one CPU the iterations
+    are cut into one contiguous run per worker (_worker_count on the steps
+    walked), each but the first walked in a forked worker, and the tallies
+    and histograms are merged in run order: the estimate is the same
+    whatever the number of workers.
     """
     if not files:
         raise ValueError("need at least one bandwidth file")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    counts = Counter()  # duration -> samples
+    end_times = [_end_times(bwf) for bwf in files]
+
+    def walk(run):
+        counts = Counter()  # duration -> samples
+        histogram = {}
+        for it in run:
+            for fi, ends in enumerate(end_times):
+                _assignment, num_threads, durations = _walk_threads(
+                    ends, "%s/it%d/file%d" % (rng_seed, it, fi))
+                counts.update(durations)
+                histogram[num_threads] = histogram.get(num_threads, 0) + 1
+        return dict(counts), histogram
+
+    steps = iterations * sum(map(len, end_times))
+    runs = _split(range(iterations), _worker_count(steps, MIN_STEPS_PER_WORKER))
+    counts = Counter()
     histogram = {}
-    end_times = []  # per file, each checked when iteration 0 reaches it
-    for it in range(iterations):
-        for fi, bwf in enumerate(files):
-            if it == 0:
-                end_times.append(_end_times(bwf))
-            _assignment, num_threads, durations = _walk_threads(
-                end_times[fi], "%s/it%d/file%d" % (rng_seed, it, fi))
-            counts.update(durations)
-            histogram[num_threads] = histogram.get(num_threads, 0) + 1
+    with _forked(lambda run: [walk(run)], runs[1:]) as results:
+        for run_counts, run_histogram in [walk(runs[0]), *results]:
+            counts.update(run_counts)
+            for num_threads, n in run_histogram.items():
+                histogram[num_threads] = histogram.get(num_threads, 0) + n
     if not counts:
         raise InsufficientDataError("insufficient sequential measurements")
     return DurationEstimate(

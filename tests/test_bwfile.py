@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
 import logging
 import math
 import os
 import random
+import signal
 import statistics
 import tempfile
+import threading
 from datetime import datetime, timezone
 from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -747,6 +751,18 @@ class TestInferThreads:
         with pytest.raises(ValueError, match="end-time order"):
             infer_threads(bwf)
 
+    # NaN compares false with everything, so it slipped through the order
+    # check and gave a thread count and durations with no error
+    @pytest.mark.parametrize("end_times", [[0, math.nan, 40, 80], [math.nan],
+                                           [0, 40, math.nan], [0, 40, math.inf],
+                                           [-math.inf, 0, 40], [math.inf]])
+    def test_non_finite_end_time_rejected(self, end_times):
+        bwf = float_file(end_times)
+        with pytest.raises(ValueError, match="end time .* is not finite"):
+            infer_threads(bwf)
+        with pytest.raises(ValueError, match="end time .* is not finite"):
+            estimate_duration([entry_file([0, 40]), bwf])
+
 
 def scan_infer_threads(bwf, rng_seed=0):
     """Oracle: infer_threads as a scan of every thread for every entry."""
@@ -821,6 +837,15 @@ class TestEstimateDuration:
             estimate_duration([])
         with pytest.raises(ValueError, match="iterations"):
             estimate_duration([entry_file([0, 40])], iterations=0)
+
+    def test_every_file_checked_before_any_walk(self, monkeypatch):
+        walks = []
+        walk_threads = bwfile._walk_threads
+        monkeypatch.setattr(bwfile, "_walk_threads",
+                            lambda *args: walks.append(args) or walk_threads(*args))
+        with pytest.raises(ValueError, match="end-time order"):
+            estimate_duration([entry_file([0, 40]), entry_file([40, 0])], iterations=3)
+        assert walks == []
 
 
 def pooled_estimate_duration(files, iterations, rng_seed=0):
@@ -989,3 +1014,337 @@ class TestLoadRecords:
             entry_file([0, 40], node_ids=[R1, R2])))
         assert [(r.relay_id, r.end_time) for r in
                 bwfile.load_records(str(bwdir), {R2})] == [(R2, T0 + 40)]
+
+
+# -- forked workers -------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def forced_workers(n):
+    """Directory loads and estimate_duration split their work over n
+    workers (n=1: serially), whatever its size and the CPUs there are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        mp.setattr(bwfile, "MIN_BYTES_PER_WORKER", 1)
+        mp.setattr(bwfile, "MIN_STEPS_PER_WORKER", 1)
+        mp.setattr(bwfile, "SCOPED_PARSE_SHARE", 1)
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shown(result):
+    """A load's result, with an error as its type and message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return result
+
+
+def loads_of(directory, relays):
+    """load_corpus and load_records of a directory: each one's files or
+    records (or error), and the warnings it logged, in order."""
+    corpus, corpus_warnings = warnings_of(
+        lambda: bwfile.load_corpus(directory, relays), messages=True)
+    records, records_warnings = warnings_of(
+        lambda: bwfile.load_records(directory, relays), messages=True)
+    return shown(corpus), corpus_warnings, shown(records), records_warnings
+
+
+def write_awkward_corpus(directory, corpus):
+    """corpus, beside a file that does not parse and a subdirectory, which
+    a load passes over without a word."""
+    write_corpus(directory, corpus)
+    with open(os.path.join(directory, "f1.bad"), "w") as fh:
+        fh.write("not a timestamp\n")
+    os.mkdir(os.path.join(directory, "f1.dir"))
+
+
+def write_big_corpus(directory, files=6, entries=600):
+    """Files large enough that a worker's packed result overfills a pipe."""
+    for i in range(files):
+        bwf = BandwidthFile(header_timestamp=T0, entries=tuple(
+            BandwidthEntry(node_id=fp("big/%d/%d" % (i, j)), bw=j + 1,
+                           end_time=T0 + 13 * j)
+            for j in range(entries)))
+        with open(os.path.join(directory, "f%d.bw" % i), "wb") as fh:
+            fh.write(serialize_bandwidth_file(bwf))
+
+
+end_time_files = st.one_of(
+    gap_lists().map(lambda gaps: entry_file(list(accumulate(gaps)))),
+    st.lists(st.floats(0, 120), max_size=40).map(
+        lambda gaps: float_file(list(accumulate(gaps)))))
+
+
+# Python 3.12 and later warn on os.fork when a library such as OpenBLAS,
+# which the test process loads with numpy, runs threads of its own; the
+# forked workers here run no numpy code
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestForkedWorkers:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A wait on a worker that never ends fails the test, not hangs it."""
+        def expire(_signum, _frame):
+            raise TimeoutError("still waiting on a forked worker after 60 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_worker_count(self):
+        with forced_workers(3):
+            assert bwfile._worker_count(10, 1) == 3
+            assert bwfile._worker_count(2, 1) == 2
+            assert bwfile._worker_count(0, 1) == 1
+        with forced_workers(1):  # as under taskset -c 0
+            assert bwfile._worker_count(10, 1) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with forced_workers(3):
+                assert bwfile._worker_count(10, 1) == 1
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_split_keeps_order_and_drops_empty_runs(self):
+        assert bwfile._split(list(range(7)), 3) == [[0, 1], [2, 3], [4, 5, 6]]
+        assert bwfile._split(range(2), 3) == [range(0, 1), range(1, 2)]
+        assert bwfile._split([], 3) == [[]]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_loads_fork_one_worker_per_run(self, tmp_path, n):
+        write_big_corpus(str(tmp_path), files=4, entries=5)
+        forks = []
+        fork = os.fork
+        with forced_workers(n), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            bwfile.load_corpus(str(tmp_path))
+            assert len(forks) == n - 1
+            bwfile.estimate_duration(bwfile.load_corpus(str(tmp_path)), iterations=5)
+            assert len(forks) == 3 * (n - 1)
+        assert_no_child_left()
+
+    def test_scoped_load_counts_a_quarter_of_its_bytes(self, tmp_path):
+        write_big_corpus(str(tmp_path), files=4, entries=50)
+        size = sum(os.path.getsize(os.path.join(str(tmp_path), n)) for n in os.listdir(str(tmp_path)))
+        forks = []
+        fork = os.fork
+        with forced_workers(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bwfile, "SCOPED_PARSE_SHARE", 4)
+            mp.setattr(bwfile, "MIN_BYTES_PER_WORKER", size // 3)
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            bwfile.load_records(str(tmp_path))
+            assert len(forks) == 1
+            bwfile.load_records(str(tmp_path), {fp("big/0/0")})
+            assert len(forks) == 1
+        assert_no_child_left()
+
+    @settings(max_examples=40, deadline=None)
+    @given(files=st.lists(end_time_files, min_size=1, max_size=4),
+           iterations=st.integers(1, 7),
+           rng_seed=st.one_of(st.integers(0, 5), st.just("s")),
+           n=st.sampled_from((2, 3)))
+    @example(files=[float_file([0.0, 25.5, 51.25, 76.5]), float_file([0.1, 26.35])],
+             iterations=5, rng_seed=1, n=3)
+    @example(files=[entry_file([0, 5, 10], node_ids=[R1, R2, R3])],
+             iterations=4, rng_seed=0, n=2)  # no sample at all
+    def test_estimate_duration_matches_serial(self, files, iterations, rng_seed, n):
+        with forced_workers(1):
+            want = _estimate_or_error(estimate_duration, files, iterations, rng_seed)
+        with forced_workers(n):
+            got = _estimate_or_error(estimate_duration, files, iterations, rng_seed)
+        assert got == want
+        if not isinstance(want, str):  # and the histogram in the same order
+            assert list(got.thread_count_histogram) == list(want.thread_count_histogram)
+        assert_no_child_left()
+
+    def test_estimate_duration_on_big_files_matches_serial(self, tmp_path):
+        write_big_corpus(str(tmp_path))
+        files = bwfile.load_corpus(str(tmp_path))
+        with forced_workers(1):
+            want = estimate_duration(files, iterations=6, rng_seed=3)
+        for n in (2, 3):
+            with forced_workers(n):
+                assert estimate_duration(files, iterations=6, rng_seed=3) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpus=corpora(), relays=st.one_of(
+        st.none(), st.sets(st.sampled_from((R1, R2, R3)))), n=st.sampled_from((2, 3)))
+    @example(corpus=[["junk"], ["bw=x node_id=$%s time=5" % R1]], relays=None, n=3)
+    @example(corpus=[["bw=1 node_id=$%s time=5 nick=a" % R1, "bw=12x"],
+                     ["bw=2 node_id=$%s time=6 nick=a" % R2],
+                     ["bw=3 node_id=$%s time=7" % R3, "junk"]], relays={R1, R3}, n=3)
+    def test_loads_match_serial(self, corpus, relays, n):
+        with tempfile.TemporaryDirectory() as directory:
+            write_awkward_corpus(directory, corpus)
+            with forced_workers(1):
+                want = loads_of(directory, relays)
+            with forced_workers(n):
+                got = loads_of(directory, relays)
+        assert got == want
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_warnings_and_skipped_files_in_name_order(self, tmp_path, caplog, n):
+        bad_bw, no_bw = "bw=12x node_id=$%s time=6" % R2, "bw=x node_id=$%s time=5" % R3
+        write_awkward_corpus(str(tmp_path), [
+            ["bw=1 node_id=$%s time=5" % R1, bad_bw],
+            ["junk", "bw=2 node_id=$%s time=6" % R2],
+            [no_bw],
+            ["bw=3 node_id=$%s time=7" % R3, "more junk"]])
+
+        def logged(load):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                result = load()
+            return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+        for load in (lambda: bwfile.load_corpus(str(tmp_path)),
+                     lambda: bwfile.load_records(str(tmp_path))):
+            with forced_workers(1):
+                want = logged(load)
+            with forced_workers(n):
+                assert logged(load) == want
+        assert [message for _name, _level, message in want[1]] == [
+            "f0: skipping malformed entry line %r" % bad_bw[:60],
+            "skipping %s: first line must be a unix timestamp, got 'not a timestamp'"
+            % os.path.join(str(tmp_path), "f1.bad"),
+            "f1: skipping malformed entry line 'junk'",
+            "f2: skipping malformed entry line %r" % no_bw[:60],
+            "skipping %s: empty bandwidth file: no valid relay entries"
+            % os.path.join(str(tmp_path), "f2.bw"),
+            "f3: skipping malformed entry line 'more junk'"]
+
+    def test_rebuilt_files_share_node_ids_and_extras(self, tmp_path):
+        """A worker's files come back as separate copies; the rebuild makes
+        equal node ids and extras pairs across files one object again."""
+        line = "bw=%d node_id=$%s time=%d nick=a"
+        write_corpus(str(tmp_path), [[line % (1, R1, 5)], [line % (2, R1, 6)],
+                                     [line % (3, R1, 7)], [line % (4, R1, 8)]])
+        with forced_workers(2):
+            files = bwfile.load_corpus(str(tmp_path))
+        rebuilt = [bwf.entries[0] for bwf in files[2:]]  # the worker's run
+        assert [e.bw for e in rebuilt] == [3, 4]
+        assert rebuilt[0].node_id is rebuilt[1].node_id
+        assert rebuilt[0].extras[0] is rebuilt[1].extras[0]
+        assert_no_child_left()
+
+    def test_no_parsable_file_is_a_config_error(self, tmp_path):
+        write_awkward_corpus(str(tmp_path), [["junk"], ["bw=x"]])
+        for n in (1, 2, 3):
+            with forced_workers(n), pytest.raises(ConfigError, match="no parsable"):
+                bwfile.load_records(str(tmp_path))
+        assert_no_child_left()
+
+    def test_generator_closed_mid_stream_leaves_no_child(self, tmp_path):
+        write_big_corpus(str(tmp_path))
+        with forced_workers(3):
+            files = bwfile._corpus_files(str(tmp_path), None)
+            next(files)
+            files.close()
+        assert_no_child_left()
+
+    def test_consumer_error_leaves_no_child(self, tmp_path):
+        write_big_corpus(str(tmp_path))
+        with forced_workers(3), pytest.raises(KeyboardInterrupt):
+            for _bwf in bwfile._corpus_files(str(tmp_path), None):
+                raise KeyboardInterrupt
+        assert_no_child_left()
+
+    def test_failed_load_worker_raises(self, tmp_path, monkeypatch):
+        write_big_corpus(str(tmp_path))
+
+        def fail(paths, relay_ids):
+            raise ValueError("no")
+        monkeypatch.setattr(bwfile, "_packed_files", fail)
+        with forced_workers(2), pytest.raises(RuntimeError, match="forked worker"):
+            bwfile.load_corpus(str(tmp_path))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failed_walk_raises_and_leaves_no_child(self, monkeypatch, where):
+        files = [entry_file([i * 30 for i in range(40)])]
+        parent = os.getpid()
+        walk_threads = bwfile._walk_threads
+
+        def walk(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise KeyboardInterrupt
+            return walk_threads(*args)
+        monkeypatch.setattr(bwfile, "_walk_threads", walk)
+        error = RuntimeError if where == "child" else KeyboardInterrupt
+        with forced_workers(3), pytest.raises(error):
+            estimate_duration(files, iterations=6)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_fork_failure_runs_the_rest_here(self, tmp_path, caplog, monkeypatch, call, fail_at):
+        """os.fork or os.pipe failing (EAGAIN under a process limit, ENOMEM,
+        EMFILE) on the fail_at-th worker: that run and the ones after it go
+        in this process, with the same result and warnings as serially."""
+        write_awkward_corpus(str(tmp_path), [
+            ["bw=1 node_id=$%s time=5" % R1, "junk"],
+            ["bw=2 node_id=$%s time=6" % R2, "bw=12x"],
+            ["bw=3 node_id=$%s time=30" % R3, "more junk"],
+            ["bw=4 node_id=$%s time=60" % R1, "bw=4 node_id=$%s time=90" % R2]])
+
+        def both():
+            files = bwfile.load_corpus(str(tmp_path))
+            return (files, bwfile.load_records(str(tmp_path)),
+                    estimate_duration(files, iterations=5, rng_seed=2))
+
+        def logged():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                result = both()
+            return result, [(r.levelno, r.getMessage()) for r in caplog.records]
+
+        with forced_workers(1):
+            want = logged()
+        real = getattr(os, call)
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) > fail_at:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real()
+        monkeypatch.setattr(os, call, flaky)
+        with forced_workers(3):
+            assert logged() == want
+        assert calls
+        assert bwfile.log.filters == []
+        assert_no_child_left()
+
+    def test_worker_items_come_one_at_a_time(self, monkeypatch):
+        """This process unpacks a worker's items as they are taken, so it
+        never holds all of a worker's run at once."""
+        loads = []
+        real_loads = bwfile.marshal.loads
+        monkeypatch.setattr(bwfile, "marshal", SimpleNamespace(
+            dumps=bwfile.marshal.dumps,
+            loads=lambda data: loads.append(1) or real_loads(data)))
+        with bwfile._forked(lambda part: (x * x for x in part), [range(3), range(5, 7)]) as results:
+            assert next(results) == 0
+            assert len(loads) == 1
+            assert list(results) == [1, 4, 25, 36]
+            assert len(loads) == 5
+        assert_no_child_left()
+
+    def test_killed_worker_raises(self):
+        def die(part):
+            yield part
+            os.kill(os.getpid(), signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="forked worker"):
+            with bwfile._forked(die, [1]) as results:
+                list(results)
+        assert_no_child_left()
