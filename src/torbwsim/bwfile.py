@@ -14,16 +14,22 @@ keys in the order above, one entry per line, entries sorted by end time and
 then node id, so serialize(parse(x)) is a stable normal form and a byte-exact
 identity on files this package wrote itself.
 
-Archives repeat an entry's tokens from file to file until the relay is
-measured again, so load_corpus parses the files of one worker with one
-memo: each distinct token maps to its (key, value) pair, a node_id value to
-its canonical fingerprint, a time to its unix seconds and a bw to its
-integer (None where the check fails), and the pair of an unknown key is the
-very tuple kept in extras, shared by that worker's files. A large directory
-is split into one run of files per CPU, each but the first parsed in a
-forked worker (see _corpus_files). A memo lives for one load; the files
-returned, or their records, equal file-by-file parses, skipped lines and
-warnings included, in the same order whatever the number of workers.
+Archives repeat an entry's tokens from file to file, so the files that one
+process parses in a load share one parse memo: each distinct token maps to its (key, value)
+pair, a node_id value to its canonical fingerprint, a time to its unix
+seconds and a bw to its integer (None where the check fails), and the pair
+of an unknown key is the very tuple kept in extras. A memo lives for one
+load; the files returned, or their records, equal file-by-file parses,
+skipped lines and warnings included.
+
+load_corpus parses a directory serially and returns whole files, for
+library use. load_records and estimate_corpus_duration, which analyze and
+detect call, need only four columns of each file (ba_id, node ids, bws and
+end times): a large directory is cut into one run of files per CPU, each
+run is parsed and cut to those columns by _file_columns, the first in this
+process and each other in a forked worker, and the columns and warnings
+come back in name order whatever the number of workers (see
+_corpus_columns).
 
 A relay-scoped load (load_corpus or load_records given relay_ids) parses
 only the entry lines that can name a listed relay: a line whose one
@@ -365,15 +371,29 @@ def to_records(files) -> list:
     """Invert from_records: one record per entry, in file order, on thread 0
     and without a start time, which files do not keep. An entry with bw=0
     becomes a failed record."""
+    return _records(map(_columns, files))
+
+
+def _columns(bwf: BandwidthFile) -> tuple:
+    """The columns of a file that its records are built from: (ba_id, node
+    ids, bws, end times), each column a list in entry order."""
+    entries = bwf.entries
+    return (bwf.ba_id, [entry.node_id for entry in entries], [entry.bw for entry in entries],
+            [entry.end_time for entry in entries])
+
+
+def _records(columns) -> list:
+    """to_records of each file's _columns, in order. Equal node ids are kept
+    one object through one dict, across files that came as separate copies
+    from forked workers too."""
     records = []
     append = records.append
-    for bwf in files:
-        ba_id = bwf.ba_id
-        for entry in bwf.entries:
+    shared = {}
+    for ba_id, node_ids, bws, end_times in columns:
+        for node_id, bw, end_time in zip(map(shared.setdefault, node_ids, node_ids),
+                                         bws, end_times):
             # evaluated in the order of MeasurementRecord's arguments
-            node_id = entry.node_id
-            end_time = float(entry.end_time)
-            bw = entry.bw
+            end_time = float(end_time)
             measured_bw = float(bw)
             ok = bw > 0
             if ok and not 0 < measured_bw < math.inf:
@@ -398,14 +418,12 @@ def to_records(files) -> list:
 # The least work worth a forked worker. In a 50 MB process on an idle
 # 2-vCPU host with Python 3.11, forking a worker, reading one small result
 # and reaping it take 2.2 ms (5-7 ms while other guests load the host); a
-# full parse takes 23 ns a byte of bandwidth file, packing a worker's files
-# and rebuilding them 13 ns more, and a thread-walk step 0.6 us. Each
+# full parse takes 23-26 ns a byte of bandwidth file, cutting it to columns
+# and sending them 2 ns more, and a thread-walk step 0.6 us. Each
 # minimum is 12-15 ms of the work it splits, so a worker given it saves
-# more than it costs. A relay-scoped parse passes over most lines, at 6 ns
-# a byte, so a scoped load counts a quarter of its bytes.
+# more than it costs.
 MIN_BYTES_PER_WORKER = 512 * 1024  # of bandwidth files, for a directory load
 MIN_STEPS_PER_WORKER = 25_000  # thread-walk steps, for estimate_duration
-SCOPED_PARSE_SHARE = 4  # full-parse bytes per byte of a relay-scoped load
 
 
 def _worker_count(work: int, minimum: int) -> int:
@@ -433,8 +451,9 @@ def _split(items, parts: int) -> list:
 
 @contextmanager
 def _forked(work, parts):
-    """Run work(part), an iterable, for each of parts in a child forked on
-    entry, and give an iterator over all their items in part order.
+    """Run work(part), an iterable, for each of parts, and give an iterator
+    over all their items in part order: parts[0] in this process, as the
+    iterator reaches it, and each other part in a child forked on entry.
 
     A child packs each item with marshal as work yields it, then sends the
     packed items through a pipe, each behind its length, and leaves by
@@ -449,13 +468,13 @@ def _forked(work, parts):
     SIGKILL and reaped then.
     """
     children = []  # [pid or None once reaped, read end of its pipe]
-    here = []  # the parts run in this process
+    late = []  # the parts after parts[0] run in this process
     try:
-        for index, part in enumerate(parts):
+        for index, part in enumerate(parts[1:], 1):
             try:
                 read_fd, write_fd = os.pipe()
             except OSError:
-                here = parts[index:]
+                late = parts[index:]
                 break
             children.append([None, open(read_fd, "rb")])
             try:
@@ -480,10 +499,11 @@ def _forked(work, parts):
                 os.close(write_fd)
             if pid is None:
                 children.pop()[1].close()
-                here = parts[index:]
+                late = parts[index:]
                 break
 
         def results():
+            yield from work(parts[0])
             for child in children:
                 pid, pipe = child
                 with pipe:
@@ -499,7 +519,7 @@ def _forked(work, parts):
                     raise RuntimeError(
                         "forked worker %d failed (status %d); run on one CPU "
                         "(taskset -c 0) to see its error" % (pid, status))
-            for part in here:
+            for part in late:
                 yield from work(part)
         yield results()
     finally:
@@ -514,109 +534,9 @@ def _forked(work, parts):
 # -- directories ---------------------------------------------------------------
 
 
-def load_corpus(directory: str, relay_ids=None) -> list:
-    """Parse every regular file of a directory in name order, stem as ba_id.
-
-    Unreadable and unparsable files are skipped with a warning. Raises
-    ConfigError when the directory cannot be read or holds no parsable file.
-    Archives repeat an entry's tokens from file to file, so the files of
-    one worker share one parse memo, dropped on return, and each distinct
-    token is parsed once per worker. With more than one CPU, a large
-    directory is split into runs of files, each parsed in a forked worker
-    (see _corpus_files); the files, their order and the warnings are the
-    same whatever the number of workers.
-
-    relay_ids, if given, scopes the load to those relays: only the entry
-    lines that can name a listed relay are parsed, so a malformed line that
-    names another relay is never reported. Which files are skipped, and
-    when ConfigError is raised, stay the same. The files returned hold only
-    the listed relays' entries: they are meant for to_records, not for
-    infer_threads or estimate_duration, which need every entry of a file.
-    """
-    return list(_corpus_files(directory, relay_ids))
-
-
-def _load_file(path: str, memo: dict, relay_ids):
-    """The parse of one file of a directory, or None, with a warning, when
-    it cannot be read or parsed."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return parse_bandwidth_file(data, ba_id=os.path.splitext(os.path.basename(path))[0],
-                                    memo=memo, relay_ids=relay_ids)
-    except (OSError, ParseError) as exc:
-        log.warning("skipping %s: %s", path, str(exc))  # str: a worker marshals it
-        return None
-
-
-def _packed_files(paths, relay_ids):
-    """_load_file of each path with one memo, for a forked worker: per
-    path, the records it logged, as (level, msg, args) kept rather than
-    emitted, and the file packed for _unpacked_file, or None when it was
-    skipped. Each record's args go through marshal, so they must be plain
-    values (a str, not an exception)."""
-    memo = {}
-    for path in paths:
-        logged = []
-
-        def keep(record):
-            logged.append((record.levelno, record.msg, record.args))
-            return False  # kept, so neither this process nor its handlers emit it
-        log.addFilter(keep)
-        try:
-            bwf = _load_file(path, memo, relay_ids)
-        finally:
-            log.removeFilter(keep)
-        if bwf is not None:
-            entries = bwf.entries
-            bwf = (bwf.header_timestamp, bwf.headers, bwf.skipped_lines, bwf.ba_id,
-                   [e.node_id for e in entries], [e.bw for e in entries],
-                   [e.end_time for e in entries], [e.extras for e in entries])
-        yield logged, bwf
-
-
-def _unpacked_file(packed, shared: dict) -> BandwidthFile:
-    """The file that _packed_files packed, its entries built through their
-    slots as _parse_entry builds them. marshal gives each file its own
-    copies, so shared maps every node id, extras pair and extras tuple
-    rebuilt so far in a load to itself: equal ones across files are one
-    object, as a parse memo makes them, and a worker's files take about
-    as much memory as parsed ones. The ints (bw, end time) are left as
-    they come: sharing them too would save a seventh of the memory the
-    rebuilt files hold and cost a fifth more time."""
-    header_timestamp, headers, skipped_lines, ba_id, node_ids, *columns = packed
-    entries = []
-    for node_id, bw, end_time, extras in zip(map(shared.setdefault, node_ids, node_ids),
-                                             *columns):
-        kept = shared.get(extras)
-        if kept is None:
-            kept = tuple(map(shared.setdefault, extras, extras))
-            shared[kept] = kept
-        extras = kept
-        entry = _new_entry(BandwidthEntry)
-        _set_node_id(entry, node_id)
-        _set_bw(entry, bw)
-        _set_end_time(entry, end_time)
-        _set_extras(entry, extras)
-        entries.append(entry)
-    return BandwidthFile(header_timestamp=header_timestamp, entries=tuple(entries),
-                         ba_id=ba_id, headers=headers, skipped_lines=skipped_lines)
-
-
-def _corpus_files(directory: str, relay_ids):
-    """load_corpus one file at a time: each file is yielded as soon as it is
-    parsed, and ConfigError is raised after the last name if none parsed.
-
-    The regular files, in name order, are cut into one contiguous run per
-    worker (_worker_count on their total size, a quarter of it when the
-    load is relay-scoped). Each run but the first is
-    parsed in a forked worker (_packed_files); this process parses the
-    first, yielding its files as it goes, then takes the other runs' files
-    one at a time, in name order, logging each file's warnings and yielding
-    it rebuilt. So this process never holds more than one file of a worker,
-    packed or rebuilt, at a time; a worker holds its run's files packed
-    until it sends them (see _forked).
-    """
+def _regular_files(directory: str):
+    """The paths of a directory's regular files, in name order, and their
+    total size; ConfigError when the directory cannot be read."""
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
@@ -632,24 +552,86 @@ def _corpus_files(directory: str, relay_ids):
         if stat.S_ISREG(st.st_mode):  # os.path.isfile's test
             paths.append(path)
             size += st.st_size
-    if relay_ids is not None:
-        size //= SCOPED_PARSE_SHARE
+    return paths, size
+
+
+def _load_file(path: str, memo: dict, relay_ids):
+    """The parse of one file of a directory, or None, with a warning, when
+    it cannot be read or parsed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_bandwidth_file(data, ba_id=os.path.splitext(os.path.basename(path))[0],
+                                    memo=memo, relay_ids=relay_ids)
+    except (OSError, ParseError) as exc:
+        log.warning("skipping %s: %s", path, str(exc))  # str: a worker marshals it
+        return None
+
+
+def load_corpus(directory: str, relay_ids=None) -> list:
+    """Parse every regular file of a directory in name order, stem as ba_id,
+    serially, and return the files whole.
+
+    Unreadable and unparsable files are skipped with a warning. Raises
+    ConfigError when the directory cannot be read or holds no parsable file.
+    The files share one parse memo, dropped on return, so each distinct
+    token is parsed once.
+
+    relay_ids, if given, scopes the load to those relays: only the entry
+    lines that can name a listed relay are parsed, so a malformed line that
+    names another relay is never reported. Which files are skipped, and
+    when ConfigError is raised, stay the same. The files returned hold only
+    the listed relays' entries: they are meant for to_records, not for
+    infer_threads or estimate_duration, which need every entry of a file.
+    """
+    memo = {}
+    files = [bwf for bwf in (_load_file(path, memo, relay_ids)
+                             for path in _regular_files(directory)[0])
+             if bwf is not None]
+    if not files:
+        raise ConfigError("no parsable bandwidth files in %s" % directory)
+    return files
+
+
+def _file_columns(paths, relay_ids):
+    """_load_file of each path, with one memo: per path, in order, the
+    records it logged, as (level, msg, args) kept rather than emitted, and
+    the _columns of its file, or None when it was skipped. A forked worker
+    sends these through marshal, so each record's args must be plain values
+    (a str, not an exception)."""
+    memo = {}
+    for path in paths:
+        logged = []
+
+        def keep(record):
+            logged.append((record.levelno, record.msg, record.args))
+            return False  # kept, so neither this process nor its handlers emit it
+        log.addFilter(keep)
+        try:
+            bwf = _load_file(path, memo, relay_ids)
+        finally:
+            log.removeFilter(keep)
+        yield logged, None if bwf is None else _columns(bwf)
+
+
+def _corpus_columns(directory: str, relay_ids):
+    """The _columns of each file of a directory that parses, in name order,
+    each yielded after the warnings its file logged, and ConfigError after
+    the last name if none parsed (see load_corpus). The files are cut into
+    one contiguous run per worker (_worker_count on their total size), each
+    run through _file_columns in _forked: a worker holds its run's columns
+    packed until it sends them, and this process takes them a file at a
+    time."""
+    paths, size = _regular_files(directory)
     runs = _split(paths, _worker_count(size, MIN_BYTES_PER_WORKER))
     parsed = False
-    with _forked(lambda run: _packed_files(run, relay_ids), runs[1:]) as results:
-        memo = {}
-        shared = {}
-        for path in runs[0]:
-            bwf = _load_file(path, memo, relay_ids)
-            if bwf is not None:
-                parsed = True
-                yield bwf
-        for logged, packed_file in results:
+    with _forked(lambda run: _file_columns(run, relay_ids), runs) as results:
+        for logged, columns in results:
             for level, msg, args in logged:
                 log.log(level, msg, *args)
-            if packed_file is not None:
+            if columns is not None:
                 parsed = True
-                yield _unpacked_file(packed_file, shared)
+                yield columns
     if not parsed:
         raise ConfigError("no parsable bandwidth files in %s" % directory)
 
@@ -661,10 +643,9 @@ def load_records(path: str, relay_ids=None) -> list:
     directory is loaded relay-scoped (see load_corpus): only the lines that
     can name a listed relay are parsed, and only those report a malformed
     line. A records.jsonl file is still checked line by line in full, and
-    a bad line there stays fatal. A directory's files become records one
-    at a time, so in this process its parsed files and its records are
-    never all alive together; a forked worker of the load holds its run of
-    files packed, about 0.8 of their size on disk, until it sends them.
+    a bad line there stays fatal. A directory's records are built from its
+    files' columns (_corpus_columns), one file at a time. ConfigError names
+    a path that does not exist or is neither a regular file nor a directory.
     """
     if os.path.isfile(path):
         records = read_records_jsonl(path)
@@ -672,7 +653,10 @@ def load_records(path: str, relay_ids=None) -> list:
             return records
         return [rec for rec in records if rec.relay_id in relay_ids]
     if os.path.isdir(path):
-        return to_records(_corpus_files(path, relay_ids))
+        return _records(_corpus_columns(path, relay_ids))
+    if os.path.exists(path):
+        raise ConfigError("input path %s is neither a records.jsonl file nor a directory"
+                          % path)
     raise ConfigError("input path %s does not exist" % path)
 
 
@@ -697,7 +681,8 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     before the one preceding it. The walk itself is _walk_threads, which
     estimate_duration runs on the same end times.
     """
-    assignment, num_threads, durations = _walk_threads(_end_times(bwf), rng_seed)
+    assignment, num_threads, durations = _walk_threads(
+        _end_times([entry.end_time for entry in bwf.entries]), rng_seed)
     return ThreadAssignment(
         assignment=tuple(assignment),
         num_threads=num_threads,
@@ -705,11 +690,10 @@ def infer_threads(bwf: BandwidthFile, rng_seed=0) -> ThreadAssignment:
     )
 
 
-def _end_times(bwf: BandwidthFile) -> list:
-    """The end times of a file's entries, which must be finite and must not
-    decrease: else ValueError names the first that is not finite or that
-    ends before the one preceding it."""
-    ends = [entry.end_time for entry in bwf.entries]
+def _end_times(ends: list) -> list:
+    """ends, the end times of a file's entries, once checked: they must be
+    finite and must not decrease, else ValueError names the first that is
+    not finite or that ends before the one preceding it."""
     if not all(map(le, ends, ends[1:])):  # le is False on NaN: look closer
         for previous_end, end_time in zip(ends, ends[1:]):
             for end in (previous_end, end_time):
@@ -802,16 +786,31 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstim
 
     Each walk has its own seed, so with more than one CPU the iterations
     are cut into one contiguous run per worker (_worker_count on the steps
-    walked), each but the first walked in a forked worker, and the tallies
-    and histograms are merged in run order: the estimate is the same
-    whatever the number of workers.
+    walked), the first walked in this process and each other in a forked
+    worker, and the tallies and histograms are merged in run order: the
+    estimate is the same whatever the number of workers.
     """
     if not files:
         raise ValueError("need at least one bandwidth file")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    end_times = [_end_times(bwf) for bwf in files]
+    return _estimate([_end_times([entry.end_time for entry in bwf.entries]) for bwf in files],
+                     iterations, rng_seed)
 
+
+def estimate_corpus_duration(directory: str, iterations: int = 120,
+                             rng_seed=0) -> DurationEstimate:
+    """estimate_duration(load_corpus(directory), iterations, rng_seed), with
+    the same warnings, from each file's end times alone (_corpus_columns).
+    A walk's seed counts only the files that parse."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    return _estimate([_end_times(ends) for *_rest, ends in _corpus_columns(directory, None)],
+                     iterations, rng_seed)
+
+
+def _estimate(end_times, iterations, rng_seed) -> DurationEstimate:
+    """estimate_duration of files with these checked end times."""
     def walk(run):
         counts = Counter()  # duration -> samples
         histogram = {}
@@ -821,14 +820,14 @@ def estimate_duration(files, iterations: int = 120, rng_seed=0) -> DurationEstim
                     ends, "%s/it%d/file%d" % (rng_seed, it, fi))
                 counts.update(durations)
                 histogram[num_threads] = histogram.get(num_threads, 0) + 1
-        return dict(counts), histogram
+        yield dict(counts), histogram
 
     steps = iterations * sum(map(len, end_times))
     runs = _split(range(iterations), _worker_count(steps, MIN_STEPS_PER_WORKER))
     counts = Counter()
     histogram = {}
-    with _forked(lambda run: [walk(run)], runs[1:]) as results:
-        for run_counts, run_histogram in [walk(runs[0]), *results]:
+    with _forked(walk, runs) as results:
+        for run_counts, run_histogram in results:
             counts.update(run_counts)
             for num_threads, n in run_histogram.items():
                 histogram[num_threads] = histogram.get(num_threads, 0) + n

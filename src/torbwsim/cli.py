@@ -278,9 +278,8 @@ def cmd_analyze(args) -> Outputs:
 
     _log_warnings()
     if args.subcommand == "durations":
-        corpus = bwfile.load_corpus(args.input)
-        est = bwfile.estimate_duration(
-            corpus, iterations=args.iterations, rng_seed=args.seed
+        est = bwfile.estimate_corpus_duration(
+            args.input, iterations=args.iterations, rng_seed=args.seed
         )
         return Outputs({"median": est.median}, {"durations.json": {
             "median": est.median,

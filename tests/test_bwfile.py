@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+import re
 import signal
 import statistics
 import tempfile
@@ -847,6 +848,21 @@ class TestEstimateDuration:
             estimate_duration([entry_file([0, 40]), entry_file([40, 0])], iterations=3)
         assert walks == []
 
+    def test_corpus_seeds_count_only_parsed_files(self, tmp_path):
+        """A walk's seed numbers the files that parse, so an unparsable
+        file first in name order leaves the estimate as it was."""
+        # end times whose estimate moves when each file's seed index does
+        for name, ends in (("f1", [2, 3, 13, 14, 55, 96, 137, 167, 170, 171]),
+                           ("f2", [41, 41, 71, 101, 101, 142, 152, 155, 156, 182])):
+            (tmp_path / (name + ".bw")).write_bytes(serialize_bandwidth_file(
+                entry_file(ends, ba_id=name)))
+        want = bwfile.estimate_corpus_duration(str(tmp_path), iterations=7, rng_seed=4)
+        assert want == estimate_duration(bwfile.load_corpus(str(tmp_path)),
+                                         iterations=7, rng_seed=4)
+        (tmp_path / "f0.bw").write_text("not a timestamp\n")
+        assert bwfile.estimate_corpus_duration(str(tmp_path), iterations=7,
+                                               rng_seed=4) == want
+
 
 def pooled_estimate_duration(files, iterations, rng_seed=0):
     """Oracle: estimate_duration as the median and length of one list that
@@ -995,6 +1011,12 @@ class TestLoadRecords:
 
         with pytest.raises(ConfigError, match="does not exist"):
             bwfile.load_records(str(tmp_path / "nothing"))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for other in (os.devnull, str(fifo)):
+            with pytest.raises(ConfigError, match="input path %s is neither a records.jsonl "
+                               "file nor a directory" % re.escape(other)):
+                bwfile.load_records(other)
 
     def test_relay_filter(self, tmp_path):
         recs = [MeasurementRecord(relay_id=relay, ba_id="ba0", thread_id=0,
@@ -1027,7 +1049,6 @@ def forced_workers(n):
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         mp.setattr(bwfile, "MIN_BYTES_PER_WORKER", 1)
         mp.setattr(bwfile, "MIN_STEPS_PER_WORKER", 1)
-        mp.setattr(bwfile, "SCOPED_PARSE_SHARE", 1)
         yield
 
 
@@ -1043,20 +1064,33 @@ def shown(result):
     return result
 
 
+def corpus_estimate(estimate, directory):
+    """estimate(directory, 3 iterations, seed "s"), or its error, and the
+    warnings it logged, in order."""
+    return warnings_of(lambda: _estimate_or_error(estimate, directory, 3, "s"),
+                       messages=True)
+
+
 def loads_of(directory, relays):
-    """load_corpus and load_records of a directory: each one's files or
-    records (or error), and the warnings it logged, in order."""
+    """load_corpus and load_records of a directory, and the estimate of
+    analyze durations on it: each one's files, records or estimate (or
+    error), and the warnings it logged, in order."""
     corpus, corpus_warnings = warnings_of(
         lambda: bwfile.load_corpus(directory, relays), messages=True)
     records, records_warnings = warnings_of(
         lambda: bwfile.load_records(directory, relays), messages=True)
-    return shown(corpus), corpus_warnings, shown(records), records_warnings
+    durations, durations_warnings = corpus_estimate(
+        bwfile.estimate_corpus_duration, directory)
+    return (shown(corpus), corpus_warnings, shown(records), records_warnings,
+            shown(durations), durations_warnings)
 
 
 def write_awkward_corpus(directory, corpus):
-    """corpus, beside a file that does not parse and a subdirectory, which
-    a load passes over without a word."""
+    """corpus, beside two files that do not parse, one of them first in
+    name order, and a subdirectory, which a load passes over without a
+    word."""
     write_corpus(directory, corpus)
+    open(os.path.join(directory, "f.bad"), "w").close()
     with open(os.path.join(directory, "f1.bad"), "w") as fh:
         fh.write("not a timestamp\n")
     os.mkdir(os.path.join(directory, "f1.dir"))
@@ -1126,25 +1160,15 @@ class TestForkedWorkers:
         fork = os.fork
         with forced_workers(n), pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", lambda: forks.append(1) or fork())
-            bwfile.load_corpus(str(tmp_path))
-            assert len(forks) == n - 1
-            bwfile.estimate_duration(bwfile.load_corpus(str(tmp_path)), iterations=5)
-            assert len(forks) == 3 * (n - 1)
-        assert_no_child_left()
-
-    def test_scoped_load_counts_a_quarter_of_its_bytes(self, tmp_path):
-        write_big_corpus(str(tmp_path), files=4, entries=50)
-        size = sum(os.path.getsize(os.path.join(str(tmp_path), n)) for n in os.listdir(str(tmp_path)))
-        forks = []
-        fork = os.fork
-        with forced_workers(2), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bwfile, "SCOPED_PARSE_SHARE", 4)
-            mp.setattr(bwfile, "MIN_BYTES_PER_WORKER", size // 3)
-            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
             bwfile.load_records(str(tmp_path))
-            assert len(forks) == 1
-            bwfile.load_records(str(tmp_path), {fp("big/0/0")})
-            assert len(forks) == 1
+            assert len(forks) == n - 1
+            bwfile.load_records(str(tmp_path), {fp("big/0/0")})  # relay-scoped
+            assert len(forks) == 2 * (n - 1)
+            # one fork for the load, one for the walks
+            bwfile.estimate_corpus_duration(str(tmp_path), iterations=5)
+            assert len(forks) == 4 * (n - 1)
+            bwfile.load_corpus(str(tmp_path))  # serial
+            assert len(forks) == 4 * (n - 1)
         assert_no_child_left()
 
     @settings(max_examples=40, deadline=None)
@@ -1187,9 +1211,13 @@ class TestForkedWorkers:
             write_awkward_corpus(directory, corpus)
             with forced_workers(1):
                 want = loads_of(directory, relays)
+                files_estimate = corpus_estimate(
+                    lambda d, *args: estimate_duration(bwfile.load_corpus(d), *args),
+                    directory)
             with forced_workers(n):
                 got = loads_of(directory, relays)
         assert got == want
+        assert want[4:] == (shown(files_estimate[0]), files_estimate[1])
         assert_no_child_left()
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -1214,6 +1242,8 @@ class TestForkedWorkers:
             with forced_workers(n):
                 assert logged(load) == want
         assert [message for _name, _level, message in want[1]] == [
+            "skipping %s: empty input: missing header timestamp line"
+            % os.path.join(str(tmp_path), "f.bad"),
             "f0: skipping malformed entry line %r" % bad_bw[:60],
             "skipping %s: first line must be a unix timestamp, got 'not a timestamp'"
             % os.path.join(str(tmp_path), "f1.bad"),
@@ -1223,18 +1253,19 @@ class TestForkedWorkers:
             % os.path.join(str(tmp_path), "f2.bw"),
             "f3: skipping malformed entry line 'more junk'"]
 
-    def test_rebuilt_files_share_node_ids_and_extras(self, tmp_path):
-        """A worker's files come back as separate copies; the rebuild makes
-        equal node ids and extras pairs across files one object again."""
+    def test_worker_records_share_one_relay_id_across_files(self, tmp_path):
+        """A worker's columns come back as separate copies per file; the
+        records built from them keep equal relay ids one object, across
+        files and across runs."""
         line = "bw=%d node_id=$%s time=%d nick=a"
         write_corpus(str(tmp_path), [[line % (1, R1, 5)], [line % (2, R1, 6)],
                                      [line % (3, R1, 7)], [line % (4, R1, 8)]])
         with forced_workers(2):
-            files = bwfile.load_corpus(str(tmp_path))
-        rebuilt = [bwf.entries[0] for bwf in files[2:]]  # the worker's run
-        assert [e.bw for e in rebuilt] == [3, 4]
-        assert rebuilt[0].node_id is rebuilt[1].node_id
-        assert rebuilt[0].extras[0] is rebuilt[1].extras[0]
+            records = bwfile.load_records(str(tmp_path))
+        worker = records[2:]  # the worker's run
+        assert [r.measured_bw for r in worker] == [3.0, 4.0]
+        assert worker[0].relay_id is worker[1].relay_id
+        assert records[0].relay_id is worker[0].relay_id
         assert_no_child_left()
 
     def test_no_parsable_file_is_a_config_error(self, tmp_path):
@@ -1247,26 +1278,30 @@ class TestForkedWorkers:
     def test_generator_closed_mid_stream_leaves_no_child(self, tmp_path):
         write_big_corpus(str(tmp_path))
         with forced_workers(3):
-            files = bwfile._corpus_files(str(tmp_path), None)
-            next(files)
-            files.close()
+            columns = bwfile._corpus_columns(str(tmp_path), None)
+            next(columns)
+            columns.close()
         assert_no_child_left()
 
     def test_consumer_error_leaves_no_child(self, tmp_path):
         write_big_corpus(str(tmp_path))
         with forced_workers(3), pytest.raises(KeyboardInterrupt):
-            for _bwf in bwfile._corpus_files(str(tmp_path), None):
+            for _columns in bwfile._corpus_columns(str(tmp_path), None):
                 raise KeyboardInterrupt
         assert_no_child_left()
 
     def test_failed_load_worker_raises(self, tmp_path, monkeypatch):
         write_big_corpus(str(tmp_path))
+        parent = os.getpid()
+        file_columns = bwfile._file_columns
 
         def fail(paths, relay_ids):
-            raise ValueError("no")
-        monkeypatch.setattr(bwfile, "_packed_files", fail)
+            if os.getpid() != parent:
+                raise ValueError("no")
+            return file_columns(paths, relay_ids)
+        monkeypatch.setattr(bwfile, "_file_columns", fail)
         with forced_workers(2), pytest.raises(RuntimeError, match="forked worker"):
-            bwfile.load_corpus(str(tmp_path))
+            bwfile.load_records(str(tmp_path))
         assert_no_child_left()
 
     @pytest.mark.parametrize("where", ["child", "parent"])
@@ -1300,7 +1335,9 @@ class TestForkedWorkers:
         def both():
             files = bwfile.load_corpus(str(tmp_path))
             return (files, bwfile.load_records(str(tmp_path)),
-                    estimate_duration(files, iterations=5, rng_seed=2))
+                    estimate_duration(files, iterations=5, rng_seed=2),
+                    bwfile.estimate_corpus_duration(str(tmp_path), iterations=5,
+                                                    rng_seed=2))
 
         def logged():
             caplog.clear()
@@ -1333,7 +1370,9 @@ class TestForkedWorkers:
         monkeypatch.setattr(bwfile, "marshal", SimpleNamespace(
             dumps=bwfile.marshal.dumps,
             loads=lambda data: loads.append(1) or real_loads(data)))
-        with bwfile._forked(lambda part: (x * x for x in part), [range(3), range(5, 7)]) as results:
+        # the first part, empty, is the one run in this process
+        with bwfile._forked(lambda part: (x * x for x in part),
+                            [range(0), range(3), range(5, 7)]) as results:
             assert next(results) == 0
             assert len(loads) == 1
             assert list(results) == [1, 4, 25, 36]
@@ -1343,8 +1382,9 @@ class TestForkedWorkers:
     def test_killed_worker_raises(self):
         def die(part):
             yield part
-            os.kill(os.getpid(), signal.SIGKILL)
+            if part:  # not the first part, which runs in this process
+                os.kill(os.getpid(), signal.SIGKILL)
         with pytest.raises(RuntimeError, match="forked worker"):
-            with bwfile._forked(die, [1]) as results:
+            with bwfile._forked(die, [0, 1]) as results:
                 list(results)
         assert_no_child_left()
