@@ -7,7 +7,9 @@ other's contention through the shared FlowState. A download's rate is fixed
 at its start: the lesser of its flow's allocation and its exit's cap, the
 exit's advertised bandwidth or its host's usable capacity if lower. The exit
 cap is fixed for the run, so a download solves only its own flow's host, and
-no load on the exit's host slows it. Bandwidth allocation per host is
+no load on the exit's host slows it. A thread reads that rate again only
+when its host's solve changed since its last read, and runs from a plan of
+its remaining downloads at the rate it read. Bandwidth allocation per host is
 max-min fair: equal split among active flows with redistribution of any
 share a flow cannot use, never exceeding capacity times efficiency.
 
@@ -25,14 +27,17 @@ a user flow. False positives are modeled coarsely: once per consensus epoch
 each host with adversarial relays may spuriously drop its user flows for
 that epoch. Detections and epochs are loop events like downloads, and the
 events at one instant run in a fixed order: detections, then finished
-downloads, epochs and rounds.
+downloads, epochs and rounds; events of one kind at one instant run in the
+order they were scheduled.
 """
 
+import functools
 import heapq
 import math
 import random
 import statistics
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, get_args
 
@@ -128,11 +133,21 @@ class SimConfig:
 # -- config documents ---------------------------------------------------------
 
 
-def _expect(value, types, where):
+def _expect(value, types, where, key=None):
+    """value, if of one of types (a bool passing for no int); else raise
+    ConfigError naming where, or where.key given key."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError("%s: expected %s, got %s" % (
-            where, " or ".join(t.__name__ for t in types), type(value).__name__))
+            where if key is None else "%s.%s" % (where, key),
+            " or ".join(t.__name__ for t in types), type(value).__name__))
     return value
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """cls's field name -> its annotated types, an int passing for a float."""
+    return {name: (int, float) if f.type is float else get_args(f.type) or (f.type,)
+            for name, f in cls.__dataclass_fields__.items()}
 
 
 def _from_doc(cls, doc, where, parse, **values):
@@ -145,19 +160,16 @@ def _from_doc(cls, doc, where, parse, **values):
     annotated type, an int passing for a float. Each problem raises
     ConfigError naming where.
     """
-    fields = cls.__dataclass_fields__
+    types = _field_types(cls)
     kwargs = dict(values)
     for key, value in _expect(doc, (dict,), where).items():
-        here = "%s.%s" % (where, key)
-        if key not in fields or key in values:
+        if key not in types or key in values:
             raise ConfigError("%s: unknown key %r" % (where, key))
         if key in parse:
             if value is not None:
-                kwargs[key] = parse[key](value, here)
+                kwargs[key] = parse[key](value, "%s.%s" % (where, key))
         else:
-            ftype = fields[key].type
-            kwargs[key] = _expect(value, (int, float) if ftype is float
-                                  else get_args(ftype) or (ftype,), here)
+            kwargs[key] = _expect(value, types[key], where, key)
     try:
         return cls(**kwargs)  # a TypeError names a missing required field
     except (TypeError, ValueError) as exc:
@@ -248,9 +260,10 @@ class FlowState:
 
     The state has no clock: the event loop reports each arrival, departure,
     detection and false-positive epoch as it happens, and a host's solve is
-    cached until one of them touches that host; flow_bandwidth reads the
-    host kept for the flow, then its solve. The loop detects only flows of
-    relays whose policy reacts, so an honest flow's detected flag stays unset.
+    cached until one of them touches that host, which empties and drops
+    it; flow_bandwidth reads the host kept for the flow, then its solve.
+    The loop detects only flows of relays whose policy reacts, so an honest
+    flow's detected flag stays unset.
     """
 
     def __init__(self, topology: Topology, user_load: dict):
@@ -297,14 +310,14 @@ class FlowState:
         self.flows[key] = detected
         host_id = self._flow_host[key] = self._host(key[0], detected)
         self._host_flows.setdefault(host_id, {})[key] = detected
-        self._solves.pop(host_id, None)
+        self._drop(host_id)
 
     def remove_flow(self, relay_id: str, ba_id: str):
         key = (relay_id, ba_id)
         del self.flows[key]
         host_id = self._flow_host.pop(key)
         del self._host_flows[host_id][key]
-        self._solves.pop(host_id, None)
+        self._drop(host_id)
 
     def detect(self, relay_id: str, ba_id: str):
         """The detector recognises the flow from now on. A flow that moves to
@@ -320,10 +333,13 @@ class FlowState:
         """Begin a false-positive epoch: exactly host_ids pause user flows."""
         host_ids = frozenset(host_ids)
         for host_id in host_ids ^ self.fp_suppressed_hosts:
-            self._solves.pop(host_id, None)
+            self._drop(host_id)
         self.fp_suppressed_hosts = host_ids
 
     # -- allocation ---------------------------------------------------------
+
+    def _drop(self, host_id: str):
+        self._solves.pop(host_id, {}).clear()
 
     def _solve(self, host_id: str) -> dict:
         """Max-min allocation of every active flow on one host, cached;
@@ -382,6 +398,12 @@ class FlowState:
         fill = self._solves.get(host_id) or self._solve(host_id)
         return fill["m", relay_id, ba_id]
 
+    def flow_rate(self, relay_id: str, ba_id: str) -> tuple:
+        """flow_bandwidth, and the solve it came from: non-empty as long as
+        the rate holds, since anything that may change it empties the solve."""
+        rate = self.flow_bandwidth(relay_id, ba_id)
+        return rate, self._solves.get(self._flow_host[relay_id, ba_id], {})
+
 
 def _max_min_fill(pool: float, demands: list) -> dict:
     """Progressive filling: equal split, redistribute what a flow can't use."""
@@ -416,10 +438,29 @@ _PRIO_CONSENSUS = 2
 _PRIO_ROUND = 3
 
 
+def _download_plan(done, rate):
+    """(durations, outcome) of measurement_steps driven with the durations
+    done, then at rate: None, a dead path, at a rate <= 0."""
+    steps = measurement_steps()
+    durations = list(done)
+    try:
+        size = steps.send(None)
+        for duration in done:
+            size = steps.send(duration)
+        while True:
+            durations.append(size / rate if rate > 0 else None)
+            size = steps.send(durations[-1])
+    except StopIteration as stop:
+        return durations, stop.value
+
+
 class _ThreadCtx:
-    # gen is the running measurement, None while the thread is idle; target
-    # and cap are its plan's, resolved once per measurement
-    __slots__ = ("ba_id", "thread_id", "gen", "start", "target", "cap")
+    # gen tells measurements apart: the seq of the running one's first event,
+    # None while the thread is idle. target and cap are its round plan's,
+    # resolved once per measurement. durations and outcome are its download
+    # plan at rate, read from solve; download i is in flight
+    __slots__ = ("ba_id", "thread_id", "gen", "start", "target", "cap",
+                 "rate", "solve", "durations", "outcome", "i")
 
     def __init__(self, ba_id: str, thread_id: int):
         self.ba_id = ba_id
@@ -431,8 +472,9 @@ class _Loop:
     """The one event loop: downloads, detections, rounds, false-positive epochs.
 
     An event is (time, prio, seq, handler, args); run calls
-    handler(time, *args). seed drives every random draw of the loop (round
-    plans, detector misses, false positives).
+    handler(time, *args), except at the end of a download, whose handler is
+    None and whose args is its thread. seed drives every random draw of the
+    loop (round plans, detector misses, false positives).
     """
 
     def __init__(self, cfg: SimConfig, seed):
@@ -442,7 +484,7 @@ class _Loop:
         self.records = []
         self.events = []
         self.seq = 0
-        self.queues = {s.ba_id: [] for s in cfg.scanners}
+        self.queues = {s.ba_id: deque() for s in cfg.scanners}
         self.threads = {
             s.ba_id: [_ThreadCtx(s.ba_id, t) for t in range(s.threads)]
             for s in cfg.scanners
@@ -453,6 +495,8 @@ class _Loop:
         })
         self.rng_detect = random.Random("%s/detect" % (seed,))
         self.rng_fp = random.Random("%s/fp" % (seed,))
+        # rate -> the download plan of a measurement that starts at that rate
+        self.download_plans = {}
 
     def push(self, time, prio, handler, *args):
         heapq.heappush(self.events, (time, prio, self.seq, handler, args))
@@ -460,11 +504,22 @@ class _Loop:
 
     def run(self, until: float):
         """Dispatch events in time order; drop the first one past until."""
-        while self.events:
-            time, _prio, _seq, handler, args = heapq.heappop(self.events)
+        events = self.events
+        while events:
+            time, _prio, _seq, handler, args = heapq.heappop(events)
             if time > until:
                 break
-            handler(time, *args)
+            if handler is not None:
+                handler(time, *args)
+                continue
+            ctx = args
+            if ctx.durations[ctx.i] is None:
+                time += _EPS  # a dead path ends just after it was found
+            if ctx.i + 1 < len(ctx.durations):
+                self._download(ctx, ctx.i + 1, time)
+            else:
+                self._complete(ctx, ctx.outcome, time)
+                self._start_next(ctx, time)
 
     # -- scanner thread driving --------------------------------------------
 
@@ -475,15 +530,14 @@ class _Loop:
         ba_id = ctx.ba_id
         queue = self.queues[ba_id]
         # a target may still be mid-measurement from the previous round;
-        # leave it queued for whichever thread frees up after it
-        idx = next(
-            (i for i, p in enumerate(queue)
-             if (p.target, ba_id) not in self.state.flows),
-            None,
-        )
-        if idx is None:
+        # leave it queued for whichever thread frees up after it. Deleting
+        # the head of a deque is O(1)
+        for idx, plan in enumerate(queue):
+            if (plan.target, ba_id) not in self.state.flows:
+                del queue[idx]
+                break
+        else:
             return
-        plan = queue.pop(idx)
         delay = self.cfg.detector.detection_delay
         detect = (self.cfg.topology.relays[plan.target].policy != "honest"
                   and self.rng_detect.random() >= self.cfg.detector.false_negative_rate)
@@ -491,34 +545,36 @@ class _Loop:
         ctx.target = plan.target
         ctx.cap = self.state.exit_caps[plan.exit]
         ctx.start = now
-        gen = ctx.gen = measurement_steps()
+        ctx.gen = self.seq
         if detect and delay > 0:
-            self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, gen)
-        self._issue_download(ctx, gen.send(None), now)
+            self.push(now + delay, _PRIO_DETECT, self._on_detect, ctx, ctx.gen)
+        self._download(ctx, 0, now)
 
     def _on_detect(self, _now, ctx, gen):
         # a measurement over before the delay ran out is not detected
-        if ctx.gen is gen:
+        if ctx.gen == gen:
             self.state.detect(ctx.target, ctx.ba_id)
 
-    def _issue_download(self, ctx, size, now):
-        rate = min(self.state.flow_bandwidth(ctx.target, ctx.ba_id), ctx.cap)
-        if rate <= 0:
-            self.push(now, _PRIO_STEP, self._on_step, ctx, None)
-            return
-        duration = size / rate
-        self.push(now + duration, _PRIO_STEP, self._on_step, ctx, duration)
-
-    def _on_step(self, now, ctx, duration):
-        if duration is None:
-            now += _EPS  # a dead path ends just after it was found
-        try:
-            size = ctx.gen.send(duration)
-        except StopIteration as stop:
-            self._complete(ctx, stop.value, now)
-            self._start_next(ctx, now)
-            return
-        self._issue_download(ctx, size, now)
+    def _download(self, ctx, i, now):
+        """Start ctx's download i at now. The first one reads the rate and
+        takes the download plan memoized for it. A later one reads the rate
+        only if the solve it came from was emptied, and re-plans from the
+        downloads done if the rate changed."""
+        if not i or not ctx.solve:
+            rate, ctx.solve = self.state.flow_rate(ctx.target, ctx.ba_id)
+            rate = min(rate, ctx.cap)
+            if not i:
+                if rate not in self.download_plans:
+                    self.download_plans[rate] = _download_plan((), rate)
+                ctx.durations, ctx.outcome = self.download_plans[rate]
+            elif rate != ctx.rate:
+                ctx.durations, ctx.outcome = _download_plan(ctx.durations[:i], rate)
+            ctx.rate = rate
+        ctx.i = i
+        duration = ctx.durations[i]
+        heapq.heappush(self.events, (now if duration is None else now + duration,
+                                     _PRIO_STEP, self.seq, None, ctx))
+        self.seq += 1
 
     def _complete(self, ctx, outcome, now):
         self.state.remove_flow(ctx.target, ctx.ba_id)
@@ -546,7 +602,7 @@ class _Loop:
 
     def _enqueue(self, ba_id, plans, now):
         """Replace ba_id's queue with plans and start its idle threads."""
-        self.queues[ba_id] = list(plans)  # leftovers of the old round vanish
+        self.queues[ba_id] = deque(plans)  # leftovers of the old round vanish
         for ctx in self.threads[ba_id]:
             if ctx.gen is None:
                 self._start_next(ctx, now)

@@ -338,6 +338,29 @@ class TestFlowStateAllocations:
         assert state.flows == {}
 
 
+def random_step(state, data):
+    """Apply one drawn event to state: a flow added, removed or detected, or
+    a new set of false-positive hosts."""
+    keys = [(r, ba) for r in sorted(state.topology.relays)
+            for ba in ("ba0", "ba1", "ba2")]
+    free = [key for key in keys if key not in state.flows]
+    undetected = sorted(key for key, detected in state.flows.items()
+                        if not detected)
+    kinds = (["fp"] + ["add"] * bool(free) + ["remove"] * bool(state.flows)
+             + ["detect"] * bool(undetected))
+    kind = data.draw(st.sampled_from(kinds), label="step")
+    if kind == "add":
+        state.add_flow(*data.draw(st.sampled_from(free)),
+                       detected=data.draw(st.booleans(), label="detected"))
+    elif kind == "remove":
+        state.remove_flow(*data.draw(st.sampled_from(sorted(state.flows))))
+    elif kind == "detect":
+        state.detect(*data.draw(st.sampled_from(undetected)))
+    else:
+        state.set_false_positives(data.draw(st.sets(st.sampled_from(
+            sorted(state.topology.hosts)))))
+
+
 class TestPerHostSolve:
     @settings(max_examples=300, deadline=None)
     @given(state=flow_states())
@@ -354,27 +377,9 @@ class TestPerHostSolve:
     @given(state=flow_states(), data=st.data())
     def test_matches_oracle_over_a_sequence_of_steps(self, state, data):
         # solves are cached between steps, so each step is one way a stale
-        # solve could leak: a flow added, removed or detected, a new set of
-        # false-positive hosts
-        relays = sorted(state.topology.relays)
-        hosts = sorted(state.topology.hosts)
-        keys = [(r, ba) for r in relays for ba in ("ba0", "ba1", "ba2")]
+        # solve could leak
         for _ in range(data.draw(st.integers(1, 12), label="steps")):
-            free = [key for key in keys if key not in state.flows]
-            undetected = sorted(key for key, detected in state.flows.items()
-                                if not detected)
-            kinds = (["fp"] + ["add"] * bool(free) + ["remove"] * bool(state.flows)
-                     + ["detect"] * bool(undetected))
-            kind = data.draw(st.sampled_from(kinds), label="step")
-            if kind == "add":
-                state.add_flow(*data.draw(st.sampled_from(free)),
-                               detected=data.draw(st.booleans(), label="detected"))
-            elif kind == "remove":
-                state.remove_flow(*data.draw(st.sampled_from(sorted(state.flows))))
-            elif kind == "detect":
-                state.detect(*data.draw(st.sampled_from(undetected)))
-            else:
-                state.set_false_positives(data.draw(st.sets(st.sampled_from(hosts))))
+            random_step(state, data)
             flows = dict(state.flows)
             expected = oracle_allocations(state)
             assert state.allocations() == expected
@@ -382,6 +387,36 @@ class TestPerHostSolve:
                 assert (state.flow_bandwidth(relay_id, ba_id)
                         == expected[("m", relay_id, ba_id)])
             assert state.flows == flows
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=flow_states(), data=st.data())
+    def test_flow_rate_solve_stays_filled_only_while_the_rate_holds(self, state,
+                                                                     data):
+        # the loop reuses a rate while the solve flow_rate gave with it is
+        # non-empty: after any sequence of steps, such a rate is still the
+        # flow's, and the flow is still there
+        read = {}
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            for key in state.flows:
+                if not read.get(key, (0, {}))[1]:
+                    read[key] = state.flow_rate(*key)
+            random_step(state, data)
+            expected = oracle_allocations(state)
+            for key, (rate, solve) in read.items():
+                if solve:
+                    assert rate == expected[("m",) + key]
+
+    def test_flow_rate_solve_emptied_by_its_own_host_only(self):
+        topology, load = shared_host_topology("honest")
+        state = FlowState(topology, load)
+        state.add_flow(fp("A"), "ba0", detected=False)
+        rate, solve = state.flow_rate(fp("A"), "ba0")
+        assert rate == state.flow_bandwidth(fp("A"), "ba0") and solve
+        state.set_false_positives({"hx"})
+        assert state.flow_rate(fp("A"), "ba0") == (rate, solve)
+        state.add_flow(fp("B"), "ba0", detected=False)
+        assert not solve
+        assert state.flow_rate(fp("A"), "ba0")[0] < rate
 
     def test_returned_allocations_do_not_alias_the_cache(self):
         topology, load = shared_host_topology("honest")
